@@ -116,19 +116,14 @@ pub fn block_range(n: usize, nprocs: usize, pid: usize) -> (usize, usize) {
 /// blocked/staged copies SPLASH-2 applications use.
 pub fn read_block<T: Scalar>(p: &Proc<'_>, v: &SharedVec<T>, i: usize, len: usize) -> Vec<T> {
     v.touch_range_read(p, i, len);
-    (i..i + len).map(|j| v.get_direct(j)).collect()
+    v.read_range_direct(i, len)
 }
 
 /// Writes `vals` to consecutive elements starting at `i` with a single
 /// simulated coarse access.
 pub fn write_block<T: Scalar>(p: &Proc<'_>, v: &SharedVec<T>, i: usize, vals: &[T]) {
-    if vals.is_empty() {
-        return;
-    }
     v.touch_range_write(p, i, vals.len());
-    for (k, &val) in vals.iter().enumerate() {
-        v.set_direct(i + k, val);
-    }
+    v.write_range_direct(i, vals);
 }
 
 /// A complex number (interleaved re/im storage in shared arrays).

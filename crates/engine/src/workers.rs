@@ -88,36 +88,29 @@ impl WorkerSet {
     fn spawn_worker(&self, first_job: Job) {
         static WORKER_SEQ: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
         let seq = WORKER_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let (job_tx, job_rx) = channel::<Job>();
         let weak: Weak<Inner> = Arc::downgrade(&self.inner);
         std::thread::Builder::new()
             .name(format!("{WORKER_THREAD_PREFIX}{seq}"))
             .stack_size(self.inner.stack_size)
             .spawn(move || {
-                let mut next = Some(first_job);
+                let mut job = first_job;
                 loop {
-                    let job = match next.take() {
-                        Some(j) => j,
-                        None => match job_rx.recv() {
-                            Ok(j) => j,
-                            Err(_) => return, // set dropped while parked
-                        },
-                    };
                     let completion = catch_unwind(AssertUnwindSafe(job));
                     // Re-park *before* delivering the result, so observers
                     // of the completion can immediately reuse this worker.
-                    match weak.upgrade() {
-                        Some(inner) => inner.idle.lock().expect("idle list").push(job_tx.clone()),
-                        None => {
-                            // The set is gone; deliver and exit.
-                            if let Ok(done) = completion {
-                                done();
-                            }
-                            return;
-                        }
-                    }
+                    // The idle list holds the only sender of the new job
+                    // channel, so dropping the set closes it.
+                    let parked = weak.upgrade().map(|inner| {
+                        let (job_tx, job_rx) = channel::<Job>();
+                        inner.idle.lock().expect("idle list").push(job_tx);
+                        job_rx
+                    });
                     if let Ok(done) = completion {
                         done();
+                    }
+                    match parked.map(|rx| rx.recv()) {
+                        Some(Ok(next)) => job = next,
+                        _ => return, // the set is gone
                     }
                 }
             })
@@ -187,6 +180,58 @@ mod tests {
         let (reused, out) = run_on(&set, 21);
         assert!(reused, "worker should survive a panicking job");
         assert_eq!(out, 42);
+    }
+
+    /// How many threads named in `names` this process still has, read
+    /// from `/proc/self/task/*/comm` (which keeps 15 bytes of a name).
+    #[cfg(target_os = "linux")]
+    fn live_threads(names: &[String]) -> usize {
+        let comms: Vec<String> = std::fs::read_dir("/proc/self/task")
+            .expect("procfs")
+            .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+            .collect();
+        names
+            .iter()
+            .filter(|n| comms.iter().any(|c| c.trim_end() == &n[..n.len().min(15)]))
+            .count()
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn parked_workers_exit_when_the_last_handle_drops() {
+        let set = WorkerSet::new();
+        let (gate_tx, gate_rx) = result_channel::<()>();
+        let (name_tx, name_rx) = result_channel::<String>();
+        // The first job holds its worker until released, so the second job
+        // needs a second worker.
+        for gate in [Some(gate_rx), None] {
+            let name_tx = name_tx.clone();
+            set.submit(Box::new(move || {
+                if let Some(g) = gate {
+                    g.recv().expect("gate");
+                }
+                let name = std::thread::current().name().expect("named").to_string();
+                Box::new(move || {
+                    let _ = name_tx.send(name);
+                })
+            }));
+        }
+        let second = name_rx.recv().expect("second worker");
+        gate_tx.send(()).expect("release");
+        let names = vec![name_rx.recv().expect("first worker"), second];
+        assert!(names.iter().all(|n| n.starts_with(WORKER_THREAD_PREFIX)));
+        assert_eq!(live_threads(&names), 2, "both workers parked");
+        // A warm set still reuses its workers.
+        assert!(run_on(&set, 1).0);
+        drop(set);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while live_threads(&names) > 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "parked workers outlived their set"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
     }
 
     #[test]

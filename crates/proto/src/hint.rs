@@ -26,12 +26,14 @@
 //! The board is shared between the simulator (which sets and revokes
 //! hints) and application threads (which query them while holding the
 //! baton). The baton guarantees at most one of these parties executes at
-//! any instant, so the interior mutability is sound; like
+//! any instant, and its channel handoff orders each party's accesses after
+//! the previous holder's, so the interior mutability is sound. Like
 //! [`crate::SharedMem`], debug builds verify the guarantee with an
-//! entrants counter.
+//! `entrants` counter; release builds compile the check out.
 
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
+#[cfg(debug_assertions)]
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::page_of;
@@ -46,14 +48,18 @@ pub struct HintBoard {
     /// One page → hint-bits map per processor.
     bits: UnsafeCell<Vec<HashMap<u64, u8>>>,
     /// Debug guard: number of threads currently inside an access.
+    #[cfg(debug_assertions)]
     entrants: AtomicUsize,
 }
 
-// SAFETY: the baton protocol guarantees at most one thread (simulator or
-// one application thread) touches the board at a time; debug builds check
-// this with `entrants`.
+// SAFETY: `bits` is only reached through `HintBoard::with`, and the baton
+// protocol guarantees at most one thread (simulator or one application
+// thread) is inside it at a time. The baton moves by channel `send`/`recv`
+// (`Yielder::hand_over`, `ThreadPool::resume`), and a `send`
+// happens-before its `recv`, so each access is ordered after the previous
+// holder's. `entrants` is atomic. `Send` needs no impl: every field is
+// `Send`.
 unsafe impl Sync for HintBoard {}
-unsafe impl Send for HintBoard {}
 
 impl HintBoard {
     /// Creates an empty board for `nprocs` processors: nothing is
@@ -61,24 +67,26 @@ impl HintBoard {
     pub fn new(nprocs: usize) -> Self {
         HintBoard {
             bits: UnsafeCell::new(vec![HashMap::new(); nprocs]),
+            #[cfg(debug_assertions)]
             entrants: AtomicUsize::new(0),
         }
     }
 
-    fn enter(&self) {
-        let prev = self.entrants.fetch_add(1, Ordering::SeqCst);
-        debug_assert_eq!(prev, 0, "concurrent HintBoard access: baton violated");
-    }
-
-    fn exit(&self) {
-        self.entrants.fetch_sub(1, Ordering::SeqCst);
-    }
-
+    /// Runs `f` on the hint maps. Every access goes through here, and
+    /// every `f` is a closure of this module that never re-enters `with`.
     fn with<R>(&self, f: impl FnOnce(&mut Vec<HashMap<u64, u8>>) -> R) -> R {
-        self.enter();
-        // SAFETY: exclusive access guaranteed by the baton (checked above).
+        #[cfg(debug_assertions)]
+        {
+            let prev = self.entrants.fetch_add(1, Ordering::SeqCst);
+            debug_assert_eq!(prev, 0, "concurrent HintBoard access: baton violated");
+        }
+        // SAFETY: no other reference to `bits` is live. Other threads are
+        // excluded by the baton, whose channel handoff also makes the
+        // previous holder's updates visible here; this thread holds no
+        // other borrow because `with` is never re-entered.
         let r = f(unsafe { &mut *self.bits.get() });
-        self.exit();
+        #[cfg(debug_assertions)]
+        self.entrants.fetch_sub(1, Ordering::SeqCst);
         r
     }
 

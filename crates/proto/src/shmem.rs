@@ -5,12 +5,16 @@
 //! in a [`SharedMem`] byte store shared by all application threads. This is
 //! sound because the engine's baton guarantees that at most one application
 //! thread executes at any instant (see `ssm-engine::threads`), so plain
-//! unsynchronized access can never race.
+//! unsynchronized access can never race. The baton is passed over channels,
+//! and a channel `send` happens-before its matching `recv`, so each thread
+//! sees every write the previous baton holder made.
 //!
-//! This module is the single `unsafe` island of the workspace (see
-//! DESIGN.md §11).
+//! This module and [`crate::hint`] are the workspace's two `unsafe` islands
+//! (see DESIGN.md §11). Debug builds check the baton on every access with an
+//! `entrants` counter; release builds compile the check out.
 
 use std::cell::UnsafeCell;
+#[cfg(debug_assertions)]
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -34,36 +38,38 @@ pub struct BarrierId(pub u32);
 /// exclusion — no two threads inside these methods at once — is provided
 /// externally by the engine's baton: simulated-processor threads run one at
 /// a time, and the simulator itself only touches the store while every
-/// application thread is parked. A debug-build guard (`entrants`) verifies
-/// this invariant at runtime.
+/// application thread is parked. Debug builds verify this invariant at
+/// runtime with an `entrants` counter; release builds do no atomic
+/// operation per access.
 pub struct SharedMem {
     data: UnsafeCell<Vec<u8>>,
     /// Debug guard: number of threads currently inside an accessor.
+    #[cfg(debug_assertions)]
     entrants: AtomicUsize,
 }
 
-// SAFETY: access is externally serialized by the engine baton (at most one
-// application thread runs at a time, and the simulator runs only while all
-// application threads are parked). The debug guard enforces this in tests.
+// SAFETY: `data` is only reached through `SharedMem::with`, whose callers
+// are serialized by the engine baton (at most one application thread runs
+// at a time, and the simulator runs only while all application threads are
+// parked). The baton moves by channel `send`/`recv` (`Yielder::hand_over`,
+// `ThreadPool::resume`), and a `send` happens-before its `recv`, so each
+// access is ordered after the previous holder's. `entrants` is atomic.
+// `Send` needs no impl: every field is `Send`.
 unsafe impl Sync for SharedMem {}
-unsafe impl Send for SharedMem {}
 
 impl SharedMem {
     /// Creates a store of `bytes` zeroed bytes.
     pub fn new(bytes: usize) -> Arc<Self> {
         Arc::new(SharedMem {
             data: UnsafeCell::new(vec![0u8; bytes]),
+            #[cfg(debug_assertions)]
             entrants: AtomicUsize::new(0),
         })
     }
 
     /// Size of the store in bytes.
     pub fn len(&self) -> usize {
-        self.enter();
-        // SAFETY: serialized per the struct-level safety model.
-        let n = unsafe { (*self.data.get()).len() };
-        self.exit();
-        n
+        self.with(|d| d.len())
     }
 
     /// Whether the store is empty.
@@ -71,50 +77,60 @@ impl SharedMem {
         self.len() == 0
     }
 
-    /// Reads `N` bytes at `addr`.
+    /// Reads the `n` consecutive `T`s that start at byte `addr`, with one
+    /// bounds check for the whole range.
     ///
     /// # Panics
     ///
     /// Panics if the range is out of bounds.
-    pub fn read_bytes<const N: usize>(&self, addr: u64) -> [u8; N] {
-        self.enter();
-        // SAFETY: serialized per the struct-level safety model; bounds are
-        // checked by the slice index below.
-        let out = unsafe {
-            let v = &*self.data.get();
-            let s = &v[addr as usize..addr as usize + N];
-            let mut buf = [0u8; N];
-            buf.copy_from_slice(s);
-            buf
-        };
-        self.exit();
-        out
+    pub fn read_range<T: Scalar>(&self, addr: u64, n: usize) -> Vec<T> {
+        let bytes = byte_range::<T>(addr, n);
+        self.with(|d| {
+            d[bytes]
+                .chunks_exact(T::BYTES as usize)
+                .map(T::from_le_chunk)
+                .collect()
+        })
     }
 
-    /// Writes `N` bytes at `addr`.
+    /// Writes `vals` to consecutive `T`s starting at byte `addr`, with one
+    /// bounds check for the whole range.
     ///
     /// # Panics
     ///
     /// Panics if the range is out of bounds.
-    pub fn write_bytes<const N: usize>(&self, addr: u64, bytes: [u8; N]) {
-        self.enter();
-        // SAFETY: serialized per the struct-level safety model; bounds are
-        // checked by the slice index below.
-        unsafe {
-            let v = &mut *self.data.get();
-            v[addr as usize..addr as usize + N].copy_from_slice(&bytes);
+    pub fn write_range<T: Scalar>(&self, addr: u64, vals: &[T]) {
+        let bytes = byte_range::<T>(addr, vals.len());
+        self.with(|d| {
+            for (chunk, &v) in d[bytes].chunks_exact_mut(T::BYTES as usize).zip(vals) {
+                v.to_le_chunk(chunk);
+            }
+        });
+    }
+
+    /// Runs `f` on the store's bytes. Every access goes through here, and
+    /// every `f` is a closure of this module that never re-enters `with`.
+    fn with<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
+        #[cfg(debug_assertions)]
+        {
+            let prev = self.entrants.fetch_add(1, Ordering::SeqCst);
+            debug_assert_eq!(prev, 0, "SharedMem accessed concurrently: baton violated");
         }
-        self.exit();
-    }
-
-    fn enter(&self) {
-        let prev = self.entrants.fetch_add(1, Ordering::SeqCst);
-        debug_assert_eq!(prev, 0, "SharedMem accessed concurrently: baton violated");
-    }
-
-    fn exit(&self) {
+        // SAFETY: no other reference to `data` is live. Other threads are
+        // excluded by the baton, whose channel handoff also makes the
+        // previous holder's writes visible here; this thread holds no other
+        // borrow because `with` is never re-entered.
+        let r = f(unsafe { &mut *self.data.get() });
+        #[cfg(debug_assertions)]
         self.entrants.fetch_sub(1, Ordering::SeqCst);
+        r
     }
+}
+
+/// The byte range of `n` consecutive `T`s starting at byte `addr`.
+fn byte_range<T: Scalar>(addr: u64, n: usize) -> std::ops::Range<usize> {
+    let start = addr as usize;
+    start..start + n * T::BYTES as usize
 }
 
 impl std::fmt::Debug for SharedMem {
@@ -125,16 +141,24 @@ impl std::fmt::Debug for SharedMem {
     }
 }
 
-/// A scalar type storable in the shared address space.
+/// A scalar type storable in the shared address space, kept little-endian.
 ///
 /// Sealed: implemented for the fixed-width numeric types applications use.
 pub trait Scalar: private::Sealed + Copy + 'static {
     /// Size in bytes.
     const BYTES: u64;
+    /// Decodes `Self` from its `BYTES` little-endian bytes.
+    fn from_le_chunk(chunk: &[u8]) -> Self;
+    /// Encodes `self` little-endian into `chunk`, which is `BYTES` long.
+    fn to_le_chunk(self, chunk: &mut [u8]);
     /// Reads `Self` from the store at `addr`.
-    fn load(mem: &SharedMem, addr: u64) -> Self;
+    fn load(mem: &SharedMem, addr: u64) -> Self {
+        mem.with(|d| Self::from_le_chunk(&d[byte_range::<Self>(addr, 1)]))
+    }
     /// Writes `self` to the store at `addr`.
-    fn store(self, mem: &SharedMem, addr: u64);
+    fn store(self, mem: &SharedMem, addr: u64) {
+        mem.with(|d| self.to_le_chunk(&mut d[byte_range::<Self>(addr, 1)]));
+    }
 }
 
 mod private {
@@ -146,11 +170,11 @@ macro_rules! impl_scalar {
         impl private::Sealed for $t {}
         impl Scalar for $t {
             const BYTES: u64 = std::mem::size_of::<$t>() as u64;
-            fn load(mem: &SharedMem, addr: u64) -> Self {
-                <$t>::from_le_bytes(mem.read_bytes(addr))
+            fn from_le_chunk(chunk: &[u8]) -> Self {
+                <$t>::from_le_bytes(chunk.try_into().expect("chunk is BYTES long"))
             }
-            fn store(self, mem: &SharedMem, addr: u64) {
-                mem.write_bytes(addr, self.to_le_bytes());
+            fn to_le_chunk(self, chunk: &mut [u8]) {
+                chunk.copy_from_slice(&self.to_le_bytes());
             }
         }
     )*};
@@ -229,24 +253,55 @@ impl<T: Scalar> SharedVec<T> {
         v.store(&self.mem, self.addr_of(i));
     }
 
+    /// Untimed read of the `n` consecutive elements starting at `i`: one
+    /// copy, equal to `n` calls of [`SharedVec::get_direct`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > 0` and `i + n > len`.
+    pub fn read_range_direct(&self, i: usize, n: usize) -> Vec<T> {
+        match self.range_addr(i, n) {
+            Some(addr) => self.mem.read_range(addr, n),
+            None => Vec::new(),
+        }
+    }
+
+    /// Untimed write of `vals` to consecutive elements starting at `i`: one
+    /// copy, equal to a [`SharedVec::set_direct`] per element.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vals` is not empty and `i + vals.len() > len`.
+    pub fn write_range_direct(&self, i: usize, vals: &[T]) {
+        if let Some(addr) = self.range_addr(i, vals.len()) {
+            self.mem.write_range(addr, vals);
+        }
+    }
+
     /// Simulated read of `n` consecutive elements starting at `i`, touching
     /// the whole range once (coarse-grained access) and returning element
     /// values via the untimed path.
     pub fn touch_range_read(&self, p: &Proc, i: usize, n: usize) {
-        if n == 0 {
-            return;
+        if let Some(addr) = self.range_addr(i, n) {
+            p.touch_read(addr, (n as u64) * T::BYTES);
         }
-        let _ = self.addr_of(i + n - 1);
-        p.touch_read(self.addr_of(i), (n as u64) * T::BYTES);
     }
 
     /// Simulated write marking for `n` consecutive elements starting at `i`.
     pub fn touch_range_write(&self, p: &Proc, i: usize, n: usize) {
+        if let Some(addr) = self.range_addr(i, n) {
+            p.touch_write(addr, (n as u64) * T::BYTES);
+        }
+    }
+
+    /// Base address of elements `i..i + n`, with both ends bounds-checked;
+    /// `None` for an empty range.
+    fn range_addr(&self, i: usize, n: usize) -> Option<u64> {
         if n == 0 {
-            return;
+            return None;
         }
         let _ = self.addr_of(i + n - 1);
-        p.touch_write(self.addr_of(i), (n as u64) * T::BYTES);
+        Some(self.addr_of(i))
     }
 }
 
@@ -405,6 +460,68 @@ mod tests {
         let mut w = World::new(1 << 16);
         let v = w.alloc_vec::<u8>(4);
         let _ = v.get_direct(4);
+    }
+
+    /// The range path stores exactly what per-element writes store, and
+    /// reads back exactly what per-element reads see, for one type.
+    fn range_matches_elements<T: Scalar + PartialEq + std::fmt::Debug>(vals: &[T]) {
+        let mut w = World::new(1 << 16);
+        let by_range = w.alloc_vec::<T>(vals.len() + 2);
+        let by_elem = w.alloc_vec::<T>(vals.len() + 2);
+        by_range.write_range_direct(1, vals);
+        for (k, &v) in vals.iter().enumerate() {
+            by_elem.set_direct(1 + k, v);
+        }
+        let all = by_range.len();
+        let elems: Vec<T> = (0..all).map(|i| by_elem.get_direct(i)).collect();
+        assert_eq!(by_range.read_range_direct(0, all), elems);
+        assert_eq!(by_range.read_range_direct(1, vals.len()), vals);
+    }
+
+    #[test]
+    fn range_access_equals_element_access_for_every_scalar() {
+        range_matches_elements(&[0u8, 1, 0x7f, 0xff]);
+        range_matches_elements(&[i32::MIN, -1, 0, 7, i32::MAX]);
+        range_matches_elements(&[0u32, 1, 0xdead_beef, u32::MAX]);
+        range_matches_elements(&[i64::MIN, -3, 0, i64::MAX]);
+        range_matches_elements(&[0u64, 1 << 40, u64::MAX]);
+        range_matches_elements(&[-1.5f32, 0.0, f32::MAX, f32::MIN_POSITIVE]);
+        range_matches_elements(&[-2.25f64, 0.0, 1e300, f64::EPSILON]);
+    }
+
+    #[test]
+    fn empty_range_is_a_no_op() {
+        let mut w = World::new(1 << 16);
+        let v = w.alloc_vec::<u32>(4);
+        v.set_direct(3, 9);
+        // Even a start past the end is fine when nothing is touched.
+        assert!(v.read_range_direct(4, 0).is_empty());
+        v.write_range_direct(4, &[]);
+        assert_eq!(v.read_range_direct(0, 4), vec![0, 0, 0, 9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn range_read_past_len_panics() {
+        let mut w = World::new(1 << 16);
+        let v = w.alloc_vec::<f64>(4);
+        let _ = v.read_range_direct(2, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn range_write_past_len_panics() {
+        let mut w = World::new(1 << 16);
+        let v = w.alloc_vec::<i64>(4);
+        v.write_range_direct(3, &[1, 2]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "baton violated")]
+    fn debug_guard_catches_reentry() {
+        let mem = SharedMem::new(64);
+        mem.with(|_| mem.len());
     }
 
     #[test]
