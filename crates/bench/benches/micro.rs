@@ -1,14 +1,13 @@
-//! Micro-benchmarks of the simulator's hot paths: the event queue, the
-//! cache model, the network model, and the two protocols' fundamental
-//! transactions. Uses the std-only timing loop from `ssm_bench::bench`
-//! (the hermetic build carries no benchmark-harness dependency).
+//! Micro-benchmarks of the simulator's hot paths: the cache model, the
+//! network model, and the two protocols' fundamental transactions. Uses
+//! the std-only timing loop from `ssm_bench::bench` (the hermetic build
+//! carries no benchmark-harness dependency).
 //!
 //! Run with `cargo bench -p ssm-bench --bench micro`.
 
 use std::hint::black_box;
 
 use ssm_bench::bench;
-use ssm_engine::EventQueue;
 use ssm_hlrc::Hlrc;
 use ssm_mem::{Hierarchy, MemConfig};
 use ssm_net::{CommParams, Network};
@@ -33,18 +32,6 @@ fn shape() -> WorldShape {
 }
 
 fn main() {
-    bench("event_queue/push_pop_1k", || {
-        let mut q = EventQueue::new();
-        for i in 0..1000u64 {
-            q.push((i * 7919) % 1000, i);
-        }
-        let mut sum = 0u64;
-        while let Some((_, e)) = q.pop() {
-            sum += e;
-        }
-        black_box(sum)
-    });
-
     bench("cache/stream_64kb", || {
         let mut h = Hierarchy::new(MemConfig::pentium_pro_like());
         black_box(h.stream_range(0, 0, 64 * 1024, false))

@@ -20,26 +20,23 @@
 //!
 //! # Batched handoffs
 //!
-//! With batching enabled (the default), threads run against a
-//! hint-carrying [`Proc`] that hands whole *runs* of operations to the
-//! driver in one baton exchange. The driver queues each batch per
+//! With batching enabled (the default), threads run against a batching
+//! [`Proc`] that hands every operation up to the next `Lock` or `Barrier`
+//! to the driver in one baton exchange. The driver queues each batch per
 //! processor and replays it **one operation per scheduling step**: a step
 //! either pops the next queued operation or — only when the queue is
 //! empty — resumes the thread for more. The operation stream each
 //! processor feeds the protocol, and the order the scheduler interleaves
 //! the processors, are therefore exactly those of an unbatched run, and
-//! every simulated result is byte-identical; only the handoff counters
-//! differ. Hints are learned here (an access that sent zero messages
-//! marks its pages local for that processor) and revoked by the machine
-//! on protocol invalidation.
+//! every simulated result of a data-race-free workload is byte-identical;
+//! only the handoff counters differ (see [`ssm_proto::vm`]).
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use ssm_engine::{Cycles, Resumed, ThreadId, ThreadPool, WorkerSet};
 use ssm_proto::{
-    HintBoard, Machine, Op, Proc, Protocol as ProtocolTrait, Workload, World, WorldShape,
-    FLUSH_CAP, FLUSH_END, FLUSH_MISS, FLUSH_SYNC,
+    Machine, Op, Proc, Protocol as ProtocolTrait, Workload, World, WorldShape, FLUSH_CAP,
+    FLUSH_END, FLUSH_SYNC,
 };
 use ssm_stats::Bucket;
 
@@ -51,8 +48,8 @@ use crate::result::RunResult;
 pub struct EngineOptions {
     /// Recycle OS threads from this set instead of spawning per run.
     pub workers: Option<WorkerSet>,
-    /// Accumulate hint-predicted-local operations into one baton handoff
-    /// per run (see [`ssm_proto::vm`] module docs). On by default.
+    /// Hand every operation up to the next `Lock`/`Barrier` over in one
+    /// baton exchange (see [`ssm_proto::vm`] module docs). On by default.
     pub batching: Batching,
 }
 
@@ -125,24 +122,17 @@ pub fn run_simulation_with(
     };
     protocol.init(&machine, &shape);
 
-    let board = if opts.batching.0 {
-        let board = Arc::new(HintBoard::new(nprocs));
-        machine.set_hint_board(board.clone());
-        Some(board)
-    } else {
-        None
-    };
-
     let mut pool: ThreadPool<Op> = match &opts.workers {
         Some(ws) => ThreadPool::with_workers(ws.clone()),
         None => ThreadPool::new(),
     };
+    let batching = opts.batching.0;
     for (pid, body) in bodies.into_iter().enumerate() {
-        let board = board.clone();
         pool.spawn(move |y| {
-            let proc = match board {
-                Some(board) => Proc::batched(y, pid, nprocs, board),
-                None => Proc::new(y, pid, nprocs),
+            let proc = if batching {
+                Proc::batched(y, pid, nprocs)
+            } else {
+                Proc::new(y, pid, nprocs)
             };
             body(&proc);
             proc.finish();
@@ -186,7 +176,6 @@ pub fn run_simulation_with(
                         c.ops_batched += ops.len() as u64;
                         match cause {
                             FLUSH_SYNC => c.flush_sync += 1,
-                            FLUSH_MISS => c.flush_miss += 1,
                             FLUSH_CAP => c.flush_cap += 1,
                             FLUSH_END => c.flush_end += 1,
                             other => panic!("unknown batch-flush cause {other}"),
@@ -208,7 +197,6 @@ pub fn run_simulation_with(
                 m.counters_mut(p).sim_ops += 1;
                 let t0 = m.clock[p];
                 let before = m.breakdowns()[p].total();
-                let msgs_before = m.counters()[p].messages;
                 match op {
                     Op::Compute(c) => {
                         let (_, end) = m.occupy_cpu(p, t0, c);
@@ -218,12 +206,10 @@ pub fn run_simulation_with(
                     Op::Read { addr, bytes } => {
                         let t = protocol.read(m, p, addr, bytes);
                         settle(m, p, t0, t, before, Bucket::DataWait);
-                        observe(&board, m, p, msgs_before, addr, bytes, false);
                     }
                     Op::Write { addr, bytes } => {
                         let t = protocol.write(m, p, addr, bytes);
                         settle(m, p, t0, t, before, Bucket::DataWait);
-                        observe(&board, m, p, msgs_before, addr, bytes, true);
                     }
                     Op::Lock(l) => match protocol.lock(m, p, l) {
                         Some(t) => settle(m, p, t0, t, before, Bucket::LockWait),
@@ -291,25 +277,6 @@ pub fn run_simulation_with(
         trace,
         threads_spawned: threads_spawned as u64,
         threads_reused: threads_reused as u64,
-    }
-}
-
-/// Hint learning: an access that completed without `p` sending a single
-/// message is local; mark its pages so the thread-side `Proc` can batch
-/// the next access. (Pure host-time policy — see `ssm-proto::hint`.)
-fn observe(
-    board: &Option<Arc<HintBoard>>,
-    m: &Machine,
-    p: usize,
-    msgs_before: u64,
-    addr: u64,
-    bytes: u64,
-    write: bool,
-) {
-    if let Some(board) = board {
-        if m.counters()[p].messages == msgs_before {
-            board.observe_local(p, addr, bytes, write);
-        }
     }
 }
 

@@ -170,9 +170,10 @@ impl SimBuilder {
         self
     }
 
-    /// Toggles batched baton handoffs (default on). Simulated results are
-    /// byte-identical either way; off is useful for measuring the handoff
-    /// reduction and for A/B tests.
+    /// Toggles batched baton handoffs (default on). Simulated results of a
+    /// data-race-free workload are byte-identical either way; off is useful
+    /// for measuring the handoff reduction, for A/B tests, and for checking
+    /// a new workload (see [`ssm_proto::vm`]).
     pub fn batching(mut self, enable: bool) -> Self {
         self.batching = enable;
         self

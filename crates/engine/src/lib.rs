@@ -3,16 +3,13 @@
 //!
 //! This crate is the lowest layer of the `ssm` reproduction of *"Limits to
 //! the Performance of Software Shared Memory: A Layered Approach"* (HPCA
-//! 1999). It plays the role that **augmint** plays in the paper: it advances
-//! a simulated clock, dispatches timestamped events deterministically, and
-//! lets real application code drive the simulation by yielding memory and
-//! synchronization operations to it.
+//! 1999). It plays the role that **augmint** plays in the paper: it counts
+//! simulated time in cycles and lets real application code drive the
+//! simulation by yielding memory and synchronization operations to it.
 //!
 //! The engine knows nothing about caches, networks or coherence protocols —
-//! those are built on top of three primitives provided here:
+//! those are built on top of two primitives provided here:
 //!
-//! * [`EventQueue`] — a priority queue of `(time, seq, event)` entries with
-//!   deterministic FIFO tie-breaking for equal timestamps,
 //! * [`Resource`] and [`Pipe`] — occupancy- and bandwidth-contended shared
 //!   resources (a CPU, an NI processor, an I/O bus, a memory bus),
 //! * [`ThreadPool`] — execution-driven application threads: each simulated
@@ -24,17 +21,7 @@
 //! # Example
 //!
 //! ```rust
-//! use ssm_engine::{EventQueue, Resource};
-//!
-//! let mut q: EventQueue<&'static str> = EventQueue::new();
-//! q.push(10, "b");
-//! q.push(5, "a");
-//! q.push(10, "c"); // same time as "b": FIFO order preserved
-//! let mut order = Vec::new();
-//! while let Some((t, e)) = q.pop() {
-//!     order.push((t, e));
-//! }
-//! assert_eq!(order, vec![(5, "a"), (10, "b"), (10, "c")]);
+//! use ssm_engine::Resource;
 //!
 //! let mut cpu = Resource::new();
 //! let busy_until = cpu.acquire(100, 50); // request at t=100 for 50 cycles
@@ -43,12 +30,10 @@
 //! assert_eq!(contended, 160);
 //! ```
 
-pub mod queue;
 pub mod resource;
 pub mod threads;
 pub mod workers;
 
-pub use queue::EventQueue;
 pub use resource::{Pipe, Resource};
 pub use threads::{Resumed, ThreadId, ThreadPool, Yielder};
 pub use workers::{Completion, Job, WorkerSet, WORKER_THREAD_PREFIX};

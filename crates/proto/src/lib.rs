@@ -18,7 +18,6 @@
 //! ```
 
 pub mod costs;
-pub mod hint;
 pub mod machine;
 pub mod protocol;
 pub mod shmem;
@@ -27,12 +26,11 @@ pub mod vm;
 pub mod workload;
 
 pub use costs::{PerWord, ProtoCosts};
-pub use hint::HintBoard;
 pub use machine::{Machine, TraceEvent};
 pub use protocol::{Ideal, Protocol, WorldShape};
 pub use shmem::{BarrierId, LockId, Scalar, SharedMem, SharedVec, World};
 pub use sync::{BarrierTable, LockTable};
-pub use vm::{Op, Proc, BATCH_CAP, FLUSH_CAP, FLUSH_END, FLUSH_MISS, FLUSH_SYNC};
+pub use vm::{Op, Proc, BATCH_CAP, FLUSH_CAP, FLUSH_END, FLUSH_SYNC};
 pub use workload::{ThreadBody, Workload};
 
 /// Page size of the shared virtual memory system (bytes).

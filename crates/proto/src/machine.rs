@@ -118,7 +118,6 @@ pub struct Machine {
     wakeups: Vec<(usize, Cycles)>,
     trace: Option<Vec<TraceEvent>>,
     rel: Option<Reliability>,
-    hints: Option<std::sync::Arc<crate::HintBoard>>,
 }
 
 impl Machine {
@@ -145,16 +144,7 @@ impl Machine {
             wakeups: Vec::new(),
             trace: None,
             rel: None,
-            hints: None,
         }
-    }
-
-    /// Installs the locality hint board shared with the application
-    /// threads; protocol invalidations then revoke the affected hints so
-    /// the batching `Proc` stops running ahead over stale pages. (Hints
-    /// are pure host-time policy: results are identical without this.)
-    pub fn set_hint_board(&mut self, board: std::sync::Arc<crate::HintBoard>) {
-        self.hints = Some(board);
     }
 
     /// Installs a deterministic fault plan on the network and arms the
@@ -409,12 +399,9 @@ impl Machine {
     }
 
     /// Drops `[addr, addr+len)` from `p`'s caches (stale after protocol
-    /// invalidation), and revokes `p`'s locality hints for the range.
+    /// invalidation).
     pub fn cache_invalidate(&mut self, p: usize, addr: u64, len: u64) {
         self.hier[p].invalidate_range(addr, len);
-        if let Some(h) = &self.hints {
-            h.revoke(p, addr, len);
-        }
     }
 
     /// Cache statistics for node `p`.

@@ -9,9 +9,9 @@
 //! and a channel `send` happens-before its matching `recv`, so each thread
 //! sees every write the previous baton holder made.
 //!
-//! This module and [`crate::hint`] are the workspace's two `unsafe` islands
-//! (see DESIGN.md §11). Debug builds check the baton on every access with an
-//! `entrants` counter; release builds compile the check out.
+//! This module is the workspace's one `unsafe` island (see DESIGN.md §11).
+//! Debug builds check the baton on every access with an `entrants`
+//! counter; release builds compile the check out.
 
 use std::cell::UnsafeCell;
 #[cfg(debug_assertions)]

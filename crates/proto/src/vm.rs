@@ -9,29 +9,39 @@
 //! operation, so tight loops that interleave arithmetic with shared reads
 //! cost only one baton handover per shared access.
 //!
-//! With a [`crate::HintBoard`] installed ([`Proc::batched`]), the handle
-//! goes further: operations that the hints predict will complete locally —
-//! `Compute` blocks, reads/writes of pages whose last access sent no
-//! messages, and lock releases — are *buffered* and handed to the
-//! simulator as one batch ([`ssm_engine::Yielder::yield_batch`]). The
-//! driver replays the batch one operation per scheduling step, in issue
-//! order, so simulated results are byte-identical to the unbatched run
-//! (see `hint.rs` for why hint accuracy cannot affect results). A batch
-//! is flushed — one baton handoff — when:
+//! A batching handle ([`Proc::batched`]) goes further: it *buffers* every
+//! operation that does not block — `Compute` blocks, reads, writes and lock
+//! releases — and hands the run to the simulator as one batch
+//! ([`ssm_engine::Yielder::yield_batch`]). A batch is flushed — one baton
+//! handoff — when:
 //!
 //! * a **sync** operation is issued (`Lock`, `Barrier`): the thread must
 //!   block until the simulator grants it ([`FLUSH_SYNC`]);
-//! * a read/write **misses** in the hints: the thread blocks so the hint
-//!   is fresh when it resumes ([`FLUSH_MISS`]);
 //! * the batch reaches [`BATCH_CAP`] operations ([`FLUSH_CAP`]);
 //! * the thread body returns ([`FLUSH_END`]).
+//!
+//! So the number of handoffs depends on the operation stream alone.
+//!
+//! # Workloads must be data-race-free
+//!
+//! The driver replays a batch one operation per scheduling step, in issue
+//! order, so the operation stream each processor feeds the protocol is
+//! that of an unbatched run. What batching moves is *host* time: a thread
+//! reads and writes the shared store while it builds its batch, before
+//! the simulator has replayed what other processors did earlier in
+//! simulated time. In a data-race-free program this changes no value
+//! read: every conflicting access by another processor is ordered by a
+//! `Lock`/`Unlock` or `Barrier` chain, and the thread cannot pass a `Lock`
+//! or `Barrier` until the simulator grants it. A [`crate::Workload`] with
+//! a data race may read different values, and so issue different
+//! operations, batched and unbatched. Until the workspace has a race checker, run a new workload
+//! both ways (`--no-batching` in the sweep CLI, `batching(false)` on the
+//! simulation builder) and compare the output.
 
 use std::cell::{Cell, RefCell};
-use std::sync::Arc;
 
 use ssm_engine::Yielder;
 
-use crate::hint::HintBoard;
 use crate::shmem::{BarrierId, LockId};
 
 /// An operation yielded by an application thread to the simulator.
@@ -58,18 +68,10 @@ pub const BATCH_CAP: usize = 256;
 
 /// Batch-flush cause: a sync operation (`Lock`/`Barrier`) ended the run.
 pub const FLUSH_SYNC: u32 = 0;
-/// Batch-flush cause: a read/write missed in the locality hints.
-pub const FLUSH_MISS: u32 = 1;
 /// Batch-flush cause: the batch reached [`BATCH_CAP`] operations.
 pub const FLUSH_CAP: u32 = 2;
 /// Batch-flush cause: the thread body returned.
 pub const FLUSH_END: u32 = 3;
-
-/// Batching state, present only when the driver installs a hint board.
-struct BatchState {
-    ops: RefCell<Vec<Op>>,
-    board: Arc<HintBoard>,
-}
 
 /// The per-processor handle passed to application code.
 pub struct Proc<'a> {
@@ -77,7 +79,8 @@ pub struct Proc<'a> {
     pid: usize,
     nprocs: usize,
     pending: Cell<u64>,
-    batch: Option<BatchState>,
+    /// The operations buffered so far; `None` when batching is off.
+    batch: Option<RefCell<Vec<Op>>>,
 }
 
 impl<'a> Proc<'a> {
@@ -93,19 +96,13 @@ impl<'a> Proc<'a> {
         }
     }
 
-    /// Like [`Proc::new`], but accumulates hint-predicted-local operations
-    /// into batches (see module docs). Simulated results are identical;
-    /// only the number of baton handoffs changes.
-    pub fn batched(y: &'a Yielder<Op>, pid: usize, nprocs: usize, board: Arc<HintBoard>) -> Self {
+    /// Like [`Proc::new`], but buffers every non-blocking operation into
+    /// batches (see module docs). Simulated results of a data-race-free
+    /// workload are identical; only the number of baton handoffs changes.
+    pub fn batched(y: &'a Yielder<Op>, pid: usize, nprocs: usize) -> Self {
         Proc {
-            y,
-            pid,
-            nprocs,
-            pending: Cell::new(0),
-            batch: Some(BatchState {
-                ops: RefCell::new(Vec::new()),
-                board,
-            }),
+            batch: Some(RefCell::new(Vec::new())),
+            ..Proc::new(y, pid, nprocs)
         }
     }
 
@@ -131,64 +128,57 @@ impl<'a> Proc<'a> {
     pub fn flush(&self) {
         let c = self.pending.replace(0);
         if c > 0 {
-            match &self.batch {
-                None => self.y.yield_op(Op::Compute(c)),
-                Some(b) => self.buffer(b, Op::Compute(c)),
+            self.issue(Op::Compute(c));
+        }
+    }
+
+    /// Issues a non-blocking `op`: one handoff, or in batching mode into
+    /// the current batch, which is handed over if the cap is reached.
+    fn issue(&self, op: Op) {
+        match &self.batch {
+            None => self.y.yield_op(op),
+            Some(b) => {
+                let mut ops = b.borrow_mut();
+                ops.push(op);
+                if ops.len() >= BATCH_CAP {
+                    let batch = std::mem::take(&mut *ops);
+                    drop(ops);
+                    self.y.yield_batch(batch, FLUSH_CAP);
+                }
             }
         }
     }
 
-    /// Buffers `op` into the current batch, handing it over if the cap is
-    /// reached.
-    fn buffer(&self, b: &BatchState, op: Op) {
-        let mut ops = b.ops.borrow_mut();
-        ops.push(op);
-        if ops.len() >= BATCH_CAP {
-            let batch = std::mem::take(&mut *ops);
-            drop(ops);
-            self.y.yield_batch(batch, FLUSH_CAP);
+    /// Issues a blocking `op`. In batching mode it ends the current batch
+    /// and hands the whole run over; the thread blocks until the simulator
+    /// has replayed every buffered operation.
+    fn sync(&self, op: Op) {
+        self.flush();
+        match &self.batch {
+            None => self.y.yield_op(op),
+            Some(b) => {
+                let mut batch = std::mem::take(&mut *b.borrow_mut());
+                batch.push(op);
+                self.y.yield_batch(batch, FLUSH_SYNC);
+            }
         }
-    }
-
-    /// Buffers `op` as the *last* operation of the current batch and hands
-    /// the whole run over; the thread blocks until the simulator has
-    /// replayed every buffered operation.
-    fn seal(&self, b: &BatchState, op: Op, cause: u32) {
-        let mut batch = std::mem::take(&mut *b.ops.borrow_mut());
-        batch.push(op);
-        self.y.yield_batch(batch, cause);
     }
 
     /// Simulated shared-memory read of `[addr, addr+bytes)`.
     pub fn touch_read(&self, addr: u64, bytes: u64) {
         self.flush();
-        let op = Op::Read { addr, bytes };
-        match &self.batch {
-            None => self.y.yield_op(op),
-            Some(b) if b.board.predicts_read_hit(self.pid, addr, bytes) => self.buffer(b, op),
-            Some(b) => self.seal(b, op, FLUSH_MISS),
-        }
+        self.issue(Op::Read { addr, bytes });
     }
 
     /// Simulated shared-memory write of `[addr, addr+bytes)`.
     pub fn touch_write(&self, addr: u64, bytes: u64) {
         self.flush();
-        let op = Op::Write { addr, bytes };
-        match &self.batch {
-            None => self.y.yield_op(op),
-            Some(b) if b.board.predicts_write_hit(self.pid, addr, bytes) => self.buffer(b, op),
-            Some(b) => self.seal(b, op, FLUSH_MISS),
-        }
+        self.issue(Op::Write { addr, bytes });
     }
 
     /// Acquires `lock` (blocks in simulated time until granted).
     pub fn lock(&self, lock: LockId) {
-        self.flush();
-        let op = Op::Lock(lock);
-        match &self.batch {
-            None => self.y.yield_op(op),
-            Some(b) => self.seal(b, op, FLUSH_SYNC),
-        }
+        self.sync(Op::Lock(lock));
     }
 
     /// Releases `lock`. Non-blocking, so in batching mode it joins the
@@ -196,21 +186,12 @@ impl<'a> Proc<'a> {
     /// waiter is granted the lock.
     pub fn unlock(&self, lock: LockId) {
         self.flush();
-        let op = Op::Unlock(lock);
-        match &self.batch {
-            None => self.y.yield_op(op),
-            Some(b) => self.buffer(b, op),
-        }
+        self.issue(Op::Unlock(lock));
     }
 
     /// Enters `barrier`; returns when all processors have arrived.
     pub fn barrier(&self, barrier: BarrierId) {
-        self.flush();
-        let op = Op::Barrier(barrier);
-        match &self.batch {
-            None => self.y.yield_op(op),
-            Some(b) => self.seal(b, op, FLUSH_SYNC),
-        }
+        self.sync(Op::Barrier(barrier));
     }
 
     /// Hands over whatever remains buffered; called by the driver when the
@@ -219,7 +200,7 @@ impl<'a> Proc<'a> {
     pub fn finish(&self) {
         self.flush();
         if let Some(b) = &self.batch {
-            let batch = std::mem::take(&mut *b.ops.borrow_mut());
+            let batch = std::mem::take(&mut *b.borrow_mut());
             if !batch.is_empty() {
                 self.y.yield_batch(batch, FLUSH_END);
             }
@@ -296,17 +277,15 @@ mod tests {
     }
 
     #[test]
-    fn batched_proc_accumulates_predicted_hits() {
-        let board = Arc::new(HintBoard::new(1));
-        board.observe_local(0, 0, crate::PAGE_SIZE, true); // page 0: read+write local
-        let b = board.clone();
+    fn batched_proc_buffers_cold_accesses_until_lock() {
         let mut pool: ThreadPool<Op> = ThreadPool::new();
-        let t = pool.spawn(move |y| {
-            let p = Proc::batched(y, 0, 1, b);
+        let t = pool.spawn(|y| {
+            let p = Proc::batched(y, 0, 1);
             p.compute(10);
-            p.touch_read(0, 4); // hit: buffered
-            p.touch_write(8, 4); // hit: buffered
-            p.touch_read(8192, 4); // page 2: no hint -> MISS seals the batch
+            p.touch_read(0, 4); // never touched before: still buffered
+            p.touch_write(8192, 4); // another page: still buffered
+            p.touch_read(1 << 20, 64);
+            p.lock(LockId(0)); // sync: seals the whole run
             p.finish();
         });
         assert_eq!(
@@ -315,13 +294,17 @@ mod tests {
                 vec![
                     Op::Compute(10),
                     Op::Read { addr: 0, bytes: 4 },
-                    Op::Write { addr: 8, bytes: 4 },
-                    Op::Read {
+                    Op::Write {
                         addr: 8192,
                         bytes: 4
                     },
+                    Op::Read {
+                        addr: 1 << 20,
+                        bytes: 64
+                    },
+                    Op::Lock(LockId(0)),
                 ],
-                FLUSH_MISS
+                FLUSH_SYNC
             )
         );
         assert_eq!(pool.resume(t), Resumed::Finished);
@@ -329,11 +312,9 @@ mod tests {
 
     #[test]
     fn sync_ops_seal_and_unlock_batches() {
-        let board = Arc::new(HintBoard::new(1));
-        let b = board.clone();
         let mut pool: ThreadPool<Op> = ThreadPool::new();
-        let t = pool.spawn(move |y| {
-            let p = Proc::batched(y, 0, 1, b);
+        let t = pool.spawn(|y| {
+            let p = Proc::batched(y, 0, 1);
             p.compute(5);
             p.lock(LockId(1)); // sync: seals [Compute, Lock]
             p.compute(7);
@@ -366,12 +347,9 @@ mod tests {
 
     #[test]
     fn cap_flushes_long_runs() {
-        let board = Arc::new(HintBoard::new(1));
-        board.observe_local(0, 0, crate::PAGE_SIZE, false);
-        let b = board.clone();
         let mut pool: ThreadPool<Op> = ThreadPool::new();
-        let t = pool.spawn(move |y| {
-            let p = Proc::batched(y, 0, 1, b);
+        let t = pool.spawn(|y| {
+            let p = Proc::batched(y, 0, 1);
             for _ in 0..BATCH_CAP + 1 {
                 p.touch_read(0, 4);
             }
@@ -393,11 +371,9 @@ mod tests {
 
     #[test]
     fn empty_finish_yields_nothing() {
-        let board = Arc::new(HintBoard::new(1));
-        let b = board.clone();
         let mut pool: ThreadPool<Op> = ThreadPool::new();
-        let t = pool.spawn(move |y| {
-            let p = Proc::batched(y, 0, 1, b);
+        let t = pool.spawn(|y| {
+            let p = Proc::batched(y, 0, 1);
             p.finish();
         });
         assert_eq!(pool.resume(t), Resumed::Finished);

@@ -13,6 +13,10 @@ use crate::vm::Proc;
 pub type ThreadBody = Box<dyn FnOnce(&Proc<'_>) + Send + 'static>;
 
 /// An application in the suite (original or restructured).
+///
+/// The thread bodies must be data-race-free: conflicting shared accesses
+/// by two processors are ordered by a lock release/acquire or a barrier
+/// (see [`crate::vm`] for why batching relies on it).
 pub trait Workload {
     /// Display name ("FFT", "Barnes-original", "Ocean-rowwise", …).
     fn name(&self) -> String;

@@ -262,8 +262,9 @@ pub struct Counters {
     pub ops_batched: u64,
     /// Batch flushes forced by a synchronization operation (lock/barrier).
     pub flush_sync: u64,
-    /// Batch flushes forced by a predicted remote miss or invalidated
-    /// locality hint.
+    /// Always 0: batches no longer end at a predicted remote access. Kept
+    /// so the perfbench `engine.flush_miss` metric and sweep-cache lines
+    /// written by older builds keep their shape.
     pub flush_miss: u64,
     /// Batch flushes forced by the batch-length cap.
     pub flush_cap: u64,
@@ -303,11 +304,6 @@ impl Counters {
             flush_cap: self.flush_cap + o.flush_cap,
             flush_end: self.flush_end + o.flush_end,
         }
-    }
-
-    /// Total batch flushes, by any cause.
-    pub fn flushes(&self) -> u64 {
-        self.flush_sync + self.flush_miss + self.flush_cap + self.flush_end
     }
 
     /// A copy with the engine-performance counters (handoffs, batching,

@@ -48,6 +48,8 @@ fn assert_identical(cell: &Cell) {
         unbatched.counters.handoffs
     );
     assert_eq!(unbatched.counters.ops_batched, 0, "{label}");
+    // Batches end only at sync ops, the cap and thread end.
+    assert_eq!(batched.counters.flush_miss, 0, "{label}: flush_miss");
     assert_eq!(
         batched.counters.sim_ops, unbatched.counters.sim_ops,
         "{label}: op streams differ"
@@ -66,6 +68,7 @@ fn batched_results_are_identical_across_the_catalog() {
                 Protocol::Aurc,
                 Protocol::Sc,
                 Protocol::ScDelayed,
+                Protocol::Rdma,
             ] {
                 assert_identical(&Cell::new(app.name, proto, cfg, PROCS, Scale::Test));
             }
@@ -80,7 +83,7 @@ fn batched_results_are_identical_under_fault_injection() {
     // pure function of the message stream, which batching must not
     // perturb.
     for app in ["FFT", "Radix", "Water-Nsquared"] {
-        for proto in [Protocol::Hlrc, Protocol::Sc] {
+        for proto in [Protocol::Hlrc, Protocol::Sc, Protocol::Rdma] {
             for (rate_ppm, seed) in [(50_000, 7), (200_000, 13)] {
                 let cell = Cell::new(app, proto, LayerConfig::base(), PROCS, Scale::Test)
                     .with_faults(rate_ppm, seed);
@@ -92,10 +95,10 @@ fn batched_results_are_identical_under_fault_injection() {
 
 #[test]
 fn batching_cuts_handoffs_at_least_3x_on_most_apps() {
-    // The ISSUE's CI-assertable perf evidence: on a 1-CPU container the
-    // handoff counter, not wall-clock, is the witness. Compute-heavy and
-    // local-access-heavy applications must drop by >= 3x; at least 5 of
-    // the catalog's apps must clear that bar under HLRC at test scale.
+    // The CI-assertable perf evidence: on a shared, noisy host the
+    // handoff counter, not wall-clock, is the witness. Applications that
+    // run long stretches between sync ops must drop by >= 3x; at least 5
+    // of the catalog's apps must clear that bar under HLRC at test scale.
     let mut cleared = Vec::new();
     let mut ratios = Vec::new();
     for app in suite() {

@@ -8,36 +8,13 @@
 //! reproduce exactly.
 
 use ssm::apps::common::{block_range, Rng};
-use ssm::engine::{EventQueue, Pipe, Resource};
+use ssm::engine::{Pipe, Resource};
 use ssm::hlrc::{DirtyBits, NoticeBoard};
 use ssm::mem::{Cache, CacheConfig};
 use ssm::proto::{BarrierId, BarrierTable, LockId, LockTable, PerWord};
 
 /// Number of random cases sampled per property.
 const CASES: u64 = 64;
-
-/// Events always pop in non-decreasing time order, FIFO within a time.
-#[test]
-fn event_queue_orders() {
-    for case in 0..CASES {
-        let mut rng = Rng::new(0x0E0E + case);
-        let n = 1 + rng.gen_range(199) as usize;
-        let mut q = EventQueue::new();
-        for i in 0..n {
-            q.push(rng.gen_range(1000), i);
-        }
-        let mut prev: Option<(u64, usize)> = None;
-        while let Some((t, i)) = q.pop() {
-            if let Some((pt, pi)) = prev {
-                assert!(
-                    t > pt || (t == pt && i > pi),
-                    "case {case}: order violated: ({pt},{pi}) then ({t},{i})"
-                );
-            }
-            prev = Some((t, i));
-        }
-    }
-}
 
 /// A resource never serves two reservations at once and never goes
 /// backwards.
