@@ -1,50 +1,35 @@
 //! The `Sweep` builder: the one front door to sweep execution.
 //!
 //! Every bench binary builds its cell enumeration, then runs it through
-//! this builder — which dispatches to the in-process executor, a worker
-//! slice, or the shard coordinator depending on how it was configured
-//! (typically straight from the shared CLI via [`Sweep::configure`]):
+//! this builder, configured straight from the shared command line (the
+//! [`SweepCli`] is the whole configuration):
 //!
 //! ```no_run
 //! use ssm_sweep::prelude::*;
 //! # let cells: Vec<Cell> = Vec::new();
-//! let run = Sweep::enumerate(&cells)
-//!     .jobs(4)
-//!     .cache("results")
-//!     .retries(1)
-//!     .run();
+//! let cli = SweepCli::parse();
+//! let run = Sweep::enumerate(&cells).configure(&cli).run();
 //! # let _ = run;
 //! ```
+//!
+//! Embedders without a command line set the few knobs they need with
+//! [`Sweep::jobs`], [`Sweep::cache`] and [`Sweep::quiet`].
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 use crate::cell::Cell;
 use crate::cli::SweepCli;
-use crate::coordinator::run_coordinator;
-use crate::exec::{run_local, SweepOpts, SweepRun};
-use crate::shard::ShardSpec;
+use crate::exec::{run_local, SweepRun};
 
 /// A configured sweep over an explicit cell enumeration.
 ///
-/// Three execution modes, selected by the builder state:
-///
-/// * **local** (default) — run every cell in-process;
-/// * **worker** ([`Sweep::worker`] + [`Sweep::shard`]) — run only this
-///   shard's slice into the configured results directory, then exit the
-///   process (never returns);
-/// * **coordinator** ([`Sweep::shards`]) — partition the cells, re-invoke
-///   the current binary once per shard as a subprocess, and merge the
-///   shard caches into the main one.
+/// Without `--shard` every cell runs in-process; with `--shard i/N` the
+/// sweep is a worker that runs only its slice into the results directory
+/// and then exits the process (see [`Sweep::run`]).
 #[derive(Debug)]
 pub struct Sweep {
     cells: Vec<Cell>,
-    opts: SweepOpts,
-    shard: Option<ShardSpec>,
-    worker: bool,
-    shards: Option<usize>,
-    shard_retries: u32,
-    worker_cmd: Option<(PathBuf, Vec<String>)>,
+    cli: SweepCli,
 }
 
 impl Sweep {
@@ -53,233 +38,48 @@ impl Sweep {
     pub fn enumerate(cells: &[Cell]) -> Self {
         Sweep {
             cells: cells.to_vec(),
-            opts: SweepOpts::default(),
-            shard: None,
-            worker: false,
-            shards: None,
-            shard_retries: 2,
-            worker_cmd: None,
+            cli: SweepCli::default(),
         }
     }
 
-    /// Applies everything the shared command line selected: executor
-    /// options plus the shard/worker/coordinator mode flags.
+    /// Applies everything the shared command line selected.
     pub fn configure(mut self, cli: &SweepCli) -> Self {
-        self.opts = cli.sweep_opts();
-        self.shard = cli.shard;
-        self.worker = cli.worker;
-        self.shards = cli.shards;
-        self.shard_retries = cli.shard_retries;
-        self
-    }
-
-    /// Replaces the executor options wholesale (tests and embedders;
-    /// binaries should prefer [`Sweep::configure`]).
-    pub fn options(mut self, opts: SweepOpts) -> Self {
-        self.opts = opts;
+        self.cli = cli.clone();
         self
     }
 
     /// Host worker threads (cells in flight at once).
     pub fn jobs(mut self, n: usize) -> Self {
-        self.opts.jobs = n.max(1);
+        self.cli.jobs = n.max(1);
         self
     }
 
     /// Enables the on-disk cache under `dir` (also the summary location).
     pub fn cache(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.opts.results_dir = dir.into();
-        self.opts.cache = true;
-        self
-    }
-
-    /// Disables the on-disk cache (always execute, never persist).
-    pub fn no_cache(mut self) -> Self {
-        self.opts.cache = false;
-        self
-    }
-
-    /// Per-cell wall-time limit.
-    pub fn timeout(mut self, limit: Duration) -> Self {
-        self.opts.timeout = Some(limit);
-        self
-    }
-
-    /// Extra attempts for cells that panic or time out.
-    pub fn retries(mut self, k: u32) -> Self {
-        self.opts.retries = k;
+        self.cli.results_dir = dir.into();
+        self.cli.no_cache = false;
         self
     }
 
     /// Suppresses stderr progress.
     pub fn quiet(mut self) -> Self {
-        self.opts.progress = false;
+        self.cli.quiet = true;
         self
     }
 
-    /// Sets stderr progress explicitly.
-    pub fn progress(mut self, on: bool) -> Self {
-        self.opts.progress = on;
-        self
-    }
-
-    /// Sets whether `bench_summary.json` is written after the run.
-    pub fn summary(mut self, on: bool) -> Self {
-        self.opts.summary = on;
-        self
-    }
-
-    /// Restricts the sweep to shard `index` of `count` (the cells whose
-    /// hash lands on this shard). Without [`Sweep::worker`] the slice
-    /// runs like a normal local sweep.
+    /// Runs the sweep.
     ///
-    /// # Panics
-    /// If `index >= count` or `count == 0`.
-    pub fn shard(mut self, index: usize, count: usize) -> Self {
-        self.shard = Some(ShardSpec::new(index, count).expect("valid shard"));
-        self
-    }
-
-    /// Worker mode: run this shard's slice into the results directory,
-    /// then exit the process. Requires [`Sweep::shard`]; forces the cache
-    /// on (the cache *is* the worker's output channel).
-    pub fn worker(mut self) -> Self {
-        self.worker = true;
-        self
-    }
-
-    /// Coordinator mode: split the sweep into `count` subprocess shards
-    /// and merge their caches. Requires the cache.
-    pub fn shards(mut self, count: usize) -> Self {
-        self.shards = Some(count.max(1));
-        self
-    }
-
-    /// Extra worker relaunches for shards that come back incomplete
-    /// (default 2).
-    pub fn shard_retries(mut self, k: u32) -> Self {
-        self.shard_retries = k;
-        self
-    }
-
-    /// Overrides the worker command line (defaults to re-invoking the
-    /// current executable with the current arguments minus the
-    /// coordinator flags). Tests use this because their `current_exe` is
-    /// the test harness, not a bench binary.
-    pub fn worker_command(mut self, exe: impl Into<PathBuf>, args: Vec<String>) -> Self {
-        self.worker_cmd = Some((exe.into(), args));
-        self
-    }
-
-    /// Runs the sweep in the configured mode.
-    ///
-    /// In worker mode this **never returns**: the process exits 0 when
-    /// every owned cell completed, 1 otherwise, before the calling binary
-    /// gets a chance to render anything.
+    /// As a `--shard i/N` worker this **never returns**: it runs the
+    /// owned cells with the cache on (the cache *is* the worker's output)
+    /// and exits 0 when every one completed, 1 otherwise, before the
+    /// calling binary gets a chance to render anything.
     pub fn run(mut self) -> SweepRun {
-        if self.worker {
-            let spec = self
-                .shard
-                .expect("worker mode requires a shard (use --shard i/N)");
-            self.opts.cache = true;
-            self.opts.summary = true;
-            let owned: Vec<Cell> = self
-                .cells
-                .iter()
-                .filter(|c| spec.owns(c))
-                .cloned()
-                .collect();
-            let run = run_local(&owned, &self.opts);
-            std::process::exit(if run.failed == 0 { 0 } else { 1 });
-        }
-        if let Some(count) = self.shards {
-            if !self.opts.cache {
-                eprintln!("[ssm-sweep] fatal: --shards requires the cache (drop --no-cache)");
-                std::process::exit(2);
-            }
-            return run_coordinator(
-                &self.cells,
-                &self.opts,
-                count,
-                self.shard_retries,
-                self.worker_cmd,
-            );
-        }
-        let cells = match self.shard {
-            Some(spec) => self
-                .cells
-                .iter()
-                .filter(|c| spec.owns(c))
-                .cloned()
-                .collect(),
-            None => self.cells,
+        let Some(spec) = self.cli.shard else {
+            return run_local(&self.cells, &self.cli);
         };
-        run_local(&cells, &self.opts)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ssm_apps::catalog::Scale;
-
-    fn cells() -> Vec<Cell> {
-        (1..=4)
-            .map(|p| Cell::ideal("FFT", p, Scale::Test))
-            .collect()
-    }
-
-    #[test]
-    fn builder_configures_the_executor() {
-        let sweep = Sweep::enumerate(&cells())
-            .jobs(3)
-            .no_cache()
-            .timeout(Duration::from_secs(9))
-            .retries(2)
-            .quiet()
-            .summary(false);
-        assert_eq!(sweep.opts.jobs, 3);
-        assert!(!sweep.opts.cache);
-        assert_eq!(sweep.opts.timeout, Some(Duration::from_secs(9)));
-        assert_eq!(sweep.opts.retries, 2);
-        assert!(!sweep.opts.progress);
-        assert!(!sweep.opts.summary);
-    }
-
-    #[test]
-    fn configure_copies_the_cli_mode_flags() {
-        let mut cli = SweepCli::fixed(2, Scale::Test);
-        cli.jobs = 2;
-        cli.quiet = true;
-        cli.shard = Some(ShardSpec::new(1, 3).expect("spec"));
-        cli.worker = true;
-        cli.shard_retries = 5;
-        let sweep = Sweep::enumerate(&cells()).configure(&cli);
-        assert_eq!(sweep.shard, Some(ShardSpec { index: 1, count: 3 }));
-        assert!(sweep.worker);
-        assert_eq!(sweep.shards, None);
-        assert_eq!(sweep.shard_retries, 5);
-        assert_eq!(sweep.opts.jobs, 2);
-    }
-
-    #[test]
-    fn shard_slice_runs_only_owned_cells() {
-        let all = cells();
-        let run = Sweep::enumerate(&all)
-            .no_cache()
-            .quiet()
-            .summary(false)
-            .shard(0, 2)
-            .run();
-        let spec = ShardSpec::new(0, 2).expect("spec");
-        let owned = all.iter().filter(|c| spec.owns(c)).count();
-        assert_eq!(run.outcomes.len(), owned);
-        assert!(run.outcomes.iter().all(|o| spec.owns(&o.cell)));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn invalid_shard_panics() {
-        let _ = Sweep::enumerate(&[]).shard(3, 3);
+        self.cli.no_cache = false;
+        self.cells.retain(|c| spec.owns(c));
+        let run = run_local(&self.cells, &self.cli);
+        std::process::exit(if run.failed == 0 { 0 } else { 1 });
     }
 }

@@ -6,7 +6,8 @@
 //! * `--scale test|bench|full` — problem sizes (default `bench`);
 //! * `--app NAME` — restrict to applications whose name contains `NAME`;
 //! * `--jobs N` — host worker threads (default: available parallelism);
-//! * `--no-cache` — ignore and don't write `results/sweep_cache.jsonl`;
+//! * `--no-cache` — ignore the result cache and write nothing under
+//!   `--results` (neither `sweep_cache.jsonl` nor `bench_summary.json`);
 //! * `--no-batching` — one baton handoff per simulated operation (the
 //!   pre-batching engine behavior; results are byte-identical, only the
 //!   host-side handoff counters and wall time change);
@@ -15,15 +16,15 @@
 //!   (default 0);
 //! * `--results DIR` — results directory (default `results/`);
 //! * `--quiet` — suppress stderr progress;
-//! * `--shards N` — coordinator mode: run the sweep as N worker
-//!   subprocesses and merge their caches (requires the cache);
-//! * `--shard i/N` — restrict to the cells whose hash lands on shard `i`
-//!   of an N-way partition;
-//! * `--worker` — run the `--shard` slice into `--results` and exit
-//!   (used by the coordinator; composable by hand for multi-machine
-//!   sharding);
-//! * `--shard-retries N` — worker relaunches for incomplete shards
-//!   (default 2).
+//! * `--shard i/N` — worker mode: run only the cells whose hash lands on
+//!   shard `i` of an N-way partition into `--results`, write the summary
+//!   and exit (0 when every owned cell completed, 1 otherwise) without
+//!   rendering. A later plain run whose `--results` holds the shard
+//!   directories under `shards/` merges their caches before it executes
+//!   anything (see [`crate::exec`]).
+//!
+//! The same struct is the whole sweep configuration: embedders and tests
+//! set its public fields and hand it to [`crate::Sweep::configure`].
 //!
 //! Binaries with extra flags use [`SweepCli::parse_with`] and handle their
 //! own in the callback.
@@ -34,7 +35,6 @@ use std::time::Duration;
 use ssm_apps::catalog::{suite, AppSpec, Scale};
 
 use crate::cell::{scale_from_label, scale_label};
-use crate::exec::SweepOpts;
 use crate::shard::ShardSpec;
 
 /// Prints a usage error and exits with status 2 (no panic backtrace).
@@ -54,26 +54,20 @@ pub struct SweepCli {
     pub filter: String,
     /// Host worker threads.
     pub jobs: usize,
-    /// Skip the on-disk cache.
+    /// Skip the on-disk cache and the summary: write nothing to disk.
     pub no_cache: bool,
     /// Disable batched baton handoffs (diagnostic; results identical).
     pub no_batching: bool,
-    /// Per-cell wall-time limit, seconds.
-    pub timeout_secs: Option<u64>,
+    /// Per-cell wall-time limit.
+    pub timeout: Option<Duration>,
     /// Extra attempts for panicked/timed-out cells.
     pub retries: u32,
     /// Results directory.
     pub results_dir: PathBuf,
     /// Suppress stderr progress.
     pub quiet: bool,
-    /// Coordinator mode: number of worker subprocesses to shard over.
-    pub shards: Option<usize>,
-    /// Restrict to one shard of the cell partition.
+    /// Worker mode: run this shard's slice into `--results`, then exit.
     pub shard: Option<ShardSpec>,
-    /// Worker mode: run the shard slice into `--results`, then exit.
-    pub worker: bool,
-    /// Worker relaunches for shards that come back incomplete.
-    pub shard_retries: u32,
 }
 
 impl Default for SweepCli {
@@ -85,14 +79,11 @@ impl Default for SweepCli {
             jobs: std::thread::available_parallelism().map_or(1, usize::from),
             no_cache: false,
             no_batching: false,
-            timeout_secs: None,
+            timeout: None,
             retries: 0,
             results_dir: PathBuf::from("results"),
             quiet: false,
-            shards: None,
             shard: None,
-            worker: false,
-            shard_retries: 2,
         }
     }
 }
@@ -104,7 +95,7 @@ impl SweepCli {
     pub fn parse() -> Self {
         Self::parse_with(|flag, _| {
             die(&format!(
-                "unknown flag {flag}; use --procs/--scale/--app/--jobs/--no-cache/--no-batching/--timeout/--retries/--results/--quiet/--shards/--shard/--worker/--shard-retries"
+                "unknown flag {flag}; use --procs/--scale/--app/--jobs/--no-cache/--no-batching/--timeout/--retries/--results/--quiet/--shard"
             ))
         })
     }
@@ -144,11 +135,11 @@ impl SweepCli {
                 "--no-cache" => cli.no_cache = true,
                 "--no-batching" => cli.no_batching = true,
                 "--timeout" => {
-                    cli.timeout_secs = Some(
+                    cli.timeout = Some(Duration::from_secs(
                         args.next()
                             .and_then(|v| v.parse().ok())
                             .unwrap_or_else(|| die("--timeout needs seconds")),
-                    );
+                    ));
                 }
                 "--retries" => {
                     cli.retries = args
@@ -161,38 +152,17 @@ impl SweepCli {
                         PathBuf::from(args.next().unwrap_or_else(|| die("--results needs a dir")));
                 }
                 "--quiet" => cli.quiet = true,
-                "--shards" => {
-                    cli.shards = Some(
-                        args.next()
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&n: &usize| n > 0)
-                            .unwrap_or_else(|| die("--shards needs a positive number")),
-                    );
-                }
                 "--shard" => {
                     let v = args.next().unwrap_or_else(|| die("--shard needs i/N"));
                     cli.shard = Some(
                         ShardSpec::parse(&v).unwrap_or_else(|e| die(&format!("--shard: {e}"))),
                     );
                 }
-                "--worker" => cli.worker = true,
-                "--shard-retries" => {
-                    cli.shard_retries = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--shard-retries needs a number"));
-                }
                 other => extra(other, &mut args),
             }
         }
-        if cli.worker && cli.shard.is_none() {
-            die("--worker requires --shard i/N");
-        }
-        if cli.shards.is_some() && (cli.shard.is_some() || cli.worker) {
-            die("--shards (coordinator mode) conflicts with --shard/--worker");
-        }
-        if cli.shards.is_some() && cli.no_cache {
-            die("--shards needs the cache to collect worker results; drop --no-cache");
+        if cli.shard.is_some() && cli.no_cache {
+            die("--shard writes its slice into the cache under --results; drop --no-cache");
         }
         cli
     }
@@ -212,20 +182,6 @@ impl SweepCli {
             .into_iter()
             .filter(|a| self.filter.is_empty() || a.name.contains(&self.filter))
             .collect()
-    }
-
-    /// Executor options for this invocation.
-    pub(crate) fn sweep_opts(&self) -> SweepOpts {
-        SweepOpts {
-            jobs: self.jobs,
-            cache: !self.no_cache,
-            results_dir: self.results_dir.clone(),
-            timeout: self.timeout_secs.map(Duration::from_secs),
-            retries: self.retries,
-            progress: !self.quiet,
-            summary: true,
-            batching: !self.no_batching,
-        }
     }
 
     /// One-line run description for table headers.
@@ -258,24 +214,5 @@ mod tests {
         let apps = cli.apps();
         assert_eq!(apps.len(), 2);
         assert!(apps.iter().all(|a| a.name.contains("Water")));
-    }
-
-    #[test]
-    fn opts_reflect_flags() {
-        let mut cli = SweepCli::fixed(4, Scale::Test);
-        cli.jobs = 3;
-        cli.no_cache = true;
-        cli.timeout_secs = Some(7);
-        cli.retries = 2;
-        cli.quiet = true;
-        let opts = cli.sweep_opts();
-        assert_eq!(opts.jobs, 3);
-        assert!(!opts.cache);
-        assert_eq!(opts.timeout, Some(Duration::from_secs(7)));
-        assert_eq!(opts.retries, 2);
-        assert!(!opts.progress);
-        assert!(opts.batching, "batching defaults on");
-        cli.no_batching = true;
-        assert!(!cli.sweep_opts().batching);
     }
 }

@@ -15,13 +15,19 @@
 //!   order regardless of completion order;
 //! * **caching** — completed cells append to the [`ResultStore`] as they
 //!   finish, so an interrupted sweep resumes where it stopped;
+//! * **shard merging** — before the cache opens, every
+//!   `<results>/shards/*/sweep_cache.jsonl` written by `--shard i/N`
+//!   workers (on this machine or copied back from others) is folded into
+//!   the main cache with [`merge_caches`]; cells the shards did not finish
+//!   simply execute here. A conflicting shard record aborts the sweep and
+//!   leaves the main cache untouched;
 //! * **progress** — a live stderr line (done/total, cache hits, failures,
 //!   ETA).
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::sync::{Mutex, Once};
@@ -32,8 +38,11 @@ use ssm_core::{FaultSpec, Protocol, SimBuilder};
 use ssm_engine::{WorkerSet, WORKER_THREAD_PREFIX};
 
 use crate::cell::Cell;
+use crate::cli::SweepCli;
 use crate::json::Json;
+use crate::merge::merge_caches;
 use crate::record::CellRecord;
+use crate::shard::SHARDS_DIR;
 use crate::store::{ResultStore, SUMMARY_FILE};
 
 /// How a cell ended.
@@ -66,46 +75,6 @@ pub struct CellOutcome {
     pub attempts: u64,
     /// The outcome.
     pub status: CellStatus,
-}
-
-/// Options controlling one sweep execution.
-#[derive(Debug, Clone)]
-pub struct SweepOpts {
-    /// Worker threads (cells in flight at once).
-    pub jobs: usize,
-    /// Read/write the on-disk cache (`false` = always execute, never
-    /// persist).
-    pub cache: bool,
-    /// Results directory (cache + summary).
-    pub results_dir: PathBuf,
-    /// Per-cell wall-time limit.
-    pub timeout: Option<Duration>,
-    /// Extra execution attempts for cells that panic or time out (0 = a
-    /// failure is final on the first try).
-    pub retries: u32,
-    /// Emit live progress to stderr.
-    pub progress: bool,
-    /// Write `bench_summary.json` after the sweep.
-    pub summary: bool,
-    /// Batched baton handoffs inside each simulation (default on;
-    /// simulated results are byte-identical either way — see
-    /// `ssm-core::driver`).
-    pub batching: bool,
-}
-
-impl Default for SweepOpts {
-    fn default() -> Self {
-        SweepOpts {
-            jobs: std::thread::available_parallelism().map_or(1, usize::from),
-            cache: true,
-            results_dir: PathBuf::from("results"),
-            timeout: None,
-            retries: 0,
-            progress: true,
-            summary: true,
-            batching: true,
-        }
-    }
 }
 
 /// The outcome of a sweep: per-cell results in enumeration order plus
@@ -160,8 +129,9 @@ impl SweepRun {
     /// Writes `bench_summary.json` into `dir`: sweep totals plus one entry
     /// per cell (speedup when a baseline is available, wall cycles,
     /// verification, host time). This is the repo's machine-readable
-    /// benchmark-trajectory output.
-    pub fn write_summary(&self, dir: &std::path::Path) -> std::io::Result<()> {
+    /// benchmark-trajectory output. The write is atomic (temp file, then
+    /// rename), so a killed sweep never leaves a torn summary behind.
+    pub fn write_summary(&self, dir: &Path) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
         let cells: Vec<Json> = self
             .outcomes
@@ -260,7 +230,10 @@ impl SweepRun {
             ("host_ms".to_string(), Json::Int(self.host_ms)),
             ("cells".to_string(), Json::Arr(cells)),
         ]);
-        std::fs::write(dir.join(SUMMARY_FILE), summary.render() + "\n")
+        let path = dir.join(SUMMARY_FILE);
+        let tmp = path.with_extension("json.tmp");
+        std::fs::write(&tmp, summary.render() + "\n")?;
+        std::fs::rename(&tmp, &path)
     }
 }
 
@@ -340,11 +313,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Runs one cell on a leased worker thread, enforcing the wall-time
 /// limit. Returns the status (never panics).
-fn execute_with_limits(cell: &Cell, workers: &WorkerSet, opts: &SweepOpts) -> CellStatus {
+fn execute_with_limits(cell: &Cell, workers: &WorkerSet, cli: &SweepCli) -> CellStatus {
     let c = cell.clone();
     let ws = workers.clone();
-    let batching = opts.batching;
-    run_guarded(workers, opts.timeout, move || {
+    let batching = !cli.no_batching;
+    run_guarded(workers, cli.timeout, move || {
         execute_with(&c, Some(&ws), batching)
     })
 }
@@ -356,17 +329,17 @@ fn execute_with_limits(cell: &Cell, workers: &WorkerSet, opts: &SweepOpts) -> Ce
 fn execute_with_retries(
     cell: &Cell,
     workers: &WorkerSet,
-    opts: &SweepOpts,
+    cli: &SweepCli,
 ) -> (CellStatus, u64, usize) {
     let mut attempts = 0u64;
     let mut abandoned = 0usize;
     loop {
         attempts += 1;
-        let status = execute_with_limits(cell, workers, opts);
+        let status = execute_with_limits(cell, workers, cli);
         if matches!(status, CellStatus::TimedOut(_)) {
             abandoned += 1;
         }
-        if matches!(status, CellStatus::Done(_)) || attempts > opts.retries as u64 {
+        if matches!(status, CellStatus::Done(_)) || attempts > cli.retries as u64 {
             return (status, attempts, abandoned);
         }
     }
@@ -458,9 +431,8 @@ impl Progress {
 
 /// Deduplicates `cells` by hash, first occurrence wins, preserving
 /// enumeration order. Returns the hash→slot index and the unique
-/// `(cell, hash)` list — the shared front half of both the local executor
-/// and the shard coordinator.
-pub(crate) fn dedup_cells(cells: &[Cell]) -> (HashMap<String, usize>, Vec<(Cell, String)>) {
+/// `(cell, hash)` list.
+fn dedup_cells(cells: &[Cell]) -> (HashMap<String, usize>, Vec<(Cell, String)>) {
     let mut index: HashMap<String, usize> = HashMap::new();
     let mut unique: Vec<(Cell, String)> = Vec::new();
     for cell in cells {
@@ -473,22 +445,51 @@ pub(crate) fn dedup_cells(cells: &[Cell]) -> (HashMap<String, usize>, Vec<(Cell,
     (index, unique)
 }
 
+/// Folds every shard cache under `<results_dir>/shards/` into the main
+/// cache. A results directory without shards costs one failed `read_dir`;
+/// a conflicting record is fatal (exit 1) and leaves the main cache as it
+/// was.
+fn merge_shards(results_dir: &Path, progress: bool) {
+    let Ok(entries) = std::fs::read_dir(results_dir.join(SHARDS_DIR)) else {
+        return;
+    };
+    let mut dirs: Vec<_> = entries.filter_map(|e| Some(e.ok()?.path())).collect();
+    dirs.sort();
+    match merge_caches(results_dir, &dirs) {
+        Ok(m) if progress => eprintln!(
+            "[ssm-sweep] merged {} shard cache(s): {} new record(s), {} duplicate(s)",
+            dirs.len(),
+            m.added,
+            m.duplicates
+        ),
+        Ok(_) => {}
+        Err(e) => {
+            eprintln!("[ssm-sweep] fatal: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
 /// The in-process executor behind [`crate::Sweep::run`]: executes `cells`
 /// (deduplicated by hash, first occurrence wins) and returns the outcomes
 /// in enumeration order.
 ///
-/// Cached cells are served from the [`ResultStore`] without executing;
-/// fresh results are appended to it as they complete. With
-/// `opts.summary`, the sweep's `bench_summary.json` is (re)written at the
-/// end.
-pub(crate) fn run_local(cells: &[Cell], opts: &SweepOpts) -> SweepRun {
+/// Unless `cli.no_cache`, shard caches are merged first, cached cells are
+/// served from the [`ResultStore`] without executing, fresh results are
+/// appended to it as they complete, and the sweep's `bench_summary.json`
+/// is (re)written at the end.
+pub(crate) fn run_local(cells: &[Cell], cli: &SweepCli) -> SweepRun {
     install_panic_filter();
     let sweep_started = Instant::now();
+    let progress_on = !cli.quiet;
 
     let (index, unique) = dedup_cells(cells);
 
-    let store = if opts.cache {
-        match ResultStore::open(&opts.results_dir) {
+    let store = if cli.no_cache {
+        None
+    } else {
+        merge_shards(&cli.results_dir, progress_on);
+        match ResultStore::open(&cli.results_dir) {
             Ok(s) => {
                 if s.skipped() > 0 {
                     eprintln!(
@@ -501,13 +502,11 @@ pub(crate) fn run_local(cells: &[Cell], opts: &SweepOpts) -> SweepRun {
             Err(e) => {
                 eprintln!(
                     "[ssm-sweep] warning: cache disabled ({} unopenable: {e})",
-                    opts.results_dir.display()
+                    cli.results_dir.display()
                 );
                 None
             }
         }
-    } else {
-        None
     };
 
     let mut statuses: Vec<Option<(CellStatus, u64)>> = vec![None; unique.len()];
@@ -525,8 +524,8 @@ pub(crate) fn run_local(cells: &[Cell], opts: &SweepOpts) -> SweepRun {
         }
     }
 
-    let jobs = opts.jobs.max(1).min(misses.len().max(1));
-    if opts.progress {
+    let jobs = cli.jobs.max(1).min(misses.len().max(1));
+    if progress_on {
         eprintln!(
             "[ssm-sweep] {} cells ({} unique): {} cached, {} to run on {} worker(s)",
             cells.len(),
@@ -588,7 +587,7 @@ pub(crate) fn run_local(cells: &[Cell], opts: &SweepOpts) -> SweepRun {
                 let Some(i) = next else { break };
                 let (cell, _) = &unique_ref[i];
                 let (mut status, attempts, abandoned) =
-                    execute_with_retries(cell, workers_ref, opts);
+                    execute_with_retries(cell, workers_ref, cli);
                 if let CellStatus::Done(rec) = &mut status {
                     rec.attempts = attempts;
                 }
@@ -607,7 +606,7 @@ pub(crate) fn run_local(cells: &[Cell], opts: &SweepOpts) -> SweepRun {
                 results[i] = Some((status, attempts));
                 progress.done += 1;
                 progress.executed += 1;
-                progress.report(opts.progress);
+                progress.report(progress_on);
             });
         }
     });
@@ -642,12 +641,12 @@ pub(crate) fn run_local(cells: &[Cell], opts: &SweepOpts) -> SweepRun {
         abandoned_threads,
         host_ms: sweep_started.elapsed().as_millis() as u64,
     };
-    if opts.summary {
-        if let Err(e) = run.write_summary(&opts.results_dir) {
+    if !cli.no_cache {
+        if let Err(e) = run.write_summary(&cli.results_dir) {
             eprintln!("[ssm-sweep] warning: summary write failed: {e}");
         }
     }
-    if opts.progress {
+    if progress_on {
         let zombies = if run.abandoned_threads > 0 {
             format!(
                 ", {} abandoned thread(s) still running",
@@ -691,14 +690,13 @@ mod tests {
         }
     }
 
-    fn opts_with(timeout: Option<Duration>, retries: u32) -> SweepOpts {
-        SweepOpts {
+    fn cli_with(timeout: Option<Duration>, retries: u32) -> SweepCli {
+        SweepCli {
             timeout,
             retries,
-            cache: false,
-            progress: false,
-            summary: false,
-            ..SweepOpts::default()
+            no_cache: true,
+            quiet: true,
+            ..SweepCli::default()
         }
     }
 
@@ -755,15 +753,14 @@ mod tests {
             Scale::Test,
         );
         let (status, attempts, abandoned) =
-            execute_with_retries(&cell, &workers, &opts_with(None, 2));
+            execute_with_retries(&cell, &workers, &cli_with(None, 2));
         assert!(matches!(status, CellStatus::Failed(_)), "{status:?}");
         assert_eq!(attempts, 3);
         assert_eq!(abandoned, 0, "failures abandon no threads");
         // A healthy cell succeeds on the first attempt regardless of the
         // retry budget.
         let ok = Cell::new("FFT", Protocol::Hlrc, LayerConfig::base(), 2, Scale::Test);
-        let (status, attempts, abandoned) =
-            execute_with_retries(&ok, &workers, &opts_with(None, 2));
+        let (status, attempts, abandoned) = execute_with_retries(&ok, &workers, &cli_with(None, 2));
         assert!(matches!(status, CellStatus::Done(_)), "{status:?}");
         assert_eq!((attempts, abandoned), (1, 0));
     }
@@ -776,7 +773,7 @@ mod tests {
         let cell = Cell::new("FFT", Protocol::Hlrc, LayerConfig::base(), 2, Scale::Test);
         let timeout = Some(Duration::from_nanos(1));
         let (status, attempts, abandoned) =
-            execute_with_retries(&cell, &workers, &opts_with(timeout, 1));
+            execute_with_retries(&cell, &workers, &cli_with(timeout, 1));
         if matches!(status, CellStatus::TimedOut(_)) {
             assert_eq!(attempts, 2);
             assert_eq!(abandoned, 2);
@@ -786,6 +783,33 @@ mod tests {
             // report a clean first attempt.
             assert!(abandoned < 2);
         }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn summary_rewrite_replaces_the_file_atomically() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = std::env::temp_dir().join(format!("ssm-sweep-summary-{}", std::process::id()));
+        let run = SweepRun {
+            outcomes: Vec::new(),
+            index: HashMap::new(),
+            executed: 0,
+            cached: 0,
+            failed: 0,
+            abandoned_threads: 0,
+            host_ms: 0,
+        };
+        let inode = || {
+            std::fs::metadata(dir.join(SUMMARY_FILE))
+                .expect("summary")
+                .ino()
+        };
+        run.write_summary(&dir).expect("first write");
+        let first = inode();
+        run.write_summary(&dir).expect("rewrite");
+        // A rename installs a new inode; an in-place truncate would not.
+        assert_ne!(inode(), first, "summary rewritten in place");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

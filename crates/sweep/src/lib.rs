@@ -10,15 +10,20 @@
 //!   and sessions;
 //! * [`Sweep`] — the builder front door: an in-process work-stealing
 //!   executor (std threads only) with per-cell panic capture, wall-time
-//!   limits, live progress and deterministic result ordering; or, behind
-//!   the same call, a shard **coordinator** that fans the cells out over
-//!   worker subprocesses and merges their caches ([`Sweep::shards`]);
+//!   limits, live progress and deterministic result ordering;
 //! * [`ResultStore`] — an append-only JSONL cache under `results/` keyed
 //!   by cell hash, making every sweep resumable and shareable between
 //!   binaries; plus `results/bench_summary.json`, the machine-readable
 //!   summary of the latest sweep;
 //! * [`SweepCli`] — the common `--procs/--scale/--app/--jobs/--no-cache`
-//!   (and `--shards/--shard/--worker`) command line every binary speaks.
+//!   (and `--shard i/N`) command line every binary speaks, and the whole
+//!   sweep configuration.
+//!
+//! Multi-machine runs need no coordinator: each machine runs a
+//! `--shard i/N` worker ([`ShardSpec`]) into `results/shards/<i>-of-<N>`,
+//! the shard directories are copied back, and any plain sweep over that
+//! results directory merges them ([`merge_caches`]) before executing
+//! whatever they left out.
 //!
 //! A typical binary enumerates its cells, runs one sweep, then renders its
 //! figure/table from the returned [`SweepRun`]:
@@ -44,7 +49,6 @@
 pub mod builder;
 pub mod cell;
 pub mod cli;
-mod coordinator;
 pub mod exec;
 pub mod json;
 pub mod merge;
@@ -55,7 +59,7 @@ pub mod store;
 pub use builder::Sweep;
 pub use cell::{scale_from_label, scale_label, Cell, CommSpec};
 pub use cli::SweepCli;
-pub use exec::{execute, execute_with, CellOutcome, CellStatus, SweepOpts, SweepRun};
+pub use exec::{execute, execute_with, CellOutcome, CellStatus, SweepRun};
 pub use json::Json;
 pub use merge::{merge_caches, MergeError, MergeOutcome};
 pub use record::{CellRecord, SCHEMA_VERSION};
@@ -67,7 +71,7 @@ pub mod prelude {
     pub use crate::builder::Sweep;
     pub use crate::cell::{Cell, CommSpec};
     pub use crate::cli::SweepCli;
-    pub use crate::exec::{CellOutcome, CellStatus, SweepOpts, SweepRun};
+    pub use crate::exec::{CellOutcome, CellStatus, SweepRun};
     pub use crate::record::CellRecord;
     pub use crate::shard::ShardSpec;
 }

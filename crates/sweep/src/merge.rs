@@ -102,7 +102,7 @@ fn load_cache(path: &Path) -> std::io::Result<Vec<(String, CellRecord)>> {
 /// Existing main-cache lines are kept byte-for-byte; new shard records are
 /// appended canonically (host time zeroed) in hash order. The write is
 /// atomic (temp file + rename), so a failed merge leaves the main cache
-/// untouched.
+/// untouched; a merge that adds nothing does not write at all.
 pub fn merge_caches(main_dir: &Path, shard_dirs: &[PathBuf]) -> Result<MergeOutcome, MergeError> {
     let main_path = main_dir.join(CACHE_FILE);
 
@@ -153,6 +153,14 @@ pub fn merge_caches(main_dir: &Path, shard_dirs: &[PathBuf]) -> Result<MergeOutc
         }
     }
 
+    let outcome = MergeOutcome {
+        total,
+        added: added.len(),
+        duplicates,
+    };
+    if added.is_empty() {
+        return Ok(outcome); // nothing new: leave the main cache alone
+    }
     // New records in hash order: deterministic regardless of shard count
     // or completion order.
     added.sort();
@@ -170,12 +178,7 @@ pub fn merge_caches(main_dir: &Path, shard_dirs: &[PathBuf]) -> Result<MergeOutc
         f.sync_all()?;
     }
     std::fs::rename(&tmp, &main_path)?;
-
-    Ok(MergeOutcome {
-        total,
-        added: added.len(),
-        duplicates,
-    })
+    Ok(outcome)
 }
 
 /// Human-readable description of which fields disagree.

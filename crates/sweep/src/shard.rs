@@ -3,14 +3,14 @@
 //! A shard is a slice of the cell enumeration selected by cell-hash
 //! modulus: cell `c` belongs to shard `i` of `N` iff
 //! `hash(c) % N == i`. The assignment depends only on the cell identity,
-//! so every process — coordinator, worker subprocess, or a worker on
-//! another machine — computes the same partition without communicating.
-
-use std::path::{Path, PathBuf};
+//! so every worker, on this machine or another, computes the same
+//! partition without communicating.
 
 use crate::cell::Cell;
 
-/// Subdirectory of the results directory holding per-shard caches.
+/// Subdirectory of the results directory whose per-shard caches a plain
+/// sweep merges before it runs. By convention worker `i` of `N` writes to
+/// `<results>/shards/<i>-of-<N>`; any subdirectory name works.
 pub const SHARDS_DIR: &str = "shards";
 
 /// One shard of an `N`-way partition of the cell space.
@@ -55,21 +55,6 @@ impl ShardSpec {
     /// Whether this shard owns `cell`.
     pub fn owns(&self, cell: &Cell) -> bool {
         shard_of(&cell.hash(), self.count) == self.index
-    }
-
-    /// Display label, e.g. `2/7`.
-    pub fn label(&self) -> String {
-        format!("{}/{}", self.index, self.count)
-    }
-
-    /// This shard's cache directory under `results_dir`:
-    /// `<results_dir>/shards/<i>-of-<N>`. Keyed by the partition (not the
-    /// binary), so any bench binary's worker for shard `i` of `N` reuses
-    /// the same shard cache.
-    pub fn dir(&self, results_dir: &Path) -> PathBuf {
-        results_dir
-            .join(SHARDS_DIR)
-            .join(format!("{}-of-{}", self.index, self.count))
     }
 }
 
@@ -137,21 +122,9 @@ mod tests {
     fn parse_round_trips_and_rejects_garbage() {
         let s = ShardSpec::parse("2/7").unwrap();
         assert_eq!(s, ShardSpec { index: 2, count: 7 });
-        assert_eq!(ShardSpec::parse(&s.label()).unwrap(), s);
         assert!(ShardSpec::parse("7/7").is_err(), "index out of range");
         assert!(ShardSpec::parse("0/0").is_err(), "zero shards");
         assert!(ShardSpec::parse("3").is_err(), "missing slash");
         assert!(ShardSpec::parse("a/b").is_err(), "not numbers");
-    }
-
-    #[test]
-    fn shard_dirs_are_distinct_per_partition() {
-        let root = Path::new("results");
-        let a = ShardSpec::new(0, 3).unwrap().dir(root);
-        let b = ShardSpec::new(1, 3).unwrap().dir(root);
-        let c = ShardSpec::new(0, 2).unwrap().dir(root);
-        assert_eq!(a, Path::new("results/shards/0-of-3"));
-        assert_ne!(a, b);
-        assert_ne!(a, c, "different partitions must not share caches");
     }
 }

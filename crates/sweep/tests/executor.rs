@@ -6,19 +6,18 @@ use std::path::PathBuf;
 
 use ssm_apps::catalog::Scale;
 use ssm_core::{LayerConfig, Protocol};
-use ssm_sweep::{Cell, CellStatus, Json, Sweep, SweepOpts, CACHE_FILE, SUMMARY_FILE};
+use ssm_sweep::{Cell, CellStatus, Json, Sweep, SweepCli, CACHE_FILE, SUMMARY_FILE};
 
-fn run_sweep(cells: &[Cell], opts: &SweepOpts) -> ssm_sweep::SweepRun {
-    Sweep::enumerate(cells).options(opts.clone()).run()
+fn run_sweep(cells: &[Cell], cli: &SweepCli) -> ssm_sweep::SweepRun {
+    Sweep::enumerate(cells).configure(cli).run()
 }
 
-fn quiet_opts() -> SweepOpts {
-    SweepOpts {
+fn quiet_cli() -> SweepCli {
+    SweepCli {
         jobs: 2,
-        cache: false,
-        progress: false,
-        summary: false,
-        ..SweepOpts::default()
+        no_cache: true,
+        quiet: true,
+        ..SweepCli::default()
     }
 }
 
@@ -45,16 +44,16 @@ fn ordering_is_deterministic_across_worker_counts() {
     let cells = small_cells();
     let serial = run_sweep(
         &cells,
-        &SweepOpts {
+        &SweepCli {
             jobs: 1,
-            ..quiet_opts()
+            ..quiet_cli()
         },
     );
     let parallel = run_sweep(
         &cells,
-        &SweepOpts {
+        &SweepCli {
             jobs: 4,
-            ..quiet_opts()
+            ..quiet_cli()
         },
     );
     assert_eq!(serial.outcomes.len(), parallel.outcomes.len());
@@ -93,16 +92,16 @@ fn fault_injection_is_deterministic_across_runs_and_workers() {
         .collect();
     let serial = run_sweep(
         &cells,
-        &SweepOpts {
+        &SweepCli {
             jobs: 1,
-            ..quiet_opts()
+            ..quiet_cli()
         },
     );
     let parallel = run_sweep(
         &cells,
-        &SweepOpts {
+        &SweepCli {
             jobs: 4,
-            ..quiet_opts()
+            ..quiet_cli()
         },
     );
     for (a, b) in serial.outcomes.iter().zip(&parallel.outcomes) {
@@ -144,7 +143,7 @@ fn fault_injection_is_deterministic_across_runs_and_workers() {
 #[test]
 fn duplicate_cells_collapse_to_one_execution() {
     let one = Cell::ideal("FFT", 2, Scale::Test);
-    let run = run_sweep(&[one.clone(), one.clone(), one.clone()], &quiet_opts());
+    let run = run_sweep(&[one.clone(), one.clone(), one.clone()], &quiet_cli());
     assert_eq!(run.outcomes.len(), 1);
     assert_eq!(run.executed, 1);
     assert!(run.record(&one).is_some());
@@ -160,7 +159,7 @@ fn failed_cells_do_not_kill_the_sweep() {
         2,
         Scale::Test,
     );
-    let run = run_sweep(&[bad.clone(), good.clone()], &quiet_opts());
+    let run = run_sweep(&[bad.clone(), good.clone()], &quiet_cli());
     assert_eq!(run.failed, 1);
     assert!(run.record(&good).is_some(), "good cell still completes");
     match &run.outcome(&bad).expect("outcome kept").status {
@@ -173,11 +172,10 @@ fn failed_cells_do_not_kill_the_sweep() {
 fn rerun_completes_entirely_from_cache() {
     let dir = tmpdir("cache");
     let cells = small_cells();
-    let opts = SweepOpts {
-        cache: true,
-        summary: true,
+    let opts = SweepCli {
+        no_cache: false,
         results_dir: dir.clone(),
-        ..quiet_opts()
+        ..quiet_cli()
     };
     let first = run_sweep(&cells, &opts);
     assert_eq!(first.cached, 0);
@@ -225,11 +223,9 @@ fn rerun_completes_entirely_from_cache() {
 #[test]
 fn no_cache_runs_do_not_touch_disk() {
     let dir = tmpdir("nocache");
-    let opts = SweepOpts {
-        cache: false,
-        summary: false,
+    let opts = SweepCli {
         results_dir: dir.clone(),
-        ..quiet_opts()
+        ..quiet_cli()
     };
     let run = run_sweep(&[Cell::ideal("FFT", 2, Scale::Test)], &opts);
     assert_eq!(run.executed, 1);

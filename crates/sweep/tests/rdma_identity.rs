@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 
 use ssm_apps::catalog::Scale;
 use ssm_core::{LayerConfig, Protocol};
-use ssm_sweep::{Cell, Sweep, SweepOpts, CACHE_FILE};
+use ssm_sweep::{Cell, Sweep, SweepCli, CACHE_FILE};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("ssm-rdma-identity-{tag}-{}", std::process::id()));
@@ -16,14 +16,12 @@ fn tmpdir(tag: &str) -> PathBuf {
     d
 }
 
-fn opts(dir: &Path) -> SweepOpts {
-    SweepOpts {
+fn opts(dir: &Path) -> SweepCli {
+    SweepCli {
         jobs: 2,
-        cache: true,
-        progress: false,
-        summary: false,
+        quiet: true,
         results_dir: dir.to_path_buf(),
-        ..SweepOpts::default()
+        ..SweepCli::default()
     }
 }
 
@@ -57,14 +55,14 @@ fn warm_figure3_rerun_executes_nothing_and_diffs_clean() {
     let dir = tmpdir("warm");
     let cells = figure3_cells("FFT");
 
-    let cold = Sweep::enumerate(&cells).options(opts(&dir)).run();
+    let cold = Sweep::enumerate(&cells).configure(&opts(&dir)).run();
     assert_eq!(cold.cached, 0);
     assert_eq!(cold.executed, cells.len());
     let cache_after_cold = std::fs::read(dir.join(CACHE_FILE)).expect("cache");
 
     // Warm rerun with the RDMA crate linked into this very test binary:
     // zero executions, and the cache file is byte-identical.
-    let warm = Sweep::enumerate(&cells).options(opts(&dir)).run();
+    let warm = Sweep::enumerate(&cells).configure(&opts(&dir)).run();
     assert_eq!(
         warm.executed, 0,
         "warm figure3 rerun must be all cache hits"
@@ -80,7 +78,7 @@ fn warm_figure3_rerun_executes_nothing_and_diffs_clean() {
     // the pre-existing cache bytes are an untouched prefix.
     let mut extended = cells.clone();
     extended.extend(rdma_cells("FFT"));
-    let ext = Sweep::enumerate(&extended).options(opts(&dir)).run();
+    let ext = Sweep::enumerate(&extended).configure(&opts(&dir)).run();
     assert_eq!(ext.cached, cells.len());
     assert_eq!(ext.executed, extended.len() - cells.len());
     let cache_after_ext = std::fs::read(dir.join(CACHE_FILE)).expect("cache");
@@ -90,7 +88,7 @@ fn warm_figure3_rerun_executes_nothing_and_diffs_clean() {
     );
 
     // And the extended enumeration is itself warm-stable.
-    let warm2 = Sweep::enumerate(&extended).options(opts(&dir)).run();
+    let warm2 = Sweep::enumerate(&extended).configure(&opts(&dir)).run();
     assert_eq!(warm2.executed, 0);
     assert_eq!(
         std::fs::read(dir.join(CACHE_FILE)).expect("cache"),

@@ -8,10 +8,11 @@ use ssm::proto::HomePolicy;
 use ssm::stats::Bucket;
 
 /// Every application in the catalog runs and self-verifies under every
-/// protocol at the base configuration.
+/// protocol at the base configuration, at 4 and at the paper's 16
+/// processors.
 #[test]
 fn whole_suite_verifies_under_all_protocols() {
-    for spec in suite() {
+    for (spec, procs) in suite().iter().flat_map(|s| [(s, 4), (s, 16)]) {
         for proto in [
             Protocol::Ideal,
             Protocol::Hlrc,
@@ -21,12 +22,12 @@ fn whole_suite_verifies_under_all_protocols() {
         ] {
             let w = spec.build(Scale::Test);
             let r = SimBuilder::new(proto)
-                .procs(4)
+                .procs(procs)
                 .sc_block(spec.sc_block)
                 .run(w.as_ref());
             assert!(
                 r.verify_error.is_none(),
-                "{} under {proto:?}: {:?}",
+                "{} under {proto:?} at p{procs}: {:?}",
                 spec.name,
                 r.verify_error
             );
