@@ -54,11 +54,6 @@ fn main() {
             "unknown flag {other}; chaos adds --rates/--fault-seed to the common sweep flags"
         )),
     });
-    println!(
-        "Chaos: fault injection and recovery, {} (schedule seed {fault_seed}).\n",
-        cli.describe()
-    );
-
     let apps = cli.apps();
     let protocols = [Protocol::Hlrc, Protocol::Sc, Protocol::Rdma];
     let cells_for = |app: &str, proto: Protocol| {
@@ -82,6 +77,10 @@ fn main() {
         .flat_map(|a| protocols.iter().flat_map(|&p| cells_for(a.name, p)))
         .collect();
     let run = Sweep::enumerate(&all).configure(&cli).run();
+    println!(
+        "Chaos: fault injection and recovery, {} (schedule seed {fault_seed}).\n",
+        cli.describe()
+    );
     report_failures(&run);
 
     let mut head = vec![

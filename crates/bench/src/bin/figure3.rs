@@ -10,11 +10,6 @@ use ssm_sweep::prelude::*;
 
 fn main() {
     let cli = SweepCli::parse();
-    println!(
-        "Figure 3: speedups, {} (paper scale: 16 procs).\n",
-        cli.describe()
-    );
-
     let hlrc_cfgs = LayerConfig::figure3(); // B+B BB AB BO AO WO
     let sc_cfgs: Vec<LayerConfig> = ["B+O", "BO", "HO", "AO", "WO"]
         .into_iter()
@@ -50,6 +45,10 @@ fn main() {
     };
     let all: Vec<Cell> = apps.iter().flat_map(|a| cells_for(a.name)).collect();
     let run = Sweep::enumerate(&all).configure(&cli).run();
+    println!(
+        "Figure 3: speedups, {} (paper scale: 16 procs).\n",
+        cli.describe()
+    );
     report_failures(&run);
 
     let mut head = vec!["Application".to_string(), "IDEAL".to_string()];

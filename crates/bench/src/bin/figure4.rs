@@ -23,11 +23,6 @@ fn points(cfgs: &[LayerConfig]) -> Vec<(Protocol, LayerConfig)> {
 
 fn main() {
     let cli = SweepCli::parse();
-    println!(
-        "Figure 4: execution-time breakdowns (% of average processor time),\n\
-         {}.\n",
-        cli.describe()
-    );
     let cfgs = LayerConfig::figure3();
     let apps = cli.apps();
     let cells: Vec<Cell> = apps
@@ -39,6 +34,11 @@ fn main() {
         })
         .collect();
     let run = Sweep::enumerate(&cells).configure(&cli).run();
+    println!(
+        "Figure 4: execution-time breakdowns (% of average processor time),\n\
+         {}.\n",
+        cli.describe()
+    );
     report_failures(&run);
 
     let mut head = vec!["App / Config".to_string()];

@@ -69,11 +69,6 @@ fn main() {
         .into_iter()
         .filter(|a| !cli.filter.is_empty() || default.contains(&a.name))
         .collect();
-    println!(
-        "Figure 5: speedup vs a single communication parameter (others at\n\
-         achievable), {}.\n",
-        cli.describe()
-    );
     let mut cells = Vec::new();
     for spec in &apps {
         cells.push(Cell::baseline(spec.name, cli.scale));
@@ -86,6 +81,11 @@ fn main() {
         }
     }
     let run = Sweep::enumerate(&cells).configure(&cli).run();
+    println!(
+        "Figure 5: speedup vs a single communication parameter (others at\n\
+         achievable), {}.\n",
+        cli.describe()
+    );
     report_failures(&run);
 
     for spec in &apps {

@@ -35,11 +35,6 @@ fn main() {
         .into_iter()
         .filter(|a| !cli.filter.is_empty() || default.contains(&a.name))
         .collect();
-    println!(
-        "Full configuration grid (HLRC speedups), {}.\n\
-         Rows: communication preset; columns: protocol preset.\n",
-        cli.describe()
-    );
     let cell = |app: &str, comm, proto| {
         Cell::new(
             app,
@@ -59,6 +54,11 @@ fn main() {
         }
     }
     let run = Sweep::enumerate(&cells).configure(&cli).run();
+    println!(
+        "Full configuration grid (HLRC speedups), {}.\n\
+         Rows: communication preset; columns: protocol preset.\n",
+        cli.describe()
+    );
     report_failures(&run);
 
     for spec in &apps {

@@ -43,11 +43,6 @@ fn layer_of(b: Bucket) -> &'static str {
 
 fn main() {
     let cli = SweepCli::parse();
-    println!(
-        "RDMA grid: one-sided protocol speedups next to HLRC and SC,\n{} (paper scale: 16 procs).\n",
-        cli.describe()
-    );
-
     let (rdma_cfgs, sc_cfgs) = grids();
     let apps = cli.apps();
     let cells_for = |spec_name: &str| {
@@ -73,6 +68,10 @@ fn main() {
     };
     let all: Vec<Cell> = apps.iter().flat_map(|a| cells_for(a.name)).collect();
     let run = Sweep::enumerate(&all).configure(&cli).run();
+    println!(
+        "RDMA grid: one-sided protocol speedups next to HLRC and SC,\n{} (paper scale: 16 procs).\n",
+        cli.describe()
+    );
     report_failures(&run);
 
     // --- Speedup table: RDMA vs HLRC vs SC across the grid. ---

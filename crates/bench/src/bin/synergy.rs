@@ -21,7 +21,6 @@ const CORNERS: [(CommPreset, ProtoPreset); 4] = [
 
 fn main() {
     let cli = SweepCli::parse();
-    println!("Layer synergy under HLRC, {}.\n", cli.describe());
     let apps = cli.apps();
     let cell = |app: &str, comm, proto| {
         Cell::new(
@@ -40,6 +39,7 @@ fn main() {
         }
     }
     let run = Sweep::enumerate(&cells).configure(&cli).run();
+    println!("Layer synergy under HLRC, {}.\n", cli.describe());
     report_failures(&run);
 
     let mut t = Table::new(vec![

@@ -9,11 +9,6 @@ use ssm_sweep::prelude::*;
 
 fn main() {
     let cli = SweepCli::parse();
-    println!(
-        "Table 4: % of processor time in protocol activity (HLRC, AO),\n\
-         {}.\n",
-        cli.describe()
-    );
     let apps = cli.apps();
     let cells: Vec<Cell> = apps
         .iter()
@@ -28,6 +23,11 @@ fn main() {
         })
         .collect();
     let run = Sweep::enumerate(&cells).configure(&cli).run();
+    println!(
+        "Table 4: % of processor time in protocol activity (HLRC, AO),\n\
+         {}.\n",
+        cli.describe()
+    );
     report_failures(&run);
 
     let mut t = Table::new(vec![

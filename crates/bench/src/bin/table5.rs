@@ -28,10 +28,6 @@ const LADDER: [(CommPreset, ProtoPreset); 10] = [
 
 fn main() {
     let cli = SweepCli::parse();
-    println!(
-        "Table 5: per-application summary (HLRC), {}.\n",
-        cli.describe()
-    );
     let apps = cli.apps();
     let cell = |app: &str, comm, proto| {
         Cell::new(app, Protocol::Hlrc, cfg(comm, proto), cli.procs, cli.scale)
@@ -44,6 +40,10 @@ fn main() {
         }
     }
     let run = Sweep::enumerate(&cells).configure(&cli).run();
+    println!(
+        "Table 5: per-application summary (HLRC), {}.\n",
+        cli.describe()
+    );
     report_failures(&run);
 
     let mut t = Table::new(vec![

@@ -45,6 +45,12 @@ fn worker(results: &Path, index: usize, count: usize) {
         stderr(&out)
     );
     assert!(dir.join(SUMMARY_FILE).exists(), "worker wrote no summary");
+    // A worker renders no table, so it prints no title either.
+    assert!(
+        out.stdout.is_empty(),
+        "worker {index}/{count} wrote to stdout: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
 }
 
 fn read(path: &Path) -> Vec<u8> {

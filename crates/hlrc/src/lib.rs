@@ -44,8 +44,8 @@ pub use pages::{DirtyBits, NodePages, PageState};
 use ssm_engine::Cycles;
 use ssm_proto::machine::Activity;
 use ssm_proto::{
-    page_of, BarrierId, BarrierTable, HomeMap, HomePolicy, LockId, LockTable, Machine, Protocol,
-    WorldShape, PAGE_SIZE, PAGE_WORDS, WORD_BYTES,
+    page_of, BarrierId, HomeMap, HomePolicy, LockId, LockTable, Machine, Protocol, SendFrom,
+    SyncManager, WorldShape, PAGE_SIZE, PAGE_WORDS, WORD_BYTES,
 };
 
 /// Bytes of a small control message (requests, acks; includes a vector
@@ -91,16 +91,11 @@ pub enum WriteMode {
 /// ```
 #[derive(Debug)]
 pub struct Hlrc {
-    nprocs: usize,
     pages: Vec<NodePages>,
     board: NoticeBoard,
-    locks: LockTable,
+    sync: SyncManager,
     /// Vector timestamp of each lock's last release.
     lock_vt: Vec<VectorTime>,
-    barriers: BarrierTable,
-    /// Per barrier: `(proc, arrive-handler completion at the manager)` for
-    /// the current episode.
-    arrivals: Vec<Vec<(usize, Cycles)>>,
     npages: u64,
     mode: WriteMode,
     home_policy: HomePolicy,
@@ -117,13 +112,12 @@ impl Hlrc {
     /// run before use).
     pub fn new() -> Self {
         Hlrc {
-            nprocs: 0,
             pages: Vec::new(),
             board: NoticeBoard::new(1),
-            locks: LockTable::new(0),
+            // Releases carry p's new vector timestamp, built in handler
+            // context by the release flush.
+            sync: SyncManager::new(CTRL_BYTES, SendFrom::Handler),
             lock_vt: Vec::new(),
-            barriers: BarrierTable::new(0, 1),
-            arrivals: Vec::new(),
             npages: 0,
             mode: WriteMode::TwinDiff,
             home_policy: HomePolicy::RoundRobin,
@@ -159,23 +153,13 @@ impl Hlrc {
 
     /// Direct access to the lock table (test setup hook).
     pub fn lock_table_mut(&mut self) -> &mut LockTable {
-        &mut self.locks
+        self.sync.locks_mut()
     }
 
     /// Synthetic address of the twin buffer for `page` at any node, used
     /// for cache-pollution modelling (twins live outside the shared heap).
     fn twin_addr(&self, page: u64) -> u64 {
         (self.npages + page) * PAGE_SIZE
-    }
-
-    /// Manager node of `lock`.
-    fn lock_home(&self, lock: LockId) -> usize {
-        lock.0 as usize % self.nprocs
-    }
-
-    /// Manager node of `barrier`.
-    fn barrier_home(&self, barrier: BarrierId) -> usize {
-        barrier.0 as usize % self.nprocs
     }
 
     /// Fetches `page` into `p` (read fault path). Returns completion time.
@@ -411,19 +395,14 @@ impl Hlrc {
     /// notice list, ships it, applies invalidations at `w`. Returns when
     /// `w` holds the lock and is consistent.
     fn grant(&mut self, m: &mut Machine, lock: LockId, w: usize, t_mgr: Cycles) -> Cycles {
-        let mgr = self.lock_home(lock);
+        let mgr = self.sync.lock_manager(lock);
         let target = self.lock_vt[lock.0 as usize].clone();
         let (pages, raw) = self.board.collect(w, &target);
         // The manager walks the notice list while building the grant.
         let walk = m.costs().per_list_element * raw;
         let t = m.proto_work(mgr, t_mgr, walk, Activity::Handler);
-        let t_w = if mgr == w {
-            t
-        } else {
-            let bytes = HDR_BYTES + NOTICE_BYTES * raw;
-            let (_, arr) = m.send_from_handler(mgr, t, w, bytes);
-            m.handle_request(w, arr, raw)
-        };
+        let bytes = HDR_BYTES + NOTICE_BYTES * raw;
+        let t_w = self.sync.notify(m, mgr, t, w, bytes, raw);
         self.apply_notices(m, w, t_w, &pages, raw)
     }
 }
@@ -445,16 +424,13 @@ impl Protocol for Hlrc {
     fn init(&mut self, m: &Machine, shape: &WorldShape) {
         let nprocs = m.nprocs();
         let npages = shape.heap_bytes.div_ceil(PAGE_SIZE).max(1);
-        self.nprocs = nprocs;
         self.npages = npages;
         self.pages = (0..nprocs)
             .map(|n| NodePages::new(n, nprocs, npages))
             .collect();
         self.board = NoticeBoard::new(nprocs);
-        self.locks = LockTable::new(shape.nlocks);
+        self.sync.init(m, shape);
         self.lock_vt = vec![vec![0; nprocs]; shape.nlocks];
-        self.barriers = BarrierTable::new(shape.nbarriers, nprocs);
-        self.arrivals = vec![Vec::new(); shape.nbarriers];
         self.inflight = vec![0; nprocs];
         self.auto_written = vec![std::collections::BTreeSet::new(); nprocs];
         self.homes = HomeMap::new(self.home_policy, nprocs, npages);
@@ -522,74 +498,39 @@ impl Protocol for Hlrc {
     }
 
     fn lock(&mut self, m: &mut Machine, p: usize, lock: LockId) -> Option<Cycles> {
-        m.counters_mut(p).lock_acquires += 1;
-        let now = m.clock[p];
-        let mgr = self.lock_home(lock);
-        // The request (with p's vector timestamp) reaches the manager.
-        let t_mgr = if mgr == p {
-            m.proto_work(p, now, m.costs().handler_base, Activity::Handler)
-        } else {
-            let (_, arr) = m.send_from_app(p, now, mgr, CTRL_BYTES);
-            m.handle_request(mgr, arr, 0)
-        };
-        if self.locks.acquire(lock, p) {
-            Some(self.grant(m, lock, p, t_mgr))
-        } else {
-            None // queued at the manager; granted on release
-        }
+        // The request carries p's vector timestamp to the manager.
+        let t_mgr = self.sync.acquire(m, p, lock)?;
+        Some(self.grant(m, lock, p, t_mgr))
     }
 
     fn unlock(&mut self, m: &mut Machine, p: usize, lock: LockId) -> Cycles {
-        let now = m.clock[p];
-        // Release: flush diffs so the home copies are current.
-        let t = self.release_flush(m, p, now);
-        let mgr = self.lock_home(lock);
-        // Tell the manager (carrying p's new vector timestamp).
-        let (t_local, t_mgr) = if mgr == p {
-            let t2 = m.proto_work(p, t, m.costs().handler_base, Activity::Handler);
-            (t2, t2)
-        } else {
-            let (local, arr) = m.send_from_handler(p, t, mgr, CTRL_BYTES);
-            (local, m.handle_request(mgr, arr, 0))
-        };
+        // Release: flush diffs so the home copies are current, then tell
+        // the manager (carrying p's new vector timestamp).
+        let t = self.release_flush(m, p, m.clock[p]);
+        let (t_local, next) = self.sync.release(m, p, lock, t);
         self.lock_vt[lock.0 as usize] = self.board.vt(p);
-        if let Some(next) = self.locks.release(lock, p) {
-            let granted = self.grant(m, lock, next, t_mgr);
-            m.wake(next, granted);
+        if let Some((w, t_mgr)) = next {
+            let granted = self.grant(m, lock, w, t_mgr);
+            m.wake(w, granted);
         }
         t_local
     }
 
     fn barrier(&mut self, m: &mut Machine, p: usize, barrier: BarrierId) -> Option<Cycles> {
-        let now = m.clock[p];
-        let mgr = self.barrier_home(barrier);
         // Arrival release: flush diffs, then notify the manager.
-        let t = self.release_flush(m, p, now);
-        let t_arr = if mgr == p {
-            m.proto_work(p, t, m.costs().handler_base, Activity::Handler)
-        } else {
-            let (_, arr) = m.send_from_app(p, t, mgr, CTRL_BYTES);
-            m.handle_request(mgr, arr, 0)
-        };
-        self.arrivals[barrier.0 as usize].push((p, t_arr));
-        self.barriers.arrive(barrier, p)?;
+        let t = self.release_flush(m, p, m.clock[p]);
+        let (mut t_mgr, episode) = self.sync.arrive(m, p, barrier, t)?;
         // Last arrival: the manager releases everyone, delivering all
         // outstanding write notices. Sends serialize on the manager's CPU.
-        let episode = std::mem::take(&mut self.arrivals[barrier.0 as usize]);
-        let mut t_mgr = episode.iter().map(|&(_, t)| t).max().unwrap_or(t_arr);
+        let mgr = self.sync.barrier_manager(barrier);
         let target = self.board.global_vt();
         let mut my_completion = t_mgr;
-        for &(q, _) in &episode {
+        for (q, _) in episode {
             let (pages, raw) = self.board.collect(q, &target);
             let walk = m.costs().per_list_element * raw;
             t_mgr = m.proto_work(mgr, t_mgr, walk, Activity::Handler);
-            let t_q = if q == mgr {
-                t_mgr
-            } else {
-                let bytes = HDR_BYTES + NOTICE_BYTES * raw;
-                let (_, arr) = m.send_from_handler(mgr, t_mgr, q, bytes);
-                m.handle_request(q, arr, raw)
-            };
+            let bytes = HDR_BYTES + NOTICE_BYTES * raw;
+            let t_q = self.sync.notify(m, mgr, t_mgr, q, bytes, raw);
             let t_q = self.apply_notices(m, q, t_q, &pages, raw);
             if q == p {
                 my_completion = t_q;
@@ -597,7 +538,6 @@ impl Protocol for Hlrc {
                 m.wake(q, t_q);
             }
         }
-        m.counters_mut(p).barriers += 1;
         Some(my_completion)
     }
 }

@@ -29,7 +29,7 @@ pub use costs::{PerWord, ProtoCosts};
 pub use machine::{Machine, TraceEvent};
 pub use protocol::{Ideal, Protocol, WorldShape};
 pub use shmem::{BarrierId, LockId, Scalar, SharedMem, SharedVec, World};
-pub use sync::{BarrierTable, LockTable};
+pub use sync::{BarrierTable, LockTable, SendFrom, SyncManager};
 pub use vm::{Op, Proc, BATCH_CAP, FLUSH_CAP, FLUSH_END, FLUSH_SYNC};
 pub use workload::{ThreadBody, Workload};
 

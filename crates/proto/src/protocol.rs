@@ -11,7 +11,7 @@ use ssm_engine::Cycles;
 
 use crate::machine::Machine;
 use crate::shmem::{BarrierId, LockId};
-use crate::sync::{BarrierTable, LockTable};
+use crate::sync::{SendFrom, SyncManager};
 
 /// Static shape of the workload's world, given to [`Protocol::init`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,8 +68,7 @@ pub trait Protocol {
 /// as the paper notes for Ocean and Volrend).
 #[derive(Debug)]
 pub struct Ideal {
-    locks: LockTable,
-    barriers: BarrierTable,
+    sync: SyncManager,
 }
 
 impl Default for Ideal {
@@ -81,9 +80,9 @@ impl Default for Ideal {
 impl Ideal {
     /// Creates an ideal protocol instance.
     pub fn new() -> Self {
+        // Synchronization is free: only the manager's tables are used.
         Ideal {
-            locks: LockTable::new(0),
-            barriers: BarrierTable::new(0, 1),
+            sync: SyncManager::new(0, SendFrom::App),
         }
     }
 }
@@ -94,8 +93,7 @@ impl Protocol for Ideal {
     }
 
     fn init(&mut self, m: &Machine, shape: &WorldShape) {
-        self.locks = LockTable::new(shape.nlocks);
-        self.barriers = BarrierTable::new(shape.nbarriers, m.nprocs());
+        self.sync.init(m, shape);
     }
 
     fn read(&mut self, m: &mut Machine, p: usize, addr: u64, bytes: u64) -> Cycles {
@@ -110,16 +108,12 @@ impl Protocol for Ideal {
 
     fn lock(&mut self, m: &mut Machine, p: usize, lock: LockId) -> Option<Cycles> {
         m.counters_mut(p).lock_acquires += 1;
-        if self.locks.acquire(lock, p) {
-            Some(m.clock[p])
-        } else {
-            None
-        }
+        self.sync.locks.acquire(lock, p).then_some(m.clock[p])
     }
 
     fn unlock(&mut self, m: &mut Machine, p: usize, lock: LockId) -> Cycles {
         let now = m.clock[p];
-        if let Some(next) = self.locks.release(lock, p) {
+        if let Some(next) = self.sync.locks.release(lock, p) {
             m.wake(next, now);
         }
         now
@@ -127,17 +121,14 @@ impl Protocol for Ideal {
 
     fn barrier(&mut self, m: &mut Machine, p: usize, barrier: BarrierId) -> Option<Cycles> {
         let now = m.clock[p];
-        if let Some(arrivals) = self.barriers.arrive(barrier, p) {
-            m.counters_mut(p).barriers += 1;
-            for q in arrivals {
-                if q != p {
-                    m.wake(q, now);
-                }
+        let arrivals = self.sync.barriers.arrive(barrier, p, now)?;
+        m.counters_mut(p).barriers += 1;
+        for (q, _) in arrivals {
+            if q != p {
+                m.wake(q, now);
             }
-            Some(now)
-        } else {
-            None
         }
+        Some(now)
     }
 }
 

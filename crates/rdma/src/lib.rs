@@ -37,9 +37,8 @@
 use std::collections::BTreeSet;
 
 use ssm_engine::Cycles;
-use ssm_proto::machine::Activity;
 use ssm_proto::{
-    BarrierId, BarrierTable, HomeMap, HomePolicy, LockId, LockTable, Machine, Protocol, WorldShape,
+    BarrierId, HomeMap, HomePolicy, LockId, Machine, Protocol, SendFrom, SyncManager, WorldShape,
     PAGE_SIZE,
 };
 
@@ -126,9 +125,7 @@ pub struct Rdma {
     /// live write set at grant time, so early flushes simply shrink the
     /// transfer.
     deferred: Vec<Option<(usize, BTreeSet<u64>)>>,
-    locks: LockTable,
-    barriers: BarrierTable,
-    arrivals: Vec<Vec<(usize, Cycles)>>,
+    sync: SyncManager,
 }
 
 impl Rdma {
@@ -154,9 +151,7 @@ impl Rdma {
             write_set: Vec::new(),
             held: Vec::new(),
             deferred: Vec::new(),
-            locks: LockTable::new(0),
-            barriers: BarrierTable::new(0, 1),
-            arrivals: Vec::new(),
+            sync: SyncManager::new(CTRL_BYTES, SendFrom::App),
         }
     }
 
@@ -183,11 +178,6 @@ impl Rdma {
         self
     }
 
-    /// Direct access to the lock table (test setup hook).
-    pub fn lock_table_mut(&mut self) -> &mut LockTable {
-        &mut self.locks
-    }
-
     /// Local state of `block` at `node` (inspection hook).
     pub fn block_state(&self, node: usize, block: u64) -> BlockState {
         self.local[node][block as usize]
@@ -210,14 +200,6 @@ impl Rdma {
         // A block's home is the home of its page, so data placement matches
         // HLRC/SC exactly and protocol comparisons see the same distribution.
         self.homes.home(b * self.block / PAGE_SIZE, toucher)
-    }
-
-    fn lock_home(&self, lock: LockId) -> usize {
-        lock.0 as usize % self.nprocs
-    }
-
-    fn barrier_home(&self, barrier: BarrierId) -> usize {
-        barrier.0 as usize % self.nprocs
     }
 
     /// One-sided fetch of block `b` into `p` (read miss / write-allocate):
@@ -321,13 +303,7 @@ impl Rdma {
     /// lock, the manager's grant triggers the releaser's NI to push them
     /// (plus write notices) straight to `w`. Returns `w`'s completion.
     fn grant(&mut self, m: &mut Machine, lock: LockId, w: usize, t_mgr: Cycles) -> Cycles {
-        let mgr = self.lock_home(lock);
-        let t_ctrl = if mgr == w {
-            t_mgr
-        } else {
-            let (_, arr) = m.send_from_handler(mgr, t_mgr, w, CTRL_BYTES);
-            m.handle_request(w, arr, 0)
-        };
+        let t_ctrl = self.sync.grant(m, lock, w, t_mgr);
         let Some((owner, blocks)) = self.deferred[lock.0 as usize].clone() else {
             return t_ctrl;
         };
@@ -349,6 +325,7 @@ impl Rdma {
             return t_ctrl;
         }
         // Manager → owner: one command wakes the owner's NI...
+        let mgr = self.sync.lock_manager(lock);
         let t_o = if mgr == owner {
             // The manager IS the previous owner: no wire hop, the local NI
             // just picks up the push.
@@ -417,9 +394,7 @@ impl Protocol for Rdma {
         self.write_set = vec![BTreeSet::new(); self.nprocs];
         self.held = vec![Vec::new(); self.nprocs];
         self.deferred = vec![None; shape.nlocks];
-        self.locks = LockTable::new(shape.nlocks);
-        self.barriers = BarrierTable::new(shape.nbarriers, self.nprocs);
-        self.arrivals = vec![Vec::new(); shape.nbarriers];
+        self.sync.init(m, shape);
     }
 
     fn read(&mut self, m: &mut Machine, p: usize, addr: u64, bytes: u64) -> Cycles {
@@ -497,21 +472,9 @@ impl Protocol for Rdma {
     }
 
     fn lock(&mut self, m: &mut Machine, p: usize, lock: LockId) -> Option<Cycles> {
-        m.counters_mut(p).lock_acquires += 1;
-        let now = m.clock[p];
-        let mgr = self.lock_home(lock);
-        let t_mgr = if mgr == p {
-            m.proto_work(p, now, m.costs().handler_base, Activity::Handler)
-        } else {
-            let (_, arr) = m.send_from_app(p, now, mgr, CTRL_BYTES);
-            m.handle_request(mgr, arr, 0)
-        };
-        if self.locks.acquire(lock, p) {
-            self.held[p].push((lock, BTreeSet::new()));
-            Some(self.grant(m, lock, p, t_mgr))
-        } else {
-            None
-        }
+        let t_mgr = self.sync.acquire(m, p, lock)?;
+        self.held[p].push((lock, BTreeSet::new()));
+        Some(self.grant(m, lock, p, t_mgr))
     }
 
     fn unlock(&mut self, m: &mut Machine, p: usize, lock: LockId) -> Cycles {
@@ -568,61 +531,23 @@ impl Protocol for Rdma {
         } else {
             now
         };
-        let mgr = self.lock_home(lock);
-        let (t_local, t_mgr) = if mgr == p {
-            let t = m.proto_work(p, now, m.costs().handler_base, Activity::Handler);
-            (t, t)
-        } else {
-            let (local, arr) = m.send_from_app(p, now, mgr, CTRL_BYTES);
-            (local, m.handle_request(mgr, arr, 0))
-        };
-        if let Some(next) = self.locks.release(lock, p) {
-            self.held[next].push((lock, BTreeSet::new()));
-            let granted = self.grant(m, lock, next, t_mgr);
-            m.wake(next, granted);
+        let (t_local, next) = self.sync.release(m, p, lock, now);
+        if let Some((w, t_mgr)) = next {
+            self.held[w].push((lock, BTreeSet::new()));
+            let granted = self.grant(m, lock, w, t_mgr);
+            m.wake(w, granted);
         }
         t_local
     }
 
     fn barrier(&mut self, m: &mut Machine, p: usize, barrier: BarrierId) -> Option<Cycles> {
-        let now = m.clock[p];
         // A barrier is a release of everything: protected sets included.
-        let now = if self.mode == RdmaMode::WriteBack {
-            for (_, s) in self.held[p].iter_mut() {
-                s.clear();
-            }
-            self.flush_all(m, p, now)
-        } else {
-            now
-        };
-        let mgr = self.barrier_home(barrier);
-        let t_arr = if mgr == p {
-            m.proto_work(p, now, m.costs().handler_base, Activity::Handler)
-        } else {
-            let (_, arr) = m.send_from_app(p, now, mgr, CTRL_BYTES);
-            m.handle_request(mgr, arr, 0)
-        };
-        self.arrivals[barrier.0 as usize].push((p, t_arr));
-        self.barriers.arrive(barrier, p)?;
-        let episode = std::mem::take(&mut self.arrivals[barrier.0 as usize]);
-        let mut t_mgr = episode.iter().map(|&(_, t)| t).max().unwrap_or(t_arr);
-        let mut my_completion = t_mgr;
-        for &(q, _) in &episode {
-            let t_q = if q == mgr {
-                t_mgr
-            } else {
-                let (local, arr) = m.send_from_handler(mgr, t_mgr, q, CTRL_BYTES);
-                t_mgr = local;
-                m.handle_request(q, arr, 0)
-            };
-            if q == p {
-                my_completion = t_q;
-            } else {
-                m.wake(q, t_q);
-            }
+        // (Write-through leaves both the sets and the write set empty.)
+        for (_, s) in self.held[p].iter_mut() {
+            s.clear();
         }
-        m.counters_mut(p).barriers += 1;
-        Some(my_completion)
+        let now = self.flush_all(m, p, m.clock[p]);
+        self.sync.barrier(m, p, barrier, now)
     }
 }
 

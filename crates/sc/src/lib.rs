@@ -18,8 +18,9 @@
 //!   transaction completes.
 //! * **Access control is free** (the paper's optimistic hardware
 //!   assumption, §2); only the software handlers and messages cost time.
-//!   Locks and barriers are plain message-based queue locks / counting
-//!   barriers with no consistency payload (SC needs none).
+//!   Locks and barriers are the shared [`ssm_proto::SyncManager`]'s plain
+//!   message-based queue locks / counting barriers with no consistency
+//!   payload (SC needs none).
 //!
 //! Remote blocks are cached in node memory without capacity eviction
 //! (Stache uses main memory as the cache, which is effectively unbounded
@@ -39,8 +40,8 @@
 use ssm_engine::Cycles;
 use ssm_proto::machine::Activity;
 use ssm_proto::{
-    BarrierId, BarrierTable, HomeMap, HomePolicy, LockId, LockTable, Machine, Protocol, WorldShape,
-    PAGE_SIZE,
+    BarrierId, HomeMap, HomePolicy, LockId, LockTable, Machine, Protocol, SendFrom, SyncManager,
+    WorldShape, PAGE_SIZE,
 };
 
 /// Bytes of a small control message (requests, grants, invalidations, acks).
@@ -111,9 +112,7 @@ pub struct Sc {
     /// `local[node][block]` — this node's copy state (home nodes use the
     /// directory instead).
     local: Vec<Vec<BlockState>>,
-    locks: LockTable,
-    barriers: BarrierTable,
-    arrivals: Vec<Vec<(usize, Cycles)>>,
+    sync: SyncManager,
 }
 
 impl Sc {
@@ -136,9 +135,7 @@ impl Sc {
             homes: HomeMap::new(HomePolicy::RoundRobin, 1, 0),
             dir: Vec::new(),
             local: Vec::new(),
-            locks: LockTable::new(0),
-            barriers: BarrierTable::new(0, 1),
-            arrivals: Vec::new(),
+            sync: SyncManager::new(CTRL_BYTES, SendFrom::App),
         }
     }
 
@@ -168,7 +165,8 @@ impl Sc {
 
     /// DelayedRc release: ship every locally-buffered dirty block to its
     /// home (which applies it and eagerly invalidates the other sharers).
-    /// Returns when every flush has been applied and acknowledged.
+    /// Returns when every flush has been applied and acknowledged. Under
+    /// SC the write set stays empty and this returns `t`.
     fn flush_writes(&mut self, m: &mut Machine, p: usize, t: Cycles) -> Cycles {
         let dirty: Vec<u64> = std::mem::take(&mut self.write_set[p]).into_iter().collect();
         let mut local = t;
@@ -199,7 +197,7 @@ impl Sc {
 
     /// Direct access to the lock table (test setup hook).
     pub fn lock_table_mut(&mut self) -> &mut LockTable {
-        &mut self.locks
+        self.sync.locks_mut()
     }
 
     /// Local state of `block` at `node` (inspection hook).
@@ -390,25 +388,6 @@ impl Sc {
         }
         grant
     }
-
-    fn lock_home(&self, lock: LockId) -> usize {
-        lock.0 as usize % self.nprocs
-    }
-
-    fn barrier_home(&self, barrier: BarrierId) -> usize {
-        barrier.0 as usize % self.nprocs
-    }
-
-    /// A lock grant message from the manager to `w`.
-    fn grant(&mut self, m: &mut Machine, lock: LockId, w: usize, t_mgr: Cycles) -> Cycles {
-        let mgr = self.lock_home(lock);
-        if mgr == w {
-            t_mgr
-        } else {
-            let (_, arr) = m.send_from_handler(mgr, t_mgr, w, CTRL_BYTES);
-            m.handle_request(w, arr, 0)
-        }
-    }
 }
 
 impl Protocol for Sc {
@@ -430,9 +409,7 @@ impl Protocol for Sc {
         );
         self.dir = vec![DirEntry::default(); nblocks];
         self.local = vec![vec![BlockState::Invalid; nblocks]; self.nprocs];
-        self.locks = LockTable::new(shape.nlocks);
-        self.barriers = BarrierTable::new(shape.nbarriers, self.nprocs);
-        self.arrivals = vec![Vec::new(); shape.nbarriers];
+        self.sync.init(m, shape);
         self.write_set = vec![std::collections::BTreeSet::new(); self.nprocs];
     }
 
@@ -501,79 +478,23 @@ impl Protocol for Sc {
     }
 
     fn lock(&mut self, m: &mut Machine, p: usize, lock: LockId) -> Option<Cycles> {
-        m.counters_mut(p).lock_acquires += 1;
-        let now = m.clock[p];
-        let mgr = self.lock_home(lock);
-        let t_mgr = if mgr == p {
-            m.proto_work(p, now, m.costs().handler_base, Activity::Handler)
-        } else {
-            let (_, arr) = m.send_from_app(p, now, mgr, CTRL_BYTES);
-            m.handle_request(mgr, arr, 0)
-        };
-        if self.locks.acquire(lock, p) {
-            Some(self.grant(m, lock, p, t_mgr))
-        } else {
-            None
-        }
+        let t_mgr = self.sync.acquire(m, p, lock)?;
+        Some(self.sync.grant(m, lock, p, t_mgr))
     }
 
     fn unlock(&mut self, m: &mut Machine, p: usize, lock: LockId) -> Cycles {
-        let now = m.clock[p];
-        let now = if self.mode == ScMode::DelayedRc {
-            self.flush_writes(m, p, now)
-        } else {
-            now
-        };
-        let mgr = self.lock_home(lock);
-        let (t_local, t_mgr) = if mgr == p {
-            let t = m.proto_work(p, now, m.costs().handler_base, Activity::Handler);
-            (t, t)
-        } else {
-            let (local, arr) = m.send_from_app(p, now, mgr, CTRL_BYTES);
-            (local, m.handle_request(mgr, arr, 0))
-        };
-        if let Some(next) = self.locks.release(lock, p) {
-            let granted = self.grant(m, lock, next, t_mgr);
-            m.wake(next, granted);
+        let now = self.flush_writes(m, p, m.clock[p]);
+        let (t_local, next) = self.sync.release(m, p, lock, now);
+        if let Some((w, t_mgr)) = next {
+            let granted = self.sync.grant(m, lock, w, t_mgr);
+            m.wake(w, granted);
         }
         t_local
     }
 
     fn barrier(&mut self, m: &mut Machine, p: usize, barrier: BarrierId) -> Option<Cycles> {
-        let now = m.clock[p];
-        let now = if self.mode == ScMode::DelayedRc {
-            self.flush_writes(m, p, now)
-        } else {
-            now
-        };
-        let mgr = self.barrier_home(barrier);
-        let t_arr = if mgr == p {
-            m.proto_work(p, now, m.costs().handler_base, Activity::Handler)
-        } else {
-            let (_, arr) = m.send_from_app(p, now, mgr, CTRL_BYTES);
-            m.handle_request(mgr, arr, 0)
-        };
-        self.arrivals[barrier.0 as usize].push((p, t_arr));
-        self.barriers.arrive(barrier, p)?;
-        let episode = std::mem::take(&mut self.arrivals[barrier.0 as usize]);
-        let mut t_mgr = episode.iter().map(|&(_, t)| t).max().unwrap_or(t_arr);
-        let mut my_completion = t_mgr;
-        for &(q, _) in &episode {
-            let t_q = if q == mgr {
-                t_mgr
-            } else {
-                let (local, arr) = m.send_from_handler(mgr, t_mgr, q, CTRL_BYTES);
-                t_mgr = local;
-                m.handle_request(q, arr, 0)
-            };
-            if q == p {
-                my_completion = t_q;
-            } else {
-                m.wake(q, t_q);
-            }
-        }
-        m.counters_mut(p).barriers += 1;
-        Some(my_completion)
+        let now = self.flush_writes(m, p, m.clock[p]);
+        self.sync.barrier(m, p, barrier, now)
     }
 }
 

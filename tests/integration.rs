@@ -347,3 +347,153 @@ fn tracing_captures_protocol_events() {
     let sends = traced.trace.iter().filter(|e| e.label == "send").count() as u64;
     assert_eq!(sends, traced.counters.messages);
 }
+
+/// Four processors contend for an outer lock (FIFO handoff), take a
+/// nested inner lock inside it, and meet at two barrier episodes.
+struct SyncMix {
+    data: std::cell::RefCell<Option<ssm::proto::SharedVec<u64>>>,
+}
+
+impl ssm::proto::Workload for SyncMix {
+    fn name(&self) -> String {
+        "sync-mix".into()
+    }
+
+    fn mem_bytes(&self) -> usize {
+        4 * 4096
+    }
+
+    fn spawn(&self, world: &mut ssm::proto::World, nprocs: usize) -> Vec<ssm::proto::ThreadBody> {
+        // 512 u64s per page: the counter, the inner-lock slots, the
+        // outer-lock slots and the barrier-phase slots sit on four pages,
+        // homed round-robin at four different nodes.
+        let v = world.alloc_vec::<u64>(4 * 512);
+        let outer = world.alloc_lock();
+        let inner = world.alloc_lock();
+        let bar = world.alloc_barrier();
+        *self.data.borrow_mut() = Some(v.clone());
+        (0..nprocs)
+            .map(|pid| {
+                let v = v.clone();
+                let body: ssm::proto::ThreadBody = Box::new(move |p| {
+                    p.compute(50 * (pid as u64 + 1));
+                    for r in 0..3u64 {
+                        p.lock(outer);
+                        v.set(p, 0, v.get(p, 0) + 1);
+                        p.lock(inner);
+                        let slot = 512 + 8 * pid;
+                        v.set(p, slot, v.get(p, slot) + r);
+                        p.unlock(inner);
+                        v.set(p, 1024 + pid, r);
+                        p.unlock(outer);
+                        p.compute(200);
+                    }
+                    p.barrier(bar);
+                    v.set(p, 1536 + 64 * pid, pid as u64);
+                    let _ = v.get(p, 0);
+                    p.barrier(bar);
+                    let _ = v.get(p, 1536 + 64 * ((pid + 1) % nprocs));
+                });
+                body
+            })
+            .collect()
+    }
+
+    fn verify(&self) -> Result<(), String> {
+        let v = self.data.borrow();
+        let got = v.as_ref().expect("spawned").get_direct(0);
+        (got == 12)
+            .then_some(())
+            .ok_or(format!("counter {got}, want 12"))
+    }
+}
+
+/// Synchronization timing is pinned for every protocol at p4: a contended
+/// lock, a nested lock and two barrier episodes give these totals, these
+/// per-processor LockWait and BarrierWait buckets and these message
+/// counts. A refactor of the lock or barrier managers must leave every
+/// number unchanged.
+#[test]
+fn sync_timing_is_pinned() {
+    use ssm::proto::Protocol as ProtocolTrait;
+    type Pin = (&'static str, u64, [u64; 4], [u64; 4], u64);
+    let pins: [Pin; 7] = [
+        ("IDEAL", 1422, [304, 286, 236, 354], [168, 176, 176, 8], 0),
+        (
+            "HLRC",
+            1006364,
+            [463864, 528186, 599622, 623096],
+            [248320, 177154, 107722, 57098],
+            166,
+        ),
+        (
+            "AURC",
+            847488,
+            [367344, 420620, 480438, 500116],
+            [203776, 148360, 89664, 103728],
+            166,
+        ),
+        (
+            "SC",
+            366908,
+            [164300, 192348, 203966, 244656],
+            [70458, 64486, 37732, 17518],
+            204,
+        ),
+        (
+            "SC-delayed",
+            317512,
+            [170192, 189124, 220900, 245170],
+            [66704, 56504, 36272, 18076],
+            186,
+        ),
+        (
+            "RDMA",
+            203246,
+            [110200, 120204, 148130, 153922],
+            [44748, 43824, 32526, 23724],
+            140,
+        ),
+        (
+            "RDMA-WT",
+            210484,
+            [108124, 121210, 135832, 148818],
+            [46074, 45384, 30974, 15426],
+            146,
+        ),
+    ];
+    for (name, total, lock_wait, barrier_wait, messages) in pins {
+        let mut proto: Box<dyn ProtocolTrait> = match name {
+            "IDEAL" => Box::new(ssm::proto::Ideal::new()),
+            "HLRC" => Box::new(ssm::hlrc::Hlrc::new()),
+            "AURC" => Box::new(ssm::hlrc::Hlrc::aurc()),
+            "SC" => Box::new(ssm::sc::Sc::new(64)),
+            "SC-delayed" => Box::new(ssm::sc::Sc::delayed(64)),
+            "RDMA" => Box::new(ssm_rdma::Rdma::new(64)),
+            _ => Box::new(ssm_rdma::Rdma::write_through(64)),
+        };
+        assert_eq!(proto.name(), name);
+        let machine = ssm::proto::Machine::new(
+            4,
+            ssm::net::CommParams::achievable(),
+            ssm::proto::ProtoCosts::original(),
+            ssm::mem::MemConfig::pentium_pro_like(),
+        );
+        let w = SyncMix {
+            data: std::cell::RefCell::new(None),
+        };
+        let r = ssm::core::run_simulation(proto.as_mut(), &w, 4, machine).expect_verified();
+        let bucket = |b: Bucket| -> Vec<u64> { r.per_proc.iter().map(|x| x.get(b)).collect() };
+        let got = (
+            r.total_cycles,
+            bucket(Bucket::LockWait),
+            bucket(Bucket::BarrierWait),
+            r.counters.messages,
+        );
+        assert_eq!(
+            got,
+            (total, lock_wait.to_vec(), barrier_wait.to_vec(), messages),
+            "{name}: (total cycles, LockWait, BarrierWait, messages)"
+        );
+    }
+}

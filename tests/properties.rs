@@ -113,7 +113,7 @@ fn barrier_completes_once() {
         let mut t = BarrierTable::new(1, 8);
         for _ in 0..episodes {
             for (k, &p) in order.iter().enumerate() {
-                let done = t.arrive(BarrierId(0), p);
+                let done = t.arrive(BarrierId(0), p, k as u64);
                 if k + 1 < order.len() {
                     assert!(done.is_none(), "case {case}");
                 } else {
