@@ -34,31 +34,49 @@ impl CacheConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Way {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
+/// Slot flag: the slot holds a line. An empty slot is all zeros.
+const VALID: u64 = 1;
+/// Slot flag: the line has been written since it was installed.
+const DIRTY: u64 = 2;
+
+/// What [`Cache::access`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Access {
+    /// The line was present.
+    Hit,
+    /// The line was absent and has been installed; `evicted_dirty` says
+    /// whether that displaced a dirty line (a clean victim, or a free
+    /// slot, gives `false`).
+    Miss {
+        /// The displaced line was dirty.
+        evicted_dirty: bool,
+    },
 }
 
 /// A set-associative LRU cache over 64-bit addresses.
 ///
+/// The directory is one flat slot array: set `s` owns slots
+/// `s * assoc .. (s + 1) * assoc`, holding its valid lines most recently
+/// used first and its empty slots last. A slot is `tag << 2 | dirty << 1 |
+/// valid`, so a lookup compares one word per way and stops at the first
+/// empty slot.
+///
 /// # Example
 ///
 /// ```rust
-/// use ssm_mem::{Cache, CacheConfig};
+/// use ssm_mem::{Access, Cache, CacheConfig};
 /// let mut c = Cache::new(CacheConfig { size: 128, line: 32, assoc: 2 });
-/// assert!(!c.probe(0, false)); // cold
-/// c.fill(0, false);
-/// assert!(c.probe(0, false)); // warm
+/// assert_eq!(c.access(0, false), Access::Miss { evicted_dirty: false }); // cold
+/// assert_eq!(c.access(0, false), Access::Hit); // installed by the miss
 /// ```
 #[derive(Debug)]
 pub struct Cache {
-    cfg: CacheConfig,
-    /// `sets[s]` is ordered most-recently-used first.
-    sets: Vec<Vec<Way>>,
+    assoc: usize,
+    slots: Vec<u64>,
     set_mask: u64,
     line_shift: u32,
+    /// `line_shift` plus the set-index bits: `addr >> tag_shift` is the tag.
+    tag_shift: u32,
 }
 
 impl Cache {
@@ -66,82 +84,77 @@ impl Cache {
     pub fn new(cfg: CacheConfig) -> Self {
         let nsets = cfg.sets();
         assert!(nsets.is_power_of_two(), "set count must be a power of two");
+        let line_shift = cfg.line.trailing_zeros();
         Cache {
-            sets: vec![Vec::with_capacity(cfg.assoc); nsets],
+            slots: vec![0; nsets * cfg.assoc],
             set_mask: nsets as u64 - 1,
-            line_shift: cfg.line.trailing_zeros(),
-            cfg,
+            line_shift,
+            tag_shift: line_shift + nsets.trailing_zeros(),
+            assoc: cfg.assoc,
         }
     }
 
-    fn locate(&self, addr: u64) -> (usize, u64) {
-        let line = addr >> self.line_shift;
-        (
-            (line & self.set_mask) as usize,
-            line >> self.sets.len().trailing_zeros(),
-        )
+    /// The slots of `addr`'s set and the valid, clean slot word of its line.
+    fn locate(&mut self, addr: u64) -> (&mut [u64], u64) {
+        let base = ((addr >> self.line_shift) & self.set_mask) as usize * self.assoc;
+        let key = (addr >> self.tag_shift) << 2 | VALID;
+        (&mut self.slots[base..base + self.assoc], key)
     }
 
-    /// Looks up `addr`; on a hit, refreshes LRU order and (for writes) sets
-    /// the dirty bit. Returns whether it hit.
-    pub fn probe(&mut self, addr: u64, write: bool) -> bool {
-        let (set, tag) = self.locate(addr);
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|w| w.valid && w.tag == tag) {
-            let mut way = ways.remove(pos);
-            way.dirty |= write;
-            ways.insert(0, way);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Installs the line containing `addr` (MRU position). Returns
-    /// `Some(evicted_dirty)` if a valid line was evicted, `None` otherwise.
-    pub fn fill(&mut self, addr: u64, dirty: bool) -> Option<bool> {
-        let (set, tag) = self.locate(addr);
-        let assoc = self.cfg.assoc;
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|w| w.valid && w.tag == tag) {
-            // Already present (e.g. refill after a race): refresh.
-            let mut way = ways.remove(pos);
-            way.dirty |= dirty;
-            ways.insert(0, way);
-            return None;
-        }
-        let evicted = if ways.len() >= assoc {
-            ways.pop().map(|w| w.dirty)
-        } else {
-            None
+    /// Looks up the line containing `addr` and leaves it most recently
+    /// used, dirtied if `write`. A miss installs the line, evicting the
+    /// least recently used one if the set is full.
+    pub fn access(&mut self, addr: u64, write: bool) -> Access {
+        let (set, key) = self.locate(addr);
+        let mut new = key | (write as u64) << 1;
+        let mut i = 0;
+        let outcome = loop {
+            if i == set.len() {
+                // Full set, no match: the LRU slot is the victim.
+                i -= 1;
+                break Access::Miss {
+                    evicted_dirty: set[i] & DIRTY != 0,
+                };
+            }
+            let slot = set[i];
+            if slot & !DIRTY == key {
+                new |= slot;
+                break Access::Hit;
+            }
+            if slot == 0 {
+                break Access::Miss {
+                    evicted_dirty: false,
+                };
+            }
+            i += 1;
         };
-        ways.insert(
-            0,
-            Way {
-                tag,
-                valid: true,
-                dirty,
-            },
-        );
-        evicted
+        // Slots 0..i each move one place toward LRU, over slot i.
+        while i > 0 {
+            set[i] = set[i - 1];
+            i -= 1;
+        }
+        set[0] = new;
+        outcome
     }
 
     /// Removes the line containing `addr` if present (no writeback: the
     /// contents are assumed stale). Returns whether it was present.
     pub fn invalidate(&mut self, addr: u64) -> bool {
-        let (set, tag) = self.locate(addr);
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|w| w.valid && w.tag == tag) {
-            ways.remove(pos);
-            true
-        } else {
-            false
+        let (set, key) = self.locate(addr);
+        let mut i = 0;
+        while i < set.len() && set[i] != 0 {
+            if set[i] & !DIRTY == key {
+                // Later slots each move one place toward MRU; the last empties.
+                while i + 1 < set.len() {
+                    set[i] = set[i + 1];
+                    i += 1;
+                }
+                set[i] = 0;
+                return true;
+            }
+            i += 1;
         }
-    }
-
-    /// The configured geometry.
-    pub fn config(&self) -> CacheConfig {
-        self.cfg
+        false
     }
 }
 
@@ -158,6 +171,24 @@ mod tests {
         })
     }
 
+    /// Whether `addr`'s line is cached, and if so whether it is dirty,
+    /// without touching the LRU order.
+    fn resident(c: &Cache, addr: u64) -> Option<bool> {
+        let base = ((addr >> c.line_shift) & c.set_mask) as usize * c.assoc;
+        let key = (addr >> c.tag_shift) << 2 | VALID;
+        c.slots[base..base + c.assoc]
+            .iter()
+            .find(|&&s| s & !DIRTY == key)
+            .map(|&s| s & DIRTY != 0)
+    }
+
+    const MISS: Access = Access::Miss {
+        evicted_dirty: false,
+    };
+    const MISS_DIRTY: Access = Access::Miss {
+        evicted_dirty: true,
+    };
+
     #[test]
     fn sets_computation() {
         let cfg = CacheConfig {
@@ -169,69 +200,72 @@ mod tests {
     }
 
     #[test]
-    fn hit_after_fill() {
+    fn hit_after_miss() {
         let mut c = small();
-        assert!(!c.probe(64, false));
-        assert_eq!(c.fill(64, false), None);
-        assert!(c.probe(64, false));
-        assert!(c.probe(95, false)); // same line
-        assert!(!c.probe(96, false)); // next line
+        assert_eq!(c.access(64, false), MISS);
+        assert_eq!(c.access(64, false), Access::Hit);
+        assert_eq!(c.access(95, false), Access::Hit); // same line
+        assert_eq!(resident(&c, 96), None); // next line
     }
 
     #[test]
     fn lru_eviction_order() {
         let mut c = small();
         // Three lines mapping to set 0: line numbers 0, 4, 8 (4 sets).
-        c.fill(0, false);
-        c.fill(4 * 32, false);
+        c.access(0, false);
+        c.access(4 * 32, false);
         // Touch line 0 so line 4 becomes LRU.
-        assert!(c.probe(0, false));
-        let evicted = c.fill(8 * 32, false);
-        assert_eq!(evicted, Some(false));
-        assert!(c.probe(0, false)); // survived
-        assert!(!c.probe(4 * 32, false)); // evicted
-        assert!(c.probe(8 * 32, false));
+        assert_eq!(c.access(0, false), Access::Hit);
+        assert_eq!(c.access(8 * 32, false), MISS);
+        assert_eq!(resident(&c, 0), Some(false)); // survived
+        assert_eq!(resident(&c, 4 * 32), None); // evicted
+        assert_eq!(resident(&c, 8 * 32), Some(false));
     }
 
     #[test]
     fn dirty_bit_reported_on_eviction() {
         let mut c = small();
-        c.fill(0, true);
-        c.fill(4 * 32, false);
-        let evicted = c.fill(8 * 32, false); // evicts line 0 (LRU, dirty)
-        assert_eq!(evicted, Some(true));
+        c.access(0, true);
+        c.access(4 * 32, false);
+        // Evicts line 0 (LRU, dirty).
+        assert_eq!(c.access(8 * 32, false), MISS_DIRTY);
     }
 
     #[test]
-    fn write_probe_dirties() {
+    fn write_hit_dirties() {
         let mut c = small();
-        c.fill(0, false);
-        assert!(c.probe(0, true)); // line 0 now MRU and dirty
-        c.fill(4 * 32, false); // set: [4 (MRU), 0]
-        let evicted = c.fill(8 * 32, false); // evicts line 0 (dirtied)
-        assert_eq!(evicted, Some(true));
-        let evicted = c.fill(12 * 32, false); // evicts line 4 (clean)
-        assert_eq!(evicted, Some(false));
+        c.access(0, false);
+        assert_eq!(c.access(0, true), Access::Hit); // line 0 now dirty
+        c.access(4 * 32, false); // set: [4 (MRU), 0]
+        assert_eq!(c.access(8 * 32, false), MISS_DIRTY); // evicts line 0
+        assert_eq!(c.access(12 * 32, false), MISS); // evicts line 4 (clean)
+    }
+
+    #[test]
+    fn read_hit_keeps_dirty_bit() {
+        let mut c = small();
+        c.access(0, true);
+        assert_eq!(c.access(0, false), Access::Hit);
+        assert_eq!(resident(&c, 0), Some(true));
     }
 
     #[test]
     fn invalidate_removes() {
         let mut c = small();
-        c.fill(0, true);
+        c.access(0, true);
         assert!(c.invalidate(0));
-        assert!(!c.probe(0, false));
+        assert_eq!(resident(&c, 0), None);
         assert!(!c.invalidate(0));
     }
 
     #[test]
-    fn refill_refreshes_not_duplicates() {
+    fn invalidated_slot_is_reused_before_any_eviction() {
         let mut c = small();
-        c.fill(0, false);
-        c.fill(0, true); // refill same line
-        c.fill(4 * 32, false);
-        // Set 0 holds exactly 2 lines; a third fill must evict one.
-        let e = c.fill(8 * 32, false);
-        assert!(e.is_some());
+        c.access(0, true);
+        c.access(4 * 32, true);
+        assert!(c.invalidate(0));
+        assert_eq!(c.access(8 * 32, false), MISS); // takes the freed slot
+        assert_eq!(resident(&c, 4 * 32), Some(true));
     }
 
     #[test]
@@ -242,5 +276,124 @@ mod tests {
             line: 32,
             assoc: 2,
         });
+    }
+
+    /// The directory this one replaced, kept as a reference model: a
+    /// vector of `(tag, dirty)` per set, most recently used first, with a
+    /// probe and a separate fill. An access is a probe, then a fill on a
+    /// miss.
+    struct Reference {
+        sets: Vec<Vec<(u64, bool)>>,
+        assoc: usize,
+        line_shift: u32,
+    }
+
+    impl Reference {
+        fn new(cfg: CacheConfig) -> Self {
+            Reference {
+                sets: vec![Vec::new(); cfg.sets()],
+                assoc: cfg.assoc,
+                line_shift: cfg.line.trailing_zeros(),
+            }
+        }
+
+        fn locate(&self, addr: u64) -> (usize, u64) {
+            let line = addr >> self.line_shift;
+            let n = self.sets.len() as u64;
+            ((line % n) as usize, line / n)
+        }
+
+        fn probe(&mut self, addr: u64, write: bool) -> bool {
+            let (set, tag) = self.locate(addr);
+            let ways = &mut self.sets[set];
+            let Some(pos) = ways.iter().position(|w| w.0 == tag) else {
+                return false;
+            };
+            let (tag, dirty) = ways.remove(pos);
+            ways.insert(0, (tag, dirty | write));
+            true
+        }
+
+        fn fill(&mut self, addr: u64, dirty: bool) -> Option<bool> {
+            let (set, tag) = self.locate(addr);
+            let ways = &mut self.sets[set];
+            let evicted = if ways.len() >= self.assoc {
+                ways.pop().map(|w| w.1)
+            } else {
+                None
+            };
+            ways.insert(0, (tag, dirty));
+            evicted
+        }
+
+        fn access(&mut self, addr: u64, write: bool) -> Access {
+            if self.probe(addr, write) {
+                Access::Hit
+            } else {
+                Access::Miss {
+                    evicted_dirty: self.fill(addr, write) == Some(true),
+                }
+            }
+        }
+
+        fn invalidate(&mut self, addr: u64) -> bool {
+            let (set, tag) = self.locate(addr);
+            let ways = &mut self.sets[set];
+            let pos = ways.iter().position(|w| w.0 == tag);
+            pos.map(|p| ways.remove(p)).is_some()
+        }
+    }
+
+    /// The flat directory's contents in the reference model's form.
+    fn contents(c: &Cache) -> Vec<Vec<(u64, bool)>> {
+        c.slots
+            .chunks(c.assoc)
+            .map(|set| {
+                let n = set.iter().take_while(|&&s| s & VALID != 0).count();
+                assert!(set[n..].iter().all(|&s| s == 0), "empty slots sit last");
+                set[..n].iter().map(|&s| (s >> 2, s & DIRTY != 0)).collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn matches_the_reference_directory() {
+        let mut state = 0x5EED_CAC4_E000_0001u64;
+        let mut next = move || {
+            // xorshift64*
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        };
+        for assoc in [1, 2, 4, 8] {
+            for nsets in [1, 4, 16] {
+                let cfg = CacheConfig {
+                    size: 32 * assoc * nsets,
+                    line: 32,
+                    assoc,
+                };
+                let mut flat = Cache::new(cfg);
+                let mut reference = Reference::new(cfg);
+                // Three times as many lines as the cache holds: hits,
+                // clean and dirty evictions, and invalidations of both
+                // present and absent lines all occur.
+                let lines = 3 * (assoc * nsets) as u64;
+                for step in 0..20_000 {
+                    let r = next();
+                    let addr = (r >> 16) % (lines * 32);
+                    let what = format!("assoc {assoc}, {nsets} sets, step {step}");
+                    if r % 8 == 0 {
+                        let got = flat.invalidate(addr);
+                        assert_eq!(got, reference.invalidate(addr), "{what}");
+                    } else {
+                        let write = r % 8 < 3;
+                        let got = flat.access(addr, write);
+                        assert_eq!(got, reference.access(addr, write), "{what}");
+                    }
+                }
+                assert_eq!(contents(&flat), reference.sets, "assoc {assoc}");
+            }
+        }
     }
 }

@@ -17,12 +17,18 @@
 //! * memory: 60-cycle latency plus 32 B over a 2 bytes/cycle memory bus;
 //! * write buffer: 8 entries, retiring at the L2/memory (writes stall only
 //!   when the buffer is full).
+//!
+//! L1 and L2 are independent directories, not an inclusive pair. An access
+//! looks L1 up once and, on an L1 miss, L2 once; each lookup installs the
+//! line where it missed. An L1 hit leaves L2's LRU order alone, and an L2
+//! eviction leaves any L1 copy in place. L1 writes through to L2, so only
+//! L2 victims are written back.
 
 pub mod cache;
 
-pub use cache::{Cache, CacheConfig};
+pub use cache::{Access, Cache, CacheConfig};
 
-use ssm_engine::{Cycles, Pipe};
+use ssm_engine::{Cycles, Resource};
 use std::collections::VecDeque;
 
 /// Configuration of a node's memory system.
@@ -88,6 +94,12 @@ impl MemConfig {
             write_buffer: 2,
         }
     }
+
+    /// Memory-bus cycles `bytes` occupy: the exact ceiling of `bytes *
+    /// bus_cycles / bus_bytes`.
+    fn bus_occupancy(&self, bytes: u64) -> Cycles {
+        (bytes * self.bus_cycles).div_ceil(self.bus_bytes)
+    }
 }
 
 impl Default for MemConfig {
@@ -130,7 +142,9 @@ pub struct Hierarchy {
     cfg: MemConfig,
     l1: Cache,
     l2: Cache,
-    bus: Pipe,
+    bus: Resource,
+    /// Bus cycles one line occupies, fixed by the configuration.
+    line_bus: Cycles,
     /// Retirement times of in-flight buffered writes.
     wb: VecDeque<Cycles>,
     stats: MemStats,
@@ -138,11 +152,20 @@ pub struct Hierarchy {
 
 impl Hierarchy {
     /// Creates an empty (cold) hierarchy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either bus-rate term is zero.
     pub fn new(cfg: MemConfig) -> Self {
+        assert!(
+            cfg.bus_bytes > 0 && cfg.bus_cycles > 0,
+            "bus rate terms must be non-zero"
+        );
         Hierarchy {
             l1: Cache::new(cfg.l1),
             l2: Cache::new(cfg.l2),
-            bus: Pipe::new(cfg.bus_bytes, cfg.bus_cycles),
+            bus: Resource::new(),
+            line_bus: cfg.bus_occupancy(cfg.l2.line as u64),
             wb: VecDeque::new(),
             cfg,
             stats: MemStats::default(),
@@ -154,45 +177,61 @@ impl Hierarchy {
         self.stats
     }
 
-    /// Cycles a *fill* from memory takes at `now` (latency + bus occupancy,
-    /// including queueing behind earlier transfers).
-    fn mem_fill(&mut self, now: Cycles) -> Cycles {
-        self.stats.mem_accesses += 1;
-        let line = self.cfg.l2.line as u64;
-        let done = self.bus.transfer(now + self.cfg.mem_latency, line);
+    /// One access on the line path: a single lookup in L1 and, on an L1
+    /// miss, a single lookup in L2. Each lookup installs the line where it
+    /// missed. Counts the access and the level that served it.
+    fn lookup(&mut self, addr: u64, write: bool) -> Served {
+        self.stats.accesses += 1;
+        // An L1 victim needs no writeback: L1 writes through to L2.
+        if self.l1.access(addr, write) == Access::Hit {
+            self.stats.l1_hits += 1;
+            return Served::L1;
+        }
+        match self.l2.access(addr, write) {
+            Access::Hit => {
+                self.stats.l2_hits += 1;
+                Served::L2
+            }
+            Access::Miss { evicted_dirty } => {
+                self.stats.mem_accesses += 1;
+                Served::Memory { evicted_dirty }
+            }
+        }
+    }
+
+    /// Fetches one missed line from memory at `now`, then writes back the
+    /// dirty L2 victim if there is one. Returns the fetch's cycles: memory
+    /// latency plus bus occupancy, including queueing behind earlier
+    /// transfers.
+    fn mem_fill(&mut self, now: Cycles, evicted_dirty: bool) -> Cycles {
+        let done = self.bus.acquire(now + self.cfg.mem_latency, self.line_bus);
+        if evicted_dirty {
+            self.writeback(now);
+        }
         done - now
     }
 
     fn writeback(&mut self, now: Cycles) {
         self.stats.writebacks += 1;
-        let line = self.cfg.l2.line as u64;
         // Writebacks occupy the bus but do not stall the processor.
-        let _ = self.bus.transfer(now, line);
+        let _ = self.bus.acquire(now, self.line_bus);
     }
 
     /// Models a processor *read* of the line containing `addr`; returns the
     /// stall cycles beyond the 1-IPC pipeline.
     pub fn read(&mut self, now: Cycles, addr: u64) -> Cycles {
-        self.stats.accesses += 1;
-        if self.l1.probe(addr, false) {
-            self.stats.l1_hits += 1;
-            return 0;
+        match self.lookup(addr, false) {
+            Served::L1 => 0,
+            Served::L2 => self.cfg.l2_hit_cycles,
+            Served::Memory { evicted_dirty } => {
+                self.cfg.l2_hit_cycles + self.mem_fill(now, evicted_dirty)
+            }
         }
-        if self.l2.probe(addr, false) {
-            self.stats.l2_hits += 1;
-            self.fill_l1(now, addr, false);
-            return self.cfg.l2_hit_cycles;
-        }
-        let stall = self.cfg.l2_hit_cycles + self.mem_fill(now);
-        self.fill_l2(now, addr, false);
-        self.fill_l1(now, addr, false);
-        stall
     }
 
     /// Models a processor *write*; returns stall cycles. Writes retire
     /// through the write buffer, so they stall only when the buffer is full.
     pub fn write(&mut self, now: Cycles, addr: u64) -> Cycles {
-        self.stats.accesses += 1;
         // Retire completed buffered writes.
         while let Some(&t) = self.wb.front() {
             if t <= now {
@@ -210,19 +249,13 @@ impl Hierarchy {
             now = t;
         }
         // Determine how long the write takes to retire (in the background).
-        let retire = if self.l1.probe(addr, true) {
-            self.stats.l1_hits += 1;
-            now
-        } else if self.l2.probe(addr, true) {
-            self.stats.l2_hits += 1;
-            self.fill_l1(now, addr, true);
-            now + self.cfg.l2_hit_cycles
-        } else {
+        let retire = match self.lookup(addr, true) {
+            Served::L1 => now,
+            Served::L2 => now + self.cfg.l2_hit_cycles,
             // Write-allocate: fetch the line, then write.
-            let fill = self.mem_fill(now);
-            self.fill_l2(now, addr, true);
-            self.fill_l1(now, addr, true);
-            now + self.cfg.l2_hit_cycles + fill
+            Served::Memory { evicted_dirty } => {
+                now + self.cfg.l2_hit_cycles + self.mem_fill(now, evicted_dirty)
+            }
         };
         self.wb.push_back(retire);
         stall
@@ -270,27 +303,21 @@ impl Hierarchy {
         let mut missed_lines = 0u64;
         let mut hit_lines = 0u64;
         for l in first..=last {
-            let a = l * line;
-            self.stats.accesses += 1;
-            if self.l1.probe(a, write) {
-                self.stats.l1_hits += 1;
-                hit_lines += 1;
-            } else if self.l2.probe(a, write) {
-                self.stats.l2_hits += 1;
-                self.fill_l1(now, a, write);
-                hit_lines += 1;
-            } else {
-                self.stats.mem_accesses += 1;
-                self.fill_l2(now, a, write);
-                self.fill_l1(now, a, write);
-                missed_lines += 1;
+            match self.lookup(l * line, write) {
+                Served::L1 | Served::L2 => hit_lines += 1,
+                Served::Memory { evicted_dirty } => {
+                    missed_lines += 1;
+                    if evicted_dirty {
+                        self.writeback(now);
+                    }
+                }
             }
         }
         let mut stall = 2 * hit_lines; // pipelined L2 throughput
         if missed_lines > 0 {
-            let done = self
-                .bus
-                .transfer(now + self.cfg.mem_latency, missed_lines * line);
+            // One transfer for the whole range.
+            let occupancy = self.cfg.bus_occupancy(missed_lines * line);
+            let done = self.bus.acquire(now + self.cfg.mem_latency, occupancy);
             stall += done - now;
         }
         stall
@@ -311,21 +338,16 @@ impl Hierarchy {
             self.l2.invalidate(l * line);
         }
     }
+}
 
-    fn fill_l1(&mut self, _now: Cycles, addr: u64, dirty: bool) {
-        // L1 is write-through to L2 in this model: evicted dirty L1 lines
-        // are already in L2, so L1 evictions are silent.
-        let _ = self.l1.fill(addr, dirty);
-    }
-
-    fn fill_l2(&mut self, now: Cycles, addr: u64, dirty: bool) {
-        if let Some(evicted_dirty) = self.l2.fill(addr, dirty) {
-            if evicted_dirty {
-                self.writeback(now);
-            }
-            // Inclusive hierarchy: an L2 eviction removes the line from L1.
-        }
-    }
+/// The level that served an access.
+enum Served {
+    L1,
+    L2,
+    /// An L2 miss; the line's install may have displaced a dirty L2 line.
+    Memory {
+        evicted_dirty: bool,
+    },
 }
 
 #[cfg(test)]
@@ -421,6 +443,35 @@ mod tests {
     }
 
     #[test]
+    fn l1_line_survives_eviction_of_its_l2_copy() {
+        // L1 and L2 are independent directories: an L1 hit does not refresh
+        // L2's LRU order, and an L2 eviction does not remove the L1 copy.
+        let mut h = Hierarchy::new(MemConfig::pentium_pro_like());
+        let same_l2_set = |k: u64| k * 2048 * 32; // L2: 2048 sets of 32 B lines
+        let a = same_l2_set(0);
+        let mut now = 0;
+        let mut read = |h: &mut Hierarchy, addr| {
+            now += 1000;
+            h.read(now, addr)
+        };
+        assert_eq!(read(&mut h, a), 8 + 60 + 16);
+        for k in 1..=3 {
+            assert_eq!(read(&mut h, same_l2_set(k)), 8 + 60 + 16);
+            assert_eq!(read(&mut h, a), 0); // L1 hit; L2 never sees it
+        }
+        // The fifth line of the 4-way L2 set evicts `a`, its LRU entry.
+        assert_eq!(read(&mut h, same_l2_set(4)), 8 + 60 + 16);
+        assert_eq!(read(&mut h, a), 0, "the L1 copy survives");
+        // Two L1-only conflicts (L1: 128 sets, 2-way) push `a` out of L1 too;
+        // with no L2 copy left, it comes from memory.
+        assert_eq!(read(&mut h, 128 * 32), 8 + 60 + 16);
+        assert_eq!(read(&mut h, 256 * 32), 8 + 60 + 16);
+        assert_eq!(read(&mut h, a), 8 + 60 + 16);
+        assert_eq!(h.stats().mem_accesses, 8);
+        assert_eq!(h.stats().l2_hits, 0);
+    }
+
+    #[test]
     fn dirty_eviction_writes_back() {
         let mut h = Hierarchy::new(MemConfig::tiny()); // L2: 1 KB, 2-way, 32 B
                                                        // Dirty many distinct lines so L2 must evict dirty victims.
@@ -428,5 +479,180 @@ mod tests {
             h.write(i * 1000, i * 32);
         }
         assert!(h.stats().writebacks > 0);
+    }
+}
+
+#[cfg(test)]
+mod pinned {
+    //! Pinned traces: every stall and the final statistics of fixed access
+    //! sequences. The values are the model's output, so any change to the
+    //! per-line path that moves a simulated number fails here.
+
+    use super::*;
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Read(u64),
+        Write(u64),
+        Touch(u64, u64, bool),
+        Stream(u64, u64, bool),
+        Inval(u64, u64),
+    }
+
+    fn apply(h: &mut Hierarchy, now: Cycles, op: Op) -> Cycles {
+        match op {
+            Op::Read(a) => h.read(now, a),
+            Op::Write(a) => h.write(now, a),
+            Op::Touch(a, len, w) => h.touch_range(now, a, len, w),
+            Op::Stream(a, len, w) => h.stream_range(now, a, len, w),
+            Op::Inval(a, len) => {
+                h.invalidate_range(a, len);
+                0
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_trace_on_tiny() {
+        use Op::*;
+        let trace = [
+            Read(0),
+            Read(4),
+            Write(32),
+            Write(288),
+            Write(544),
+            Read(256),
+            Touch(0, 200, false),
+            Touch(1000, 300, true),
+            Stream(64, 512, false),
+            Stream(2048, 256, true),
+            Read(2048),
+            Inval(2048, 64),
+            Read(2048),
+            Write(2080),
+            Touch(512, 1024, true),
+            Stream(0, 1024, true),
+            Inval(0, 4096),
+            Stream(0, 96, false),
+            Write(0),
+            Write(32),
+            Write(64),
+            Write(96),
+            Read(1024),
+            Touch(3000, 1, false),
+            Stream(3000, 1, true),
+        ];
+        let mut h = Hierarchy::new(MemConfig::tiny());
+        let mut now = 0;
+        let mut stalls = Vec::new();
+        for op in trace {
+            let s = apply(&mut h, now, op);
+            stalls.push(s);
+            now += 10 + s;
+        }
+        assert_eq!(
+            stalls,
+            [
+                84, 0, 0, 0, 64, 90, 436, 368, 240, 256, 0, 0, 84, 0, 1282, 1090, 0, 108, 0, 0, 0,
+                0, 90, 84, 2
+            ]
+        );
+        assert_eq!(
+            h.stats(),
+            MemStats {
+                accesses: 124,
+                l1_hits: 6,
+                l2_hits: 12,
+                mem_accesses: 106,
+                writebacks: 51,
+                wb_stalls: 38,
+            }
+        );
+    }
+
+    /// A small SplitMix64 stream, so the trace needs no dependency.
+    fn mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Runs `n` seeded random operations over `span` bytes; returns the sum
+    /// of stalls, an order-sensitive fold of them, and the final stats.
+    fn random_trace(cfg: MemConfig, seed: u64, n: usize, span: u64) -> (u64, u64, MemStats) {
+        let mut h = Hierarchy::new(cfg);
+        let mut rng = seed;
+        let (mut now, mut sum, mut fold) = (0, 0u64, 0u64);
+        for _ in 0..n {
+            let r = mix(&mut rng);
+            let addr = (r >> 8) % span;
+            let len = 1 + (r >> 40) % 4096;
+            let op = match r % 16 {
+                0..=5 => Op::Read(addr),
+                6..=10 => Op::Write(addr),
+                11 | 12 => Op::Touch(addr, len, r & 0x10 != 0),
+                13 | 14 => Op::Stream(addr, len, r & 0x10 != 0),
+                _ => Op::Inval(addr, len),
+            };
+            let s = apply(&mut h, now, op);
+            sum += s;
+            fold = fold.wrapping_mul(0x100_0000_01B3) ^ s;
+            now += 1 + (r >> 56) + s;
+        }
+        (sum, fold, h.stats())
+    }
+
+    #[test]
+    fn random_traces() {
+        // Miss-heavy: 8 KB of addresses over a 1 KB L2.
+        assert_eq!(
+            random_trace(MemConfig::tiny(), 1, 20_000, 8 << 10),
+            (
+                14_588_820,
+                16_160_108_232_894_249_484,
+                MemStats {
+                    accesses: 342_068,
+                    l1_hits: 1_315,
+                    l2_hits: 10_906,
+                    mem_accesses: 329_847,
+                    writebacks: 157_136,
+                    wb_stalls: 74_973,
+                }
+            )
+        );
+        // The paper's node, 1 MB of addresses: L2 capacity misses.
+        assert_eq!(
+            random_trace(MemConfig::pentium_pro_like(), 2, 20_000, 1 << 20),
+            (
+                10_504_067,
+                740_122_300_324_640_033,
+                MemStats {
+                    accesses: 343_248,
+                    l1_hits: 2_751,
+                    l2_hits: 76_733,
+                    mem_accesses: 263_764,
+                    writebacks: 132_925,
+                    wb_stalls: 58_371,
+                }
+            )
+        );
+        // 16 KB of addresses: overflows L1, fits in L2.
+        assert_eq!(
+            random_trace(MemConfig::pentium_pro_like(), 3, 20_000, 16 << 10),
+            (
+                2_865_432,
+                3_361_882_226_823_825_614,
+                MemStats {
+                    accesses: 340_605,
+                    l1_hits: 146_234,
+                    l2_hits: 128_931,
+                    mem_accesses: 65_440,
+                    writebacks: 0,
+                    wb_stalls: 17_909,
+                }
+            )
+        );
     }
 }

@@ -68,33 +68,41 @@ impl std::fmt::Display for MergeError {
     }
 }
 
-/// One source's winning record per hash, in the order hashes first appear.
-/// Within a single cache file later lines win, matching
-/// [`crate::ResultStore`]'s read semantics.
-fn load_cache(path: &Path) -> std::io::Result<Vec<(String, CellRecord)>> {
-    let mut order: Vec<String> = Vec::new();
-    let mut map: HashMap<String, CellRecord> = HashMap::new();
+/// The non-blank lines of a cache file (none if it does not exist).
+fn read_lines(path: &Path) -> std::io::Result<Vec<String>> {
+    let mut lines = Vec::new();
     if path.exists() {
         for line in BufReader::new(File::open(path)?).lines() {
             let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            if let Ok(rec) = Json::parse(&line).and_then(|j| CellRecord::from_json(&j)) {
-                let hash = rec.cell.hash();
-                if map.insert(hash.clone(), rec).is_none() {
-                    order.push(hash);
-                }
+            if !line.trim().is_empty() {
+                lines.push(line);
             }
         }
     }
-    Ok(order
+    Ok(lines)
+}
+
+/// One source's winning record per hash, in the order hashes first appear.
+/// Within a single cache file later lines win, matching
+/// [`crate::ResultStore`]'s read semantics. Unparseable lines are skipped.
+fn parse_records(lines: &[String]) -> Vec<(String, CellRecord)> {
+    let mut order: Vec<String> = Vec::new();
+    let mut map: HashMap<String, CellRecord> = HashMap::new();
+    for line in lines {
+        if let Ok(rec) = Json::parse(line).and_then(|j| CellRecord::from_json(&j)) {
+            let hash = rec.cell.hash();
+            if map.insert(hash.clone(), rec).is_none() {
+                order.push(hash);
+            }
+        }
+    }
+    order
         .into_iter()
         .map(|h| {
             let rec = map.remove(&h).expect("ordered hash present");
             (h, rec)
         })
-        .collect())
+        .collect()
 }
 
 /// Merges the shard caches under `shard_dirs` into `main_dir`'s cache.
@@ -107,21 +115,13 @@ pub fn merge_caches(main_dir: &Path, shard_dirs: &[PathBuf]) -> Result<MergeOutc
     let main_path = main_dir.join(CACHE_FILE);
 
     // Pre-existing main-cache lines, preserved verbatim.
-    let mut raw_lines: Vec<String> = Vec::new();
-    if main_path.exists() {
-        for line in BufReader::new(File::open(&main_path)?).lines() {
-            let line = line?;
-            if !line.trim().is_empty() {
-                raw_lines.push(line);
-            }
-        }
-    }
+    let raw_lines = read_lines(&main_path)?;
 
     // Canonical payload per known hash, for conflict detection. Main-cache
     // records are canonicalized for comparison only — their stored bytes
     // (with real host times) stay as-is.
     let mut seen: HashMap<String, (String, String)> = HashMap::new(); // hash -> (source, canonical)
-    for (hash, rec) in load_cache(&main_path)? {
+    for (hash, rec) in parse_records(&raw_lines) {
         seen.insert(
             hash,
             ("main cache".to_string(), rec.canonical().to_json().render()),
@@ -133,7 +133,7 @@ pub fn merge_caches(main_dir: &Path, shard_dirs: &[PathBuf]) -> Result<MergeOutc
     let mut duplicates = 0usize;
     for dir in shard_dirs {
         let source = dir.display().to_string();
-        for (hash, rec) in load_cache(&dir.join(CACHE_FILE))? {
+        for (hash, rec) in parse_records(&read_lines(&dir.join(CACHE_FILE))?) {
             let canonical = rec.canonical().to_json().render();
             match seen.get(&hash) {
                 Some((prior, existing)) if *existing == canonical => duplicates += 1,

@@ -10,7 +10,7 @@
 use ssm::apps::common::{block_range, Rng};
 use ssm::engine::{Pipe, Resource};
 use ssm::hlrc::{DirtyBits, NoticeBoard};
-use ssm::mem::{Cache, CacheConfig};
+use ssm::mem::{Access, Cache, CacheConfig};
 use ssm::proto::{BarrierId, BarrierTable, LockId, LockTable, PerWord};
 
 /// Number of random cases sampled per property.
@@ -190,8 +190,8 @@ fn notices_delivered_once() {
     }
 }
 
-/// Cache: after filling any sequence of addresses, probing the most
-/// recently filled address always hits (it is MRU in its set).
+/// Cache: after accessing any sequence of addresses, accessing the most
+/// recently accessed address again always hits (it is MRU in its set).
 #[test]
 fn cache_mru_always_present() {
     for case in 0..CASES {
@@ -204,8 +204,12 @@ fn cache_mru_always_present() {
         });
         for _ in 0..n {
             let a = rng.gen_range(100_000);
-            c.fill(a, false);
-            assert!(c.probe(a, false), "case {case}: just-filled {a} missing");
+            c.access(a, rng.gen_range(2) == 1);
+            assert_eq!(
+                c.access(a, false),
+                Access::Hit,
+                "case {case}: just-accessed {a} missing"
+            );
         }
     }
 }
