@@ -182,10 +182,11 @@ impl Barnes {
     /// Tree-cell capacity. Each processor allocates from its own `cap / np`
     /// slice, and Barnes-Spatial builds at most 8 top-level octants, so a
     /// slice must hold a whole octant's subtree. At 8 cells per body that
-    /// stops holding at n = 32 with 16 processors; the floor of 1024 cells
-    /// keeps small problems runnable and leaves every n >= 128 as it was.
+    /// stops holding at n = 32 with 16 processors; the floor of 4096 cells
+    /// keeps small problems runnable up to 64 processors and leaves every
+    /// n >= 512 as it was.
     fn cap(&self) -> usize {
-        (8 * self.n).max(1024)
+        (8 * self.n).max(4096)
     }
 }
 

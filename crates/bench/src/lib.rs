@@ -28,21 +28,14 @@ pub fn note(msg: &str) {
 pub fn report_failures(run: &ssm_sweep::SweepRun) {
     use ssm_sweep::CellStatus;
     for o in &run.outcomes {
-        let tries = if o.attempts > 1 {
-            format!(" (after {} attempts)", o.attempts)
-        } else {
-            String::new()
-        };
         match &o.status {
             CellStatus::Done(rec) if !rec.verified => note(&format!(
                 "{}: verification FAILED: {}",
                 o.cell.label(),
                 rec.verify_error.as_deref().unwrap_or("unknown")
             )),
-            CellStatus::Failed(e) => note(&format!("{}: FAILED{tries}: {e}", o.cell.label())),
-            CellStatus::TimedOut(d) => {
-                note(&format!("{}: timed out after {d:?}{tries}", o.cell.label()));
-            }
+            CellStatus::Failed(e) => note(&format!("{}: FAILED: {e}", o.cell.label())),
+            CellStatus::TimedOut(d) => note(&format!("{}: timed out after {d:?}", o.cell.label())),
             CellStatus::Done(_) => {}
         }
     }

@@ -4,7 +4,7 @@
 //! dominant setup cost of small sweep cells: a test-scale cell finishes in
 //! milliseconds, but pays for `nprocs` thread spawns and joins every time.
 //! A [`WorkerSet`] keeps workers parked between jobs so consecutive
-//! simulations (and retry attempts) reuse the same OS threads.
+//! simulations reuse the same OS threads.
 //!
 //! A job runs to completion on one worker and then hands back a
 //! *completion* closure. The worker re-registers itself as idle **before**

@@ -14,11 +14,9 @@
 //!   zero on the data path by construction — exactly the property the
 //!   layered decomposition is probing.
 //! * **Remote lines are cached with explicit invalidation.** Fetched lines
-//!   are held `Clean`; in the default write-back mode a write dirties the
-//!   local copy and the flush (at release/barrier, per release
-//!   consistency) pushes the line home one-sidedly and invalidates stale
-//!   sharers NI-to-NI. [`Rdma::write_through`] builds the variant that
-//!   pushes every remote write home immediately instead.
+//!   are held `Clean`; a write dirties the local copy and the flush (at
+//!   release/barrier, per release consistency) pushes the line home
+//!   one-sidedly and invalidates stale sharers NI-to-NI.
 //! * **Synchronization-aware coherence (GCS-style).** Blocks written
 //!   under a lock are associated with that lock. On a later acquire by
 //!   another node, ownership of those blocks is handed off *with the lock
@@ -58,17 +56,6 @@ const HDR_BYTES: u64 = 16;
 /// lock and flushes at release like any other dirty line.
 const MAX_PROTECTED: usize = 64;
 
-/// Write policy for remote lines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RdmaMode {
-    /// Writes dirty the local copy; flushes happen at release points
-    /// (release consistency). The default.
-    WriteBack,
-    /// Every remote write is pushed home one-sidedly as it happens, with
-    /// eager NI-to-NI invalidation of the other sharers.
-    WriteThrough,
-}
-
 /// Local state of a block at a non-home node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockState {
@@ -76,8 +63,7 @@ pub enum BlockState {
     Invalid,
     /// Valid copy matching the home (registered in the home's sharer set).
     Clean,
-    /// Locally modified copy; the home is stale until the next flush
-    /// (write-back mode only).
+    /// Locally modified copy; the home is stale until the next flush.
     Dirty,
 }
 
@@ -103,7 +89,6 @@ pub enum BlockState {
 pub struct Rdma {
     block: u64,
     nprocs: usize,
-    mode: RdmaMode,
     home_policy: HomePolicy,
     homes: HomeMap,
     /// Per-block sharer bitmask kept at the home (NI-maintained; the home
@@ -143,7 +128,6 @@ impl Rdma {
         Rdma {
             block,
             nprocs: 0,
-            mode: RdmaMode::WriteBack,
             home_policy: HomePolicy::RoundRobin,
             homes: HomeMap::new(HomePolicy::RoundRobin, 1, 0),
             sharers: Vec::new(),
@@ -155,21 +139,9 @@ impl Rdma {
         }
     }
 
-    /// Creates the write-through variant at the given granularity.
-    pub fn write_through(block: u64) -> Self {
-        let mut r = Rdma::new(block);
-        r.mode = RdmaMode::WriteThrough;
-        r
-    }
-
     /// The configured line size in bytes.
     pub fn block_size(&self) -> u64 {
         self.block
-    }
-
-    /// The write policy in force.
-    pub fn mode(&self) -> RdmaMode {
-        self.mode
     }
 
     /// Selects the page-to-home placement policy (before `init`).
@@ -374,10 +346,7 @@ impl Rdma {
 
 impl Protocol for Rdma {
     fn name(&self) -> &'static str {
-        match self.mode {
-            RdmaMode::WriteBack => "RDMA",
-            RdmaMode::WriteThrough => "RDMA-WT",
-        }
+        "RDMA"
     }
 
     fn init(&mut self, m: &Machine, shape: &WorldShape) {
@@ -428,42 +397,20 @@ impl Protocol for Rdma {
         let mut all_local = true;
         for b in first..=last {
             let h = self.home_of_block(b, p);
-            match self.mode {
-                RdmaMode::WriteBack => {
-                    if p == h {
-                        // Home memory is written in place; remote sharers
-                        // go stale and are invalidated at the release.
-                        if self.sharers[b as usize] != 0 {
-                            self.note_write(p, b);
-                        }
-                        continue;
-                    }
-                    if self.local[p][b as usize] == BlockState::Invalid {
-                        all_local = false;
-                        t = self.fetch(m, p, h, b, t); // write-allocate
-                    }
-                    self.local[p][b as usize] = BlockState::Dirty;
+            if p == h {
+                // Home memory is written in place; remote sharers go stale
+                // and are invalidated at the release.
+                if self.sharers[b as usize] != 0 {
                     self.note_write(p, b);
                 }
-                RdmaMode::WriteThrough => {
-                    if p == h {
-                        if self.sharers[b as usize] != 0 {
-                            all_local = false;
-                            t = self.hw_invalidate(m, p, b, t, p);
-                        }
-                        continue;
-                    }
-                    // Push the written bytes home one-sidedly (no
-                    // allocate); the home's NI invalidates other sharers.
-                    all_local = false;
-                    let t_issue = m.occupy_cpu(p, t, m.comm().rdma_issue).1;
-                    let len = bytes.min(self.block);
-                    let arr = m.send_hardware(p, t_issue, h, len + HDR_BYTES);
-                    let served = m.rdma_serve(h, arr);
-                    t = self.hw_invalidate(m, h, b, served, p);
-                    m.counters_mut(p).remote_writes += 1;
-                }
+                continue;
             }
+            if self.local[p][b as usize] == BlockState::Invalid {
+                all_local = false;
+                t = self.fetch(m, p, h, b, t); // write-allocate
+            }
+            self.local[p][b as usize] = BlockState::Dirty;
+            self.note_write(p, b);
         }
         if all_local {
             m.counters_mut(p).local_accesses += 1;
@@ -484,53 +431,49 @@ impl Protocol for Rdma {
             Some(i) => self.held[p].remove(i).1,
             None => BTreeSet::new(),
         };
-        let now = if self.mode == RdmaMode::WriteBack {
-            // Lines written under this lock defer their flush: ownership
-            // rides with the lock to the next acquirer instead (unless
-            // the set overflowed the handoff cap).
-            let deferrable: BTreeSet<u64> = if protected.len() <= MAX_PROTECTED {
-                protected
-                    .iter()
-                    .copied()
-                    .filter(|b| self.write_set[p].contains(b))
-                    .collect()
-            } else {
-                BTreeSet::new()
-            };
-            // Lines protected by locks p still holds defer to *their*
-            // releases; everything else dirty flushes now.
-            let still_protected: BTreeSet<u64> = self.held[p]
-                .iter()
-                .flat_map(|(_, s)| s.iter().copied())
-                .collect();
-            let flush_now: Vec<u64> = self.write_set[p]
+        // Lines written under this lock defer their flush: ownership
+        // rides with the lock to the next acquirer instead (unless
+        // the set overflowed the handoff cap).
+        let deferrable: BTreeSet<u64> = if protected.len() <= MAX_PROTECTED {
+            protected
                 .iter()
                 .copied()
-                .filter(|b| !deferrable.contains(b) && !still_protected.contains(b))
-                .collect();
-            let mut local = now;
-            let mut done = now;
-            for b in flush_now {
-                self.write_set[p].remove(&b);
-                let (l, d) = self.flush_block(m, p, b, local);
-                local = l;
-                done = done.max(d);
-            }
-            if !deferrable.is_empty() {
-                // Merge with an earlier deferral of ours that was never
-                // claimed (reacquire-and-release of our own lock).
-                let mut blocks = deferrable;
-                if let Some((o, prior)) = self.deferred[lock.0 as usize].take() {
-                    if o == p {
-                        blocks.extend(prior);
-                    }
-                }
-                self.deferred[lock.0 as usize] = Some((p, blocks));
-            }
-            local.max(done)
+                .filter(|b| self.write_set[p].contains(b))
+                .collect()
         } else {
-            now
+            BTreeSet::new()
         };
+        // Lines protected by locks p still holds defer to *their*
+        // releases; everything else dirty flushes now.
+        let still_protected: BTreeSet<u64> = self.held[p]
+            .iter()
+            .flat_map(|(_, s)| s.iter().copied())
+            .collect();
+        let flush_now: Vec<u64> = self.write_set[p]
+            .iter()
+            .copied()
+            .filter(|b| !deferrable.contains(b) && !still_protected.contains(b))
+            .collect();
+        let mut local = now;
+        let mut done = now;
+        for b in flush_now {
+            self.write_set[p].remove(&b);
+            let (l, d) = self.flush_block(m, p, b, local);
+            local = l;
+            done = done.max(d);
+        }
+        if !deferrable.is_empty() {
+            // Merge with an earlier deferral of ours that was never
+            // claimed (reacquire-and-release of our own lock).
+            let mut blocks = deferrable;
+            if let Some((o, prior)) = self.deferred[lock.0 as usize].take() {
+                if o == p {
+                    blocks.extend(prior);
+                }
+            }
+            self.deferred[lock.0 as usize] = Some((p, blocks));
+        }
+        let now = local.max(done);
         let (t_local, next) = self.sync.release(m, p, lock, now);
         if let Some((w, t_mgr)) = next {
             self.held[w].push((lock, BTreeSet::new()));
@@ -542,7 +485,6 @@ impl Protocol for Rdma {
 
     fn barrier(&mut self, m: &mut Machine, p: usize, barrier: BarrierId) -> Option<Cycles> {
         // A barrier is a release of everything: protected sets included.
-        // (Write-through leaves both the sets and the write set empty.)
         for (_, s) in self.held[p].iter_mut() {
             s.clear();
         }
@@ -665,33 +607,6 @@ mod tests {
         assert!(r.barrier(&mut m, 0, BarrierId(0)).is_some());
         assert_eq!(r.block_state(2, b), BlockState::Invalid);
         assert_eq!(m.counters()[2].invalidations, 1);
-    }
-
-    #[test]
-    fn write_through_pushes_immediately() {
-        let m = Machine::new(
-            2,
-            CommParams::achievable(),
-            ProtoCosts::original(),
-            MemConfig::pentium_pro_like(),
-        );
-        let mut r = Rdma::write_through(64);
-        assert_eq!(r.mode(), RdmaMode::WriteThrough);
-        assert_eq!(r.name(), "RDMA-WT");
-        let mut m = m;
-        r.init(
-            &m,
-            &WorldShape {
-                heap_bytes: 1 << 20,
-                nlocks: 0,
-                nbarriers: 0,
-            },
-        );
-        let t = r.write(&mut m, 0, PAGE_SIZE, 8);
-        assert!(t > 0);
-        assert_eq!(m.counters()[0].remote_writes, 1);
-        // No flush obligation accrues.
-        assert_eq!(r.dirty_blocks(0), 0);
     }
 
     #[test]

@@ -12,16 +12,14 @@
 //!   pre-batching engine behavior; results are byte-identical, only the
 //!   host-side handoff counters and wall time change);
 //! * `--timeout SECS` — per-cell wall-time limit (default: none);
-//! * `--retries N` — rerun panicked/timed-out cells up to N extra times
-//!   (default 0);
 //! * `--results DIR` — results directory (default `results/`);
 //! * `--quiet` — suppress stderr progress;
 //! * `--shard i/N` — worker mode: run only the cells whose hash lands on
 //!   shard `i` of an N-way partition into `--results`, write the summary
 //!   and exit (0 when every owned cell completed, 1 otherwise) without
 //!   rendering. A later plain run whose `--results` holds the shard
-//!   directories under `shards/` merges their caches before it executes
-//!   anything (see [`crate::exec`]).
+//!   directories under `shards/` merges their caches into its own before
+//!   it executes anything (see [`crate::ResultStore::merge_shards`]).
 //!
 //! The same struct is the whole sweep configuration: embedders and tests
 //! set its public fields and hand it to [`crate::Sweep::configure`].
@@ -60,8 +58,6 @@ pub struct SweepCli {
     pub no_batching: bool,
     /// Per-cell wall-time limit.
     pub timeout: Option<Duration>,
-    /// Extra attempts for panicked/timed-out cells.
-    pub retries: u32,
     /// Results directory.
     pub results_dir: PathBuf,
     /// Suppress stderr progress.
@@ -80,7 +76,6 @@ impl Default for SweepCli {
             no_cache: false,
             no_batching: false,
             timeout: None,
-            retries: 0,
             results_dir: PathBuf::from("results"),
             quiet: false,
             shard: None,
@@ -95,7 +90,7 @@ impl SweepCli {
     pub fn parse() -> Self {
         Self::parse_with(|flag, _| {
             die(&format!(
-                "unknown flag {flag}; use --procs/--scale/--app/--jobs/--no-cache/--no-batching/--timeout/--retries/--results/--quiet/--shard"
+                "unknown flag {flag}; use --procs/--scale/--app/--jobs/--no-cache/--no-batching/--timeout/--results/--quiet/--shard"
             ))
         })
     }
@@ -140,12 +135,6 @@ impl SweepCli {
                             .and_then(|v| v.parse().ok())
                             .unwrap_or_else(|| die("--timeout needs seconds")),
                     ));
-                }
-                "--retries" => {
-                    cli.retries = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--retries needs a number"));
                 }
                 "--results" => {
                     cli.results_dir =

@@ -15,12 +15,12 @@
 //!   order regardless of completion order;
 //! * **caching** — completed cells append to the [`ResultStore`] as they
 //!   finish, so an interrupted sweep resumes where it stopped;
-//! * **shard merging** — before the cache opens, every
+//! * **shard merging** — once the cache is open, every
 //!   `<results>/shards/*/sweep_cache.jsonl` written by `--shard i/N`
 //!   workers (on this machine or copied back from others) is folded into
-//!   the main cache with [`merge_caches`]; cells the shards did not finish
-//!   simply execute here. A conflicting shard record aborts the sweep and
-//!   leaves the main cache untouched;
+//!   it with [`ResultStore::merge_shards`]; cells the shards did not
+//!   finish simply execute here. A conflicting shard record aborts the
+//!   sweep (exit 1) and leaves the main cache untouched;
 //! * **progress** — a live stderr line (done/total, cache hits, failures,
 //!   ETA).
 
@@ -40,7 +40,6 @@ use ssm_engine::{WorkerSet, WORKER_THREAD_PREFIX};
 use crate::cell::Cell;
 use crate::cli::SweepCli;
 use crate::json::Json;
-use crate::merge::merge_caches;
 use crate::record::CellRecord;
 use crate::shard::SHARDS_DIR;
 use crate::store::{ResultStore, SUMMARY_FILE};
@@ -69,10 +68,6 @@ pub struct CellOutcome {
     pub hash: String,
     /// Whether the result came from the on-disk cache.
     pub cached: bool,
-    /// How many execution attempts the final status took (1 unless
-    /// `--retries` re-ran the cell; cached outcomes report the attempt
-    /// count recorded when the cell was first simulated).
-    pub attempts: u64,
     /// The outcome.
     pub status: CellStatus,
 }
@@ -90,7 +85,7 @@ pub struct SweepRun {
     pub cached: usize,
     /// Cells that failed or timed out.
     pub failed: usize,
-    /// Detached simulation threads abandoned by timed-out attempts. Each
+    /// Detached simulation threads abandoned by timed-out cells. Each
     /// one keeps running (and holding memory) until its simulation
     /// finishes or the process exits — a nonzero count means the process
     /// is carrying zombie work.
@@ -142,7 +137,6 @@ impl SweepRun {
                     ("label".to_string(), Json::Str(o.cell.label())),
                     ("cell".to_string(), o.cell.to_json()),
                     ("cached".to_string(), Json::Bool(o.cached)),
-                    ("attempts".to_string(), Json::Int(o.attempts)),
                 ];
                 match &o.status {
                     CellStatus::Done(rec) => {
@@ -322,29 +316,6 @@ fn execute_with_limits(cell: &Cell, workers: &WorkerSet, cli: &SweepCli) -> Cell
     })
 }
 
-/// Runs one cell, re-running a panicked or timed-out attempt up to
-/// `retries` extra times. Returns the final status, the number of attempts
-/// made, and how many timed-out attempts left a detached simulation behind
-/// (each timeout abandons its busy worker whether or not a retry follows).
-fn execute_with_retries(
-    cell: &Cell,
-    workers: &WorkerSet,
-    cli: &SweepCli,
-) -> (CellStatus, u64, usize) {
-    let mut attempts = 0u64;
-    let mut abandoned = 0usize;
-    loop {
-        attempts += 1;
-        let status = execute_with_limits(cell, workers, cli);
-        if matches!(status, CellStatus::TimedOut(_)) {
-            abandoned += 1;
-        }
-        if matches!(status, CellStatus::Done(_)) || attempts > cli.retries as u64 {
-            return (status, attempts, abandoned);
-        }
-    }
-}
-
 /// The guard around one cell execution: a leased worker thread, panic
 /// capture, and the wall-time limit. Split from [`execute_with_limits`] so
 /// the guard itself is testable with arbitrary workloads.
@@ -379,7 +350,7 @@ fn run_guarded(
         Ok(Ok(rec)) => CellStatus::Done(rec),
         Ok(Err(e)) => CellStatus::Failed(e),
         Err(RecvTimeoutError::Timeout) => {
-            // Abandon the attempt: its completion will land on a dropped
+            // Abandon the cell: its completion will land on a dropped
             // receiver, and its worker stays busy (unavailable for lease)
             // until the simulation finishes. A late panic on the zombie's
             // threads may print, which is acceptable for an
@@ -445,39 +416,15 @@ fn dedup_cells(cells: &[Cell]) -> (HashMap<String, usize>, Vec<(Cell, String)>) 
     (index, unique)
 }
 
-/// Folds every shard cache under `<results_dir>/shards/` into the main
-/// cache. A results directory without shards costs one failed `read_dir`;
-/// a conflicting record is fatal (exit 1) and leaves the main cache as it
-/// was.
-fn merge_shards(results_dir: &Path, progress: bool) {
-    let Ok(entries) = std::fs::read_dir(results_dir.join(SHARDS_DIR)) else {
-        return;
-    };
-    let mut dirs: Vec<_> = entries.filter_map(|e| Some(e.ok()?.path())).collect();
-    dirs.sort();
-    match merge_caches(results_dir, &dirs) {
-        Ok(m) if progress => eprintln!(
-            "[ssm-sweep] merged {} shard cache(s): {} new record(s), {} duplicate(s)",
-            dirs.len(),
-            m.added,
-            m.duplicates
-        ),
-        Ok(_) => {}
-        Err(e) => {
-            eprintln!("[ssm-sweep] fatal: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 /// The in-process executor behind [`crate::Sweep::run`]: executes `cells`
 /// (deduplicated by hash, first occurrence wins) and returns the outcomes
 /// in enumeration order.
 ///
-/// Unless `cli.no_cache`, shard caches are merged first, cached cells are
-/// served from the [`ResultStore`] without executing, fresh results are
-/// appended to it as they complete, and the sweep's `bench_summary.json`
-/// is (re)written at the end.
+/// Unless `cli.no_cache`, the [`ResultStore`] opens and merges the shard
+/// caches under `<results>/shards/` (a conflict is fatal: exit 1), cached
+/// cells are served from it without executing, fresh results are appended
+/// to it as they complete, and the sweep's `bench_summary.json` is
+/// (re)written at the end.
 pub(crate) fn run_local(cells: &[Cell], cli: &SweepCli) -> SweepRun {
     install_panic_filter();
     let sweep_started = Instant::now();
@@ -488,14 +435,23 @@ pub(crate) fn run_local(cells: &[Cell], cli: &SweepCli) -> SweepRun {
     let store = if cli.no_cache {
         None
     } else {
-        merge_shards(&cli.results_dir, progress_on);
         match ResultStore::open(&cli.results_dir) {
-            Ok(s) => {
+            Ok(mut s) => {
                 if s.skipped() > 0 {
                     eprintln!(
                         "[ssm-sweep] warning: skipped {} unreadable cache line(s)",
                         s.skipped()
                     );
+                }
+                match s.merge_shards(&cli.results_dir.join(SHARDS_DIR)) {
+                    Ok((added, duplicates)) if progress_on && added + duplicates > 0 => eprintln!(
+                        "[ssm-sweep] merged shard caches: {added} new record(s), {duplicates} duplicate(s)"
+                    ),
+                    Ok(_) => {}
+                    Err(e) => {
+                        eprintln!("[ssm-sweep] fatal: {e}");
+                        std::process::exit(1);
+                    }
                 }
                 Some(s)
             }
@@ -509,14 +465,13 @@ pub(crate) fn run_local(cells: &[Cell], cli: &SweepCli) -> SweepRun {
         }
     };
 
-    let mut statuses: Vec<Option<(CellStatus, u64)>> = vec![None; unique.len()];
+    let mut statuses: Vec<Option<CellStatus>> = vec![None; unique.len()];
     let mut cached_flags: Vec<bool> = vec![false; unique.len()];
     let mut misses: Vec<usize> = Vec::new();
     let mut cached = 0usize;
     for (i, (_, hash)) in unique.iter().enumerate() {
         if let Some(rec) = store.as_ref().and_then(|s| s.get(hash)) {
-            let attempts = rec.attempts;
-            statuses[i] = Some((CellStatus::Done(rec), attempts));
+            statuses[i] = Some(CellStatus::Done(rec));
             cached_flags[i] = true;
             cached += 1;
         } else {
@@ -547,7 +502,7 @@ pub(crate) fn run_local(cells: &[Cell], cli: &SweepCli) -> SweepRun {
     // State shared by the workers: per-cell status slots, the open cache,
     // and progress accounting. One lock, taken once per finished cell.
     type SharedState<'a> = (
-        &'a mut Vec<Option<(CellStatus, u64)>>,
+        &'a mut Vec<Option<CellStatus>>,
         Option<ResultStore>,
         Progress,
     );
@@ -586,11 +541,7 @@ pub(crate) fn run_local(cells: &[Cell], cli: &SweepCli) -> SweepRun {
                 });
                 let Some(i) = next else { break };
                 let (cell, _) = &unique_ref[i];
-                let (mut status, attempts, abandoned) =
-                    execute_with_retries(cell, workers_ref, cli);
-                if let CellStatus::Done(rec) = &mut status {
-                    rec.attempts = attempts;
-                }
+                let status = execute_with_limits(cell, workers_ref, cli);
                 let mut guard = shared.lock().expect("results");
                 let (results, store, progress) = &mut *guard;
                 if let CellStatus::Done(rec) = &status {
@@ -602,8 +553,11 @@ pub(crate) fn run_local(cells: &[Cell], cli: &SweepCli) -> SweepRun {
                 } else {
                     progress.failed += 1;
                 }
-                progress.abandoned += abandoned;
-                results[i] = Some((status, attempts));
+                if matches!(status, CellStatus::TimedOut(_)) {
+                    // The timed-out simulation keeps its worker busy.
+                    progress.abandoned += 1;
+                }
+                results[i] = Some(status);
                 progress.done += 1;
                 progress.executed += 1;
                 progress.report(progress_on);
@@ -620,15 +574,11 @@ pub(crate) fn run_local(cells: &[Cell], cli: &SweepCli) -> SweepRun {
         .iter()
         .zip(statuses.iter_mut())
         .zip(cached_flags.iter())
-        .map(|(((cell, hash), status), &was_cached)| {
-            let (status, attempts) = status.take().expect("every cell resolved");
-            CellOutcome {
-                cell: cell.clone(),
-                hash: hash.clone(),
-                cached: was_cached,
-                attempts,
-                status,
-            }
+        .map(|(((cell, hash), status), &was_cached)| CellOutcome {
+            cell: cell.clone(),
+            hash: hash.clone(),
+            cached: was_cached,
+            status: status.take().expect("every cell resolved"),
         })
         .collect();
 
@@ -690,16 +640,6 @@ mod tests {
         }
     }
 
-    fn cli_with(timeout: Option<Duration>, retries: u32) -> SweepCli {
-        SweepCli {
-            timeout,
-            retries,
-            no_cache: true,
-            quiet: true,
-            ..SweepCli::default()
-        }
-    }
-
     #[test]
     fn guard_passes_results_through() {
         let workers = WorkerSet::new();
@@ -740,48 +680,25 @@ mod tests {
     }
 
     #[test]
-    fn retries_rerun_failed_cells_and_count_attempts() {
-        install_panic_filter();
-        let workers = WorkerSet::new();
-        // An unknown app fails deterministically on every attempt: with 2
-        // retries the executor makes 3 attempts, then gives up.
-        let cell = Cell::new(
-            "No-Such-App",
-            Protocol::Hlrc,
-            LayerConfig::base(),
-            2,
-            Scale::Test,
-        );
-        let (status, attempts, abandoned) =
-            execute_with_retries(&cell, &workers, &cli_with(None, 2));
-        assert!(matches!(status, CellStatus::Failed(_)), "{status:?}");
-        assert_eq!(attempts, 3);
-        assert_eq!(abandoned, 0, "failures abandon no threads");
-        // A healthy cell succeeds on the first attempt regardless of the
-        // retry budget.
-        let ok = Cell::new("FFT", Protocol::Hlrc, LayerConfig::base(), 2, Scale::Test);
-        let (status, attempts, abandoned) = execute_with_retries(&ok, &workers, &cli_with(None, 2));
-        assert!(matches!(status, CellStatus::Done(_)), "{status:?}");
-        assert_eq!((attempts, abandoned), (1, 0));
-    }
-
-    #[test]
-    fn timed_out_attempts_count_abandoned_threads() {
-        // Each timed-out attempt detaches its simulation thread; the
-        // retry loop must count every one of them.
-        let workers = WorkerSet::new();
+    fn timed_out_cells_count_abandoned_threads() {
+        // A timed-out cell detaches its simulation thread; the sweep must
+        // count it.
         let cell = Cell::new("FFT", Protocol::Hlrc, LayerConfig::base(), 2, Scale::Test);
-        let timeout = Some(Duration::from_nanos(1));
-        let (status, attempts, abandoned) =
-            execute_with_retries(&cell, &workers, &cli_with(timeout, 1));
-        if matches!(status, CellStatus::TimedOut(_)) {
-            assert_eq!(attempts, 2);
-            assert_eq!(abandoned, 2);
+        let cli = SweepCli {
+            timeout: Some(Duration::from_nanos(1)),
+            jobs: 1,
+            no_cache: true,
+            quiet: true,
+            ..SweepCli::default()
+        };
+        let run = run_local(&[cell], &cli);
+        if matches!(run.outcomes[0].status, CellStatus::TimedOut(_)) {
+            assert_eq!((run.failed, run.abandoned_threads), (1, 1));
         } else {
             // A 1ns budget losing the race is wildly unlikely but not
-            // impossible on a loaded host; a completed run must then
-            // report a clean first attempt.
-            assert!(abandoned < 2);
+            // impossible on a loaded host; a completed cell abandons
+            // nothing.
+            assert_eq!((run.failed, run.abandoned_threads), (0, 0));
         }
     }
 

@@ -13,7 +13,8 @@
 //!   limits, live progress and deterministic result ordering;
 //! * [`ResultStore`] — an append-only JSONL cache under `results/` keyed
 //!   by cell hash, making every sweep resumable and shareable between
-//!   binaries; plus `results/bench_summary.json`, the machine-readable
+//!   binaries, and the only reader and writer of cache files (shard merges
+//!   included); plus `results/bench_summary.json`, the machine-readable
 //!   summary of the latest sweep;
 //! * [`SweepCli`] — the common `--procs/--scale/--app/--jobs/--no-cache`
 //!   (and `--shard i/N`) command line every binary speaks, and the whole
@@ -22,8 +23,8 @@
 //! Multi-machine runs need no coordinator: each machine runs a
 //! `--shard i/N` worker ([`ShardSpec`]) into `results/shards/<i>-of-<N>`,
 //! the shard directories are copied back, and any plain sweep over that
-//! results directory merges them ([`merge_caches`]) before executing
-//! whatever they left out.
+//! results directory merges them ([`ResultStore::merge_shards`]) before
+//! executing whatever they left out.
 //!
 //! A typical binary enumerates its cells, runs one sweep, then renders its
 //! figure/table from the returned [`SweepRun`]:
@@ -51,7 +52,6 @@ pub mod cell;
 pub mod cli;
 pub mod exec;
 pub mod json;
-pub mod merge;
 pub mod record;
 pub mod shard;
 pub mod store;
@@ -61,7 +61,6 @@ pub use cell::{scale_from_label, scale_label, Cell, CommSpec};
 pub use cli::SweepCli;
 pub use exec::{execute, execute_with, CellOutcome, CellStatus, SweepRun};
 pub use json::Json;
-pub use merge::{merge_caches, MergeError, MergeOutcome};
 pub use record::{CellRecord, SCHEMA_VERSION};
 pub use shard::{shard_of, ShardSpec, SHARDS_DIR};
 pub use store::{ResultStore, CACHE_FILE, SUMMARY_FILE};

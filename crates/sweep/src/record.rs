@@ -36,8 +36,10 @@ pub struct CellRecord {
     pub verify_error: Option<String>,
     /// Host (real) wall time spent simulating this cell, milliseconds.
     pub host_ms: u64,
-    /// How many execution attempts this result took (1 = first try; >1
-    /// means `--retries` re-ran the cell after a panic or timeout).
+    /// Always 1 in new records: cells are deterministic, so each runs
+    /// once. The field stays because it is part of the canonical record
+    /// JSON, which the shard merge compares and perfbench's golden `sim`
+    /// digest hashes; lines from older sweeps may hold other counts.
     pub attempts: u64,
     /// OS threads freshly spawned for this cell (host-side, depends on
     /// worker-pool warmth — zeroed in [`CellRecord::canonical`] like

@@ -9,10 +9,17 @@ use ssm::stats::Bucket;
 
 /// Every application in the catalog runs and self-verifies under every
 /// protocol at the base configuration, at 4 and at the paper's 16
-/// processors.
+/// processors. Barnes-Spatial also runs at 64, where each processor's
+/// slice of the tree-cell pool is smallest.
 #[test]
 fn whole_suite_verifies_under_all_protocols() {
-    for (spec, procs) in suite().iter().flat_map(|s| [(s, 4), (s, 16)]) {
+    let suite = suite();
+    let spatial = suite
+        .iter()
+        .find(|s| s.name == "Barnes-Spatial")
+        .expect("Barnes-Spatial");
+    let inputs = suite.iter().flat_map(|s| [(s, 4), (s, 16)]);
+    for (spec, procs) in inputs.chain([(spatial, 64)]) {
         for proto in [
             Protocol::Ideal,
             Protocol::Hlrc,
@@ -417,7 +424,7 @@ impl ssm::proto::Workload for SyncMix {
 fn sync_timing_is_pinned() {
     use ssm::proto::Protocol as ProtocolTrait;
     type Pin = (&'static str, u64, [u64; 4], [u64; 4], u64);
-    let pins: [Pin; 7] = [
+    let pins: [Pin; 6] = [
         ("IDEAL", 1422, [304, 286, 236, 354], [168, 176, 176, 8], 0),
         (
             "HLRC",
@@ -454,13 +461,6 @@ fn sync_timing_is_pinned() {
             [44748, 43824, 32526, 23724],
             140,
         ),
-        (
-            "RDMA-WT",
-            210484,
-            [108124, 121210, 135832, 148818],
-            [46074, 45384, 30974, 15426],
-            146,
-        ),
     ];
     for (name, total, lock_wait, barrier_wait, messages) in pins {
         let mut proto: Box<dyn ProtocolTrait> = match name {
@@ -469,8 +469,7 @@ fn sync_timing_is_pinned() {
             "AURC" => Box::new(ssm::hlrc::Hlrc::aurc()),
             "SC" => Box::new(ssm::sc::Sc::new(64)),
             "SC-delayed" => Box::new(ssm::sc::Sc::delayed(64)),
-            "RDMA" => Box::new(ssm_rdma::Rdma::new(64)),
-            _ => Box::new(ssm_rdma::Rdma::write_through(64)),
+            _ => Box::new(ssm_rdma::Rdma::new(64)),
         };
         assert_eq!(proto.name(), name);
         let machine = ssm::proto::Machine::new(
