@@ -55,31 +55,11 @@ fn parse() -> (SweepCli, Extra) {
                     _ => usage(),
                 })
             }
-            "--comm" => {
-                x.comm = Some(match val().as_str() {
-                    "A" => CommPreset::Achievable,
-                    "B" => CommPreset::Best,
-                    "B+" => CommPreset::BetterThanBest,
-                    "H" => CommPreset::Halfway,
-                    "W" => CommPreset::Worse,
-                    _ => usage(),
-                })
-            }
+            "--comm" => x.comm = Some(CommPreset::from_label(&val()).unwrap_or_else(|_| usage())),
             "--proto" => {
-                x.proto = Some(match val().as_str() {
-                    "O" => ProtoPreset::Original,
-                    "H" => ProtoPreset::Halfway,
-                    "B" => ProtoPreset::Best,
-                    _ => usage(),
-                })
+                x.proto = Some(ProtoPreset::from_label(&val()).unwrap_or_else(|_| usage()))
             }
-            "--homes" => {
-                x.homes = Some(match val().as_str() {
-                    "rr" => HomePolicy::RoundRobin,
-                    "first-touch" => HomePolicy::FirstTouch,
-                    _ => usage(),
-                })
-            }
+            "--homes" => x.homes = Some(HomePolicy::from_label(&val()).unwrap_or_else(|_| usage())),
             "--block" => x.sc_block = Some(val().parse().unwrap_or_else(|_| usage())),
             "--breakdown" => x.breakdown = true,
             "--counters" => x.counters = true,

@@ -205,14 +205,14 @@ pub fn run_simulation_with(
                     }
                     Op::Read { addr, bytes } => {
                         let t = protocol.read(m, p, addr, bytes);
-                        settle(m, p, t0, t, before, Bucket::DataWait);
+                        settle_window(m, p, t0, t, before, Bucket::DataWait);
                     }
                     Op::Write { addr, bytes } => {
                         let t = protocol.write(m, p, addr, bytes);
-                        settle(m, p, t0, t, before, Bucket::DataWait);
+                        settle_window(m, p, t0, t, before, Bucket::DataWait);
                     }
                     Op::Lock(l) => match protocol.lock(m, p, l) {
-                        Some(t) => settle(m, p, t0, t, before, Bucket::LockWait),
+                        Some(t) => settle_window(m, p, t0, t, before, Bucket::LockWait),
                         None => {
                             state[p] = PState::Blocked {
                                 since: t0,
@@ -223,10 +223,10 @@ pub fn run_simulation_with(
                     },
                     Op::Unlock(l) => {
                         let t = protocol.unlock(m, p, l);
-                        settle(m, p, t0, t, before, Bucket::LockWait);
+                        settle_window(m, p, t0, t, before, Bucket::LockWait);
                     }
                     Op::Barrier(b) => match protocol.barrier(m, p, b) {
-                        Some(t) => settle(m, p, t0, t, before, Bucket::BarrierWait),
+                        Some(t) => settle_window(m, p, t0, t, before, Bucket::BarrierWait),
                         None => {
                             state[p] = PState::Blocked {
                                 since: t0,
@@ -278,10 +278,6 @@ pub fn run_simulation_with(
         threads_spawned: threads_spawned as u64,
         threads_reused: threads_reused as u64,
     }
-}
-
-fn settle(m: &mut Machine, p: usize, t0: Cycles, t1: Cycles, before: u64, bucket: Bucket) {
-    settle_window(m, p, t0, t1, before, bucket);
 }
 
 fn settle_window(m: &mut Machine, p: usize, t0: Cycles, t1: Cycles, before: u64, bucket: Bucket) {

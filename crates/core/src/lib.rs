@@ -51,7 +51,7 @@ pub use result::RunResult;
 use ssm_hlrc::Hlrc;
 use ssm_mem::MemConfig;
 use ssm_net::CommParams;
-use ssm_proto::{HomePolicy, Machine, ProtoCosts, Workload};
+use ssm_proto::{HomePolicy, Machine, ProtoCosts, Protocol as ProtocolTrait, Workload};
 use ssm_rdma::Rdma;
 use ssm_sc::Sc;
 
@@ -205,34 +205,17 @@ impl SimBuilder {
             workers: self.workers.clone(),
             batching: driver::Batching(self.batching),
         };
-        match self.protocol {
-            Protocol::Hlrc => {
-                let mut p = Hlrc::new().with_homes(self.homes);
-                driver::run_simulation_with(&mut p, workload, self.nprocs, machine, &opts)
-            }
-            Protocol::Aurc => {
-                let mut p = Hlrc::aurc().with_homes(self.homes);
-                driver::run_simulation_with(&mut p, workload, self.nprocs, machine, &opts)
-            }
-            Protocol::Sc => {
-                let mut p = Sc::new(self.sc_block).with_homes(self.homes);
-                driver::run_simulation_with(&mut p, workload, self.nprocs, machine, &opts)
-            }
-            Protocol::ScDelayed => {
-                let mut p = Sc::delayed(self.sc_block).with_homes(self.homes);
-                driver::run_simulation_with(&mut p, workload, self.nprocs, machine, &opts)
-            }
-            Protocol::Rdma => {
-                // The one-sided protocol shares the SC granularity knob:
-                // its line size is the application's best block size.
-                let mut p = Rdma::new(self.sc_block).with_homes(self.homes);
-                driver::run_simulation_with(&mut p, workload, self.nprocs, machine, &opts)
-            }
-            Protocol::Ideal => {
-                let mut p = ssm_proto::Ideal::new();
-                driver::run_simulation_with(&mut p, workload, self.nprocs, machine, &opts)
-            }
-        }
+        let mut protocol: Box<dyn ProtocolTrait> = match self.protocol {
+            Protocol::Hlrc => Box::new(Hlrc::new().with_homes(self.homes)),
+            Protocol::Aurc => Box::new(Hlrc::aurc().with_homes(self.homes)),
+            Protocol::Sc => Box::new(Sc::new(self.sc_block).with_homes(self.homes)),
+            Protocol::ScDelayed => Box::new(Sc::delayed(self.sc_block).with_homes(self.homes)),
+            // The one-sided protocol shares the SC granularity knob: its
+            // line size is the application's best block size.
+            Protocol::Rdma => Box::new(Rdma::new(self.sc_block).with_homes(self.homes)),
+            Protocol::Ideal => Box::new(ssm_proto::Ideal::new()),
+        };
+        driver::run_simulation_with(protocol.as_mut(), workload, self.nprocs, machine, &opts)
     }
 }
 

@@ -44,8 +44,8 @@ pub use pages::{DirtyBits, NodePages, PageState};
 use ssm_engine::Cycles;
 use ssm_proto::machine::Activity;
 use ssm_proto::{
-    page_of, BarrierId, HomeMap, HomePolicy, LockId, LockTable, Machine, Protocol, SendFrom,
-    SyncManager, WorldShape, PAGE_SIZE, PAGE_WORDS, WORD_BYTES,
+    BarrierId, HomeMap, HomePolicy, LockId, LockTable, Machine, Protocol, SendFrom, SyncManager,
+    WorldShape, PAGE_SIZE, PAGE_WORDS, WORD_BYTES,
 };
 
 /// Bytes of a small control message (requests, acks; includes a vector
@@ -96,10 +96,9 @@ pub struct Hlrc {
     sync: SyncManager,
     /// Vector timestamp of each lock's last release.
     lock_vt: Vec<VectorTime>,
-    npages: u64,
     mode: WriteMode,
-    home_policy: HomePolicy,
-    homes: HomeMap,
+    /// Page units and their homes.
+    units: HomeMap,
     /// AURC: per-processor arrival time of the latest outstanding
     /// automatic update (releases wait for this).
     inflight: Vec<Cycles>,
@@ -118,10 +117,8 @@ impl Hlrc {
             // context by the release flush.
             sync: SyncManager::new(CTRL_BYTES, SendFrom::Handler),
             lock_vt: Vec::new(),
-            npages: 0,
             mode: WriteMode::TwinDiff,
-            home_policy: HomePolicy::RoundRobin,
-            homes: HomeMap::new(HomePolicy::RoundRobin, 1, 0),
+            units: HomeMap::new(HomePolicy::RoundRobin, PAGE_SIZE),
             inflight: Vec::new(),
             auto_written: Vec::new(),
         }
@@ -129,7 +126,7 @@ impl Hlrc {
 
     /// Selects the page-to-home placement policy (before `init`).
     pub fn with_homes(mut self, policy: HomePolicy) -> Self {
-        self.home_policy = policy;
+        self.units = HomeMap::new(policy, PAGE_SIZE);
         self
     }
 
@@ -159,12 +156,12 @@ impl Hlrc {
     /// Synthetic address of the twin buffer for `page` at any node, used
     /// for cache-pollution modelling (twins live outside the shared heap).
     fn twin_addr(&self, page: u64) -> u64 {
-        (self.npages + page) * PAGE_SIZE
+        self.units.addr(self.units.count() + page)
     }
 
     /// Fetches `page` into `p` (read fault path). Returns completion time.
     fn fetch_page(&mut self, m: &mut Machine, p: usize, page: u64, t: Cycles) -> Cycles {
-        let h = self.homes.home(page, p);
+        let h = self.units.home(page, p);
         debug_assert_ne!(h, p, "home pages never fault at home");
         // Access fault: the SIGSEGV handler runs on p.
         let t = m.proto_work(p, t, m.costs().handler_base, Activity::Handler);
@@ -176,7 +173,7 @@ impl Hlrc {
         // data movement cost is the I/O-bus transfer inside `deliver`.
         let (_, data) = m.send_from_handler(h, th, p, PAGE_SIZE + HDR_BYTES);
         // Fresh contents: locally cached lines of this page are stale.
-        m.cache_invalidate(p, page * PAGE_SIZE, PAGE_SIZE);
+        m.cache_invalidate(p, self.units.addr(page), PAGE_SIZE);
         // Map it read-only.
         let done = m.proto_work(p, data, m.costs().mprotect(1), Activity::Mprotect);
         self.pages[p].set_read_only(page);
@@ -186,53 +183,85 @@ impl Hlrc {
         done
     }
 
-    /// Ensures `p` can read `page`; returns the (possibly unchanged) time.
-    fn ensure_readable(&mut self, m: &mut Machine, p: usize, page: u64, t: Cycles) -> Cycles {
-        if self.homes.home(page, p) == p {
-            return t;
+    /// Ensures `p` can read `page`, fetching it on a fault. Returns the
+    /// completion time and whether `p` faulted.
+    fn ensure_readable(
+        &mut self,
+        m: &mut Machine,
+        p: usize,
+        page: u64,
+        t: Cycles,
+    ) -> (Cycles, bool) {
+        if self.units.home(page, p) == p || self.pages[p].state(page) != PageState::Invalid {
+            return (t, false);
         }
-        match self.pages[p].state(page) {
-            PageState::ReadOnly | PageState::ReadWrite => t,
-            PageState::Invalid => self.fetch_page(m, p, page, t),
-        }
+        (self.fetch_page(m, p, page, t), true)
     }
 
-    /// Ensures `p` can write `page` (fetch + twin as needed).
-    fn ensure_writable(&mut self, m: &mut Machine, p: usize, page: u64, t: Cycles) -> Cycles {
-        if self.homes.home(page, p) == p {
+    /// `p` writes the `[addr, addr+bytes)` slice of `page`. A home page is
+    /// written in place. Elsewhere a write fault fetches the page if needed
+    /// and twins it (AURC: switches it to automatic update), then the
+    /// slice's words are marked dirty (AURC: streamed to the home).
+    /// Returns the completion time and whether `p` faulted.
+    fn write_page(
+        &mut self,
+        m: &mut Machine,
+        p: usize,
+        page: u64,
+        addr: u64,
+        bytes: u64,
+        t: Cycles,
+    ) -> (Cycles, bool) {
+        let h = self.units.home(page, p);
+        if h == p {
             self.pages[p].mark_home_written(page);
-            return t;
+            return (t, false);
         }
-        let t = match self.pages[p].state(page) {
-            PageState::ReadWrite => return t,
-            PageState::ReadOnly => t,
-            PageState::Invalid => self.fetch_page(m, p, page, t),
-        };
+        let pstart = self.units.addr(page);
+        let state = self.pages[p].state(page);
+        let mut t = t;
+        if state == PageState::Invalid {
+            t = self.fetch_page(m, p, page, t);
+        }
+        if state != PageState::ReadWrite {
+            // Write fault on a read-only page.
+            t = m.proto_work(p, t, m.costs().handler_base, Activity::Handler);
+            if self.mode == WriteMode::TwinDiff {
+                // Create the twin; the copy pollutes the cache (read the
+                // page, write the twin).
+                t = m.proto_work(p, t, m.costs().twin.cost(PAGE_WORDS), Activity::Twin);
+                t = m.proto_touch(p, t, pstart, PAGE_SIZE, false, Activity::Twin);
+                t = m.proto_touch(p, t, self.twin_addr(page), PAGE_SIZE, true, Activity::Twin);
+                self.pages[p].make_writable(page);
+                m.counters_mut(p).twins += 1;
+            } else {
+                // AURC still faults once, to switch the mapping to
+                // write-through-with-update; no twin is made.
+                self.pages[p].make_writable_untwinned(page);
+            }
+            t = m.proto_work(p, t, m.costs().mprotect(1), Activity::Mprotect);
+            m.counters_mut(p).remote_writes += 1;
+        }
+        let lo = addr.max(pstart);
+        let hi = (addr + bytes).min(pstart + PAGE_SIZE);
         match self.mode {
             WriteMode::TwinDiff => {
-                // Write fault on a read-only page: create the twin.
-                let t = m.proto_work(p, t, m.costs().handler_base, Activity::Handler);
-                let t = m.proto_work(p, t, m.costs().twin.cost(PAGE_WORDS), Activity::Twin);
-                // Twin copy pollutes the cache: read the page, write the twin.
-                let t = m.proto_touch(p, t, page * PAGE_SIZE, PAGE_SIZE, false, Activity::Twin);
-                let t = m.proto_touch(p, t, self.twin_addr(page), PAGE_SIZE, true, Activity::Twin);
-                let t = m.proto_work(p, t, m.costs().mprotect(1), Activity::Mprotect);
-                self.pages[p].make_writable(page);
-                let c = m.counters_mut(p);
-                c.twins += 1;
-                c.remote_writes += 1;
-                t
+                // Record the dirty words of this page's slice.
+                let first_word = (lo - pstart) / WORD_BYTES;
+                let last_word = (hi - 1 - pstart) / WORD_BYTES;
+                self.pages[p].mark_dirty(page, first_word, last_word - first_word + 1);
             }
             WriteMode::AutoUpdate => {
-                // First write still faults once, to switch the mapping to
-                // write-through-with-update; no twin is made.
-                let t = m.proto_work(p, t, m.costs().handler_base, Activity::Handler);
-                let t = m.proto_work(p, t, m.costs().mprotect(1), Activity::Mprotect);
-                self.pages[p].make_writable_untwinned(page);
-                m.counters_mut(p).remote_writes += 1;
-                t
+                // Hardware propagates the written words to the home as one
+                // coalesced update (no CPU at either end).
+                let arrival = m.send_hardware(p, t, h, HDR_BYTES + (hi - lo));
+                m.cache_invalidate(h, lo, hi - lo);
+                self.inflight[p] = self.inflight[p].max(arrival);
+                self.auto_written[p].insert(page);
+                m.counters_mut(p).auto_updates += 1;
             }
         }
+        (t, state != PageState::ReadWrite)
     }
 
     /// Computes and ships the diff of one page to its home; returns
@@ -245,7 +274,7 @@ impl Hlrc {
         dirty: u64,
         t: Cycles,
     ) -> (Cycles, Cycles) {
-        let h = self.homes.home(page, p);
+        let h = self.units.home(page, p);
         debug_assert_ne!(h, p);
         // Diff creation: compare every word, encode the dirty ones.
         let create = m.costs().diff_compare.cost(PAGE_WORDS) + m.costs().diff_encode.cost(dirty);
@@ -253,7 +282,7 @@ impl Hlrc {
         let t = m.proto_touch(
             p,
             t,
-            page * PAGE_SIZE,
+            self.units.addr(page),
             PAGE_SIZE,
             false,
             Activity::DiffCreate,
@@ -276,7 +305,7 @@ impl Hlrc {
         let th = m.proto_touch(
             h,
             th,
-            page * PAGE_SIZE,
+            self.units.addr(page),
             PAGE_SIZE,
             true,
             Activity::DiffApply,
@@ -342,14 +371,14 @@ impl Hlrc {
         let mut t = t;
         let mut invalidated = 0u64;
         for &page in pages {
-            if self.homes.peek(page) == Some(w) {
+            if self.units.peek(page) == Some(w) {
                 continue; // the home copy is always current
             }
             match self.pages[w].state(page) {
                 PageState::Invalid => {}
                 PageState::ReadOnly => {
                     self.pages[w].invalidate(page);
-                    m.cache_invalidate(w, page * PAGE_SIZE, PAGE_SIZE);
+                    m.cache_invalidate(w, self.units.addr(page), PAGE_SIZE);
                     invalidated += 1;
                 }
                 PageState::ReadWrite => {
@@ -361,7 +390,7 @@ impl Hlrc {
                             self.board.record_interval(w, vec![page]);
                         }
                         self.pages[w].invalidate(page);
-                        m.cache_invalidate(w, page * PAGE_SIZE, PAGE_SIZE);
+                        m.cache_invalidate(w, self.units.addr(page), PAGE_SIZE);
                         invalidated += 1;
                         continue;
                     }
@@ -376,7 +405,7 @@ impl Hlrc {
                         self.board.record_interval(w, vec![page]);
                     }
                     self.pages[w].invalidate(page);
-                    m.cache_invalidate(w, page * PAGE_SIZE, PAGE_SIZE);
+                    m.cache_invalidate(w, self.units.addr(page), PAGE_SIZE);
                     invalidated += 1;
                 }
             }
@@ -423,78 +452,29 @@ impl Protocol for Hlrc {
 
     fn init(&mut self, m: &Machine, shape: &WorldShape) {
         let nprocs = m.nprocs();
-        let npages = shape.heap_bytes.div_ceil(PAGE_SIZE).max(1);
-        self.npages = npages;
+        self.units.init(nprocs, shape.heap_bytes);
         self.pages = (0..nprocs)
-            .map(|n| NodePages::new(n, nprocs, npages))
+            .map(|_| NodePages::new(self.units.count()))
             .collect();
         self.board = NoticeBoard::new(nprocs);
         self.sync.init(m, shape);
         self.lock_vt = vec![vec![0; nprocs]; shape.nlocks];
         self.inflight = vec![0; nprocs];
         self.auto_written = vec![std::collections::BTreeSet::new(); nprocs];
-        self.homes = HomeMap::new(self.home_policy, nprocs, npages);
     }
 
     fn read(&mut self, m: &mut Machine, p: usize, addr: u64, bytes: u64) -> Cycles {
-        debug_assert!(bytes > 0);
-        let mut t = m.clock[p];
-        let first = page_of(addr);
-        let last = page_of(addr + bytes - 1);
-        let mut all_local = true;
-        for page in first..=last {
-            if self.homes.home(page, p) != p && self.pages[p].state(page) == PageState::Invalid {
-                all_local = false;
-            }
-            t = self.ensure_readable(m, p, page, t);
-        }
-        if all_local {
-            m.counters_mut(p).local_accesses += 1;
-        }
-        m.cache_access(p, t, addr, bytes, false)
+        let span = self.units.span(addr, bytes);
+        m.access(p, addr, bytes, false, span, |m, page, t| {
+            self.ensure_readable(m, p, page, t)
+        })
     }
 
     fn write(&mut self, m: &mut Machine, p: usize, addr: u64, bytes: u64) -> Cycles {
-        debug_assert!(bytes > 0);
-        let mut t = m.clock[p];
-        let first = page_of(addr);
-        let last = page_of(addr + bytes - 1);
-        let mut all_local = true;
-        for page in first..=last {
-            let was_writable =
-                self.homes.home(page, p) == p || self.pages[p].state(page) == PageState::ReadWrite;
-            if !was_writable {
-                all_local = false;
-            }
-            t = self.ensure_writable(m, p, page, t);
-            if self.homes.home(page, p) != p {
-                let pstart = page * PAGE_SIZE;
-                let lo = addr.max(pstart);
-                let hi = (addr + bytes).min(pstart + PAGE_SIZE);
-                match self.mode {
-                    WriteMode::TwinDiff => {
-                        // Record the dirty words of this page's slice.
-                        let first_word = (lo - pstart) / WORD_BYTES;
-                        let last_word = (hi - 1 - pstart) / WORD_BYTES;
-                        self.pages[p].mark_dirty(page, first_word, last_word - first_word + 1);
-                    }
-                    WriteMode::AutoUpdate => {
-                        // Hardware propagates the written words to the home
-                        // as one coalesced update (no CPU at either end).
-                        let h = self.homes.home(page, p);
-                        let arrival = m.send_hardware(p, t, h, HDR_BYTES + (hi - lo));
-                        m.cache_invalidate(h, lo, hi - lo);
-                        self.inflight[p] = self.inflight[p].max(arrival);
-                        self.auto_written[p].insert(page);
-                        m.counters_mut(p).auto_updates += 1;
-                    }
-                }
-            }
-        }
-        if all_local {
-            m.counters_mut(p).local_accesses += 1;
-        }
-        m.cache_access(p, t, addr, bytes, true)
+        let span = self.units.span(addr, bytes);
+        m.access(p, addr, bytes, true, span, |m, page, t| {
+            self.write_page(m, p, page, addr, bytes, t)
+        })
     }
 
     fn lock(&mut self, m: &mut Machine, p: usize, lock: LockId) -> Option<Cycles> {

@@ -2,7 +2,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ssm_proto::{home_of_page, PAGE_WORDS};
+use ssm_proto::PAGE_WORDS;
 
 /// Number of `u64` limbs in a per-page dirty-word bitset.
 const LIMBS: usize = (PAGE_WORDS as usize).div_ceil(64);
@@ -63,8 +63,6 @@ pub enum PageState {
 /// One node's view of the shared pages.
 #[derive(Debug)]
 pub struct NodePages {
-    node: usize,
-    nodes: usize,
     state: Vec<PageState>,
     /// Dirty-word bitsets for pages in `ReadWrite` (twinned) state.
     twins: BTreeMap<u64, DirtyBits>,
@@ -74,21 +72,14 @@ pub struct NodePages {
 }
 
 impl NodePages {
-    /// Creates the page table of `node` in a `nodes`-node cluster over
-    /// `npages` pages. Non-home pages start `Invalid` (cold).
-    pub fn new(node: usize, nodes: usize, npages: u64) -> Self {
+    /// Creates one node's page table over `npages` pages. Non-home pages
+    /// start `Invalid` (cold).
+    pub fn new(npages: u64) -> Self {
         NodePages {
-            node,
-            nodes,
             state: vec![PageState::Invalid; npages as usize],
             twins: BTreeMap::new(),
             home_written: BTreeSet::new(),
         }
-    }
-
-    /// Whether this node is `page`'s home.
-    pub fn is_home(&self, page: u64) -> bool {
-        home_of_page(page, self.nodes) == self.node
     }
 
     /// Current state of `page` (meaningful for non-home pages).
@@ -162,11 +153,6 @@ impl NodePages {
         debug_assert!(!self.twins.contains_key(&page), "invalidate with live twin");
         self.state[page as usize] = PageState::Invalid;
     }
-
-    /// Number of pages currently twinned.
-    pub fn twin_count(&self) -> usize {
-        self.twins.len()
-    }
 }
 
 #[cfg(test)]
@@ -194,10 +180,7 @@ mod tests {
 
     #[test]
     fn page_lifecycle() {
-        let mut np = NodePages::new(1, 4, 16);
-        // Page 5 is homed at node 1 (5 % 4 == 1).
-        assert!(np.is_home(5));
-        assert!(!np.is_home(6));
+        let mut np = NodePages::new(16);
         assert_eq!(np.state(6), PageState::Invalid);
         np.set_read_only(6);
         assert_eq!(np.state(6), PageState::ReadOnly);
@@ -216,7 +199,7 @@ mod tests {
 
     #[test]
     fn home_written_tracked_separately() {
-        let mut np = NodePages::new(0, 2, 8);
+        let mut np = NodePages::new(8);
         np.mark_home_written(0);
         np.mark_home_written(2);
         np.mark_home_written(0);
@@ -226,7 +209,7 @@ mod tests {
 
     #[test]
     fn take_single_twin() {
-        let mut np = NodePages::new(0, 2, 8);
+        let mut np = NodePages::new(8);
         np.set_read_only(1);
         np.make_writable(1);
         np.mark_dirty(1, 0, 1);

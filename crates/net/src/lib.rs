@@ -387,11 +387,6 @@ impl Network {
         self.fault = Some(plan);
     }
 
-    /// Whether a fault plan is installed.
-    pub fn has_fault_plan(&self) -> bool {
-        self.fault.is_some()
-    }
-
     /// Injected-fault statistics for `node`'s outgoing messages.
     pub fn fault_stats(&self, node: usize) -> FaultStats {
         self.nodes[node].faults

@@ -15,6 +15,8 @@
 //!   during the window) to the operation's designated bucket (data wait,
 //!   lock wait, barrier wait). See `ssm-core`.
 
+use std::ops::Range;
+
 use ssm_engine::{Cycles, Resource};
 use ssm_mem::{Hierarchy, MemConfig};
 use ssm_net::{CommParams, FaultPlan, Network};
@@ -164,11 +166,6 @@ impl Machine {
             next_seq: vec![0; n * n],
             accepted: vec![0; n * n],
         });
-    }
-
-    /// Whether the reliable-delivery sublayer is armed.
-    pub fn faults_enabled(&self) -> bool {
-        self.rel.is_some()
     }
 
     /// Injected-fault statistics for `p`'s outgoing messages.
@@ -398,6 +395,34 @@ impl Machine {
         }
     }
 
+    /// A shared access by `p` to `[addr, addr+bytes)`, the one data path
+    /// of every protocol: runs `fault(m, unit, t)` on each coherence unit
+    /// of `span` in order, threading the time through, then goes through
+    /// `p`'s caches. `fault` returns the unit's completion time and whether
+    /// `p` faulted on it; the access counts as local when no unit faulted.
+    pub fn access(
+        &mut self,
+        p: usize,
+        addr: u64,
+        bytes: u64,
+        write: bool,
+        span: Range<u64>,
+        mut fault: impl FnMut(&mut Machine, u64, Cycles) -> (Cycles, bool),
+    ) -> Cycles {
+        debug_assert!(bytes > 0);
+        let mut t = self.clock[p];
+        let mut local = true;
+        for u in span {
+            let (done, faulted) = fault(self, u, t);
+            t = done;
+            local &= !faulted;
+        }
+        if local {
+            self.counters[p].local_accesses += 1;
+        }
+        self.cache_access(p, t, addr, bytes, write)
+    }
+
     /// Drops `[addr, addr+len)` from `p`'s caches (stale after protocol
     /// invalidation).
     pub fn cache_invalidate(&mut self, p: usize, addr: u64, len: u64) {
@@ -407,17 +432,6 @@ impl Machine {
     /// Cache statistics for node `p`.
     pub fn mem_stats(&self, p: usize) -> ssm_mem::MemStats {
         self.hier[p].stats()
-    }
-
-    /// Network statistics for node `p`.
-    pub fn net_stats(&self, p: usize) -> ssm_net::NiStats {
-        self.net.stats(p)
-    }
-
-    /// Total cycles node `p`'s CPU was occupied (app + protocol), for
-    /// utilization diagnostics.
-    pub fn cpu_busy(&self, p: usize) -> Cycles {
-        self.cpu[p].busy_cycles()
     }
 
     /// Sends a message from an *application-initiated* transaction on `src`
@@ -623,7 +637,6 @@ mod tests {
             },
             9,
         ));
-        assert!(armed.faults_enabled());
         assert_eq!(
             plain.send_from_app(0, 0, 1, 64),
             armed.send_from_app(0, 0, 1, 64)

@@ -96,14 +96,13 @@ impl Protocol for Ideal {
         self.sync.init(m, shape);
     }
 
+    // No coherence units: every access is local.
     fn read(&mut self, m: &mut Machine, p: usize, addr: u64, bytes: u64) -> Cycles {
-        m.counters_mut(p).local_accesses += 1;
-        m.cache_access(p, m.clock[p], addr, bytes, false)
+        m.access(p, addr, bytes, false, 0..0, |_, _, t| (t, false))
     }
 
     fn write(&mut self, m: &mut Machine, p: usize, addr: u64, bytes: u64) -> Cycles {
-        m.counters_mut(p).local_accesses += 1;
-        m.cache_access(p, m.clock[p], addr, bytes, true)
+        m.access(p, addr, bytes, true, 0..0, |_, _, t| (t, false))
     }
 
     fn lock(&mut self, m: &mut Machine, p: usize, lock: LockId) -> Option<Cycles> {

@@ -37,7 +37,6 @@ use std::collections::BTreeSet;
 use ssm_engine::Cycles;
 use ssm_proto::{
     BarrierId, HomeMap, HomePolicy, LockId, Machine, Protocol, SendFrom, SyncManager, WorldShape,
-    PAGE_SIZE,
 };
 
 /// Bytes of a one-sided command descriptor (remote address + length +
@@ -87,10 +86,8 @@ pub enum BlockState {
 /// ```
 #[derive(Debug)]
 pub struct Rdma {
-    block: u64,
-    nprocs: usize,
-    home_policy: HomePolicy,
-    homes: HomeMap,
+    /// Lines (blocks) and their homes.
+    units: HomeMap,
     /// Per-block sharer bitmask kept at the home (NI-maintained; the home
     /// processor never runs a handler for it). The home itself is not in
     /// the mask.
@@ -121,15 +118,8 @@ impl Rdma {
     ///
     /// Panics unless `block` is a power of two in `[4, PAGE_SIZE]`.
     pub fn new(block: u64) -> Self {
-        assert!(
-            block.is_power_of_two() && (4..=PAGE_SIZE).contains(&block),
-            "block must be a power of two between 4 B and the page size"
-        );
         Rdma {
-            block,
-            nprocs: 0,
-            home_policy: HomePolicy::RoundRobin,
-            homes: HomeMap::new(HomePolicy::RoundRobin, 1, 0),
+            units: HomeMap::new(HomePolicy::RoundRobin, block),
             sharers: Vec::new(),
             local: Vec::new(),
             write_set: Vec::new(),
@@ -139,14 +129,9 @@ impl Rdma {
         }
     }
 
-    /// The configured line size in bytes.
-    pub fn block_size(&self) -> u64 {
-        self.block
-    }
-
     /// Selects the page-to-home placement policy (before `init`).
     pub fn with_homes(mut self, policy: HomePolicy) -> Self {
-        self.home_policy = policy;
+        self.units = HomeMap::new(policy, self.units.unit());
         self
     }
 
@@ -160,18 +145,17 @@ impl Rdma {
         self.write_set[node].len()
     }
 
-    fn block_of(&self, addr: u64) -> u64 {
-        addr / self.block
-    }
-
-    fn baddr(&self, b: u64) -> u64 {
-        b * self.block
-    }
-
-    fn home_of_block(&mut self, b: u64, toucher: usize) -> usize {
-        // A block's home is the home of its page, so data placement matches
-        // HLRC/SC exactly and protocol comparisons see the same distribution.
-        self.homes.home(b * self.block / PAGE_SIZE, toucher)
+    /// Ensures `p` can read block `b`, fetching it on a miss. Home memory
+    /// is always read in place: under release consistency a correctly
+    /// synchronized program orders a home read after the remote writer's
+    /// release, which flushed the line home. Returns the completion time
+    /// and whether `p` missed.
+    fn ensure_valid(&mut self, m: &mut Machine, p: usize, b: u64, t: Cycles) -> (Cycles, bool) {
+        let h = self.units.home(b, p);
+        if p == h || self.local[p][b as usize] != BlockState::Invalid {
+            return (t, false);
+        }
+        (self.fetch(m, p, h, b, t), true)
     }
 
     /// One-sided fetch of block `b` into `p` (read miss / write-allocate):
@@ -182,14 +166,31 @@ impl Rdma {
         let t_issue = m.occupy_cpu(p, t, m.comm().rdma_issue).1;
         let cmd = m.send_hardware(p, t_issue, h, CMD_BYTES);
         let served = m.rdma_serve(h, cmd);
-        let data = m.send_hardware(h, served, p, self.block + HDR_BYTES);
-        m.cache_invalidate(p, self.baddr(b), self.block);
+        let data = m.send_hardware(h, served, p, self.units.unit() + HDR_BYTES);
+        m.cache_invalidate(p, self.units.addr(b), self.units.unit());
         self.local[p][b as usize] = BlockState::Clean;
         self.sharers[b as usize] |= 1u64 << p;
         let c = m.counters_mut(p);
         c.remote_reads += 1;
         c.fetches += 1;
         data
+    }
+
+    /// `p` writes block `b`. Home memory is written in place; remote
+    /// sharers go stale and are invalidated at the release. A remote line
+    /// is fetched on a miss (write-allocate) and dirtied. Returns the
+    /// completion time and whether `p` missed.
+    fn write_block(&mut self, m: &mut Machine, p: usize, b: u64, t: Cycles) -> (Cycles, bool) {
+        if self.units.home(b, p) == p {
+            if self.sharers[b as usize] != 0 {
+                self.note_write(p, b);
+            }
+            return (t, false);
+        }
+        let done = self.ensure_valid(m, p, b, t);
+        self.local[p][b as usize] = BlockState::Dirty;
+        self.note_write(p, b);
+        done
     }
 
     /// NI-to-NI invalidation of every sharer of `b` except `except`,
@@ -205,14 +206,14 @@ impl Rdma {
     ) -> Cycles {
         let sharers = self.sharers[b as usize];
         let mut all_acked = t;
-        for q in 0..self.nprocs {
+        for q in 0..m.nprocs() {
             if q == except || q == from || sharers & (1u64 << q) == 0 {
                 continue;
             }
             let arr = m.send_hardware(from, t, q, CMD_BYTES);
             let tq = m.rdma_serve(q, arr);
             self.local[q][b as usize] = BlockState::Invalid;
-            m.cache_invalidate(q, self.baddr(b), self.block);
+            m.cache_invalidate(q, self.units.addr(b), self.units.unit());
             m.counters_mut(q).invalidations += 1;
             // An invalidated dirty copy is dead; q no longer owes a flush.
             self.write_set[q].remove(&b);
@@ -228,13 +229,13 @@ impl Rdma {
     /// one-sidedly, then the home's NI invalidates the other sharers.
     /// Returns `(local_done, all_done)`.
     fn flush_block(&mut self, m: &mut Machine, p: usize, b: u64, t: Cycles) -> (Cycles, Cycles) {
-        let h = self.home_of_block(b, p);
+        let h = self.units.home(b, p);
         if p == h {
             let done = self.hw_invalidate(m, p, b, t, p);
             return (t, done);
         }
         let t_issue = m.occupy_cpu(p, t, m.comm().rdma_issue).1;
-        let arr = m.send_hardware(p, t_issue, h, self.block + HDR_BYTES);
+        let arr = m.send_hardware(p, t_issue, h, self.units.unit() + HDR_BYTES);
         let served = m.rdma_serve(h, arr);
         let done = self.hw_invalidate(m, h, b, served, p);
         self.local[p][b as usize] = BlockState::Clean;
@@ -308,7 +309,7 @@ impl Rdma {
         };
         // ...which pushes the whole protected set to `w` in one message.
         let n = transfer.len() as u64;
-        let data = m.send_hardware(owner, t_o, w, n * (self.block + HDR_BYTES));
+        let data = m.send_hardware(owner, t_o, w, n * (self.units.unit() + HDR_BYTES));
         // `w` installs the lines and their write notices (per-list-element
         // handler cost — the piggybacked coherence information).
         let mut installed = m.handle_request(w, data, n);
@@ -316,9 +317,9 @@ impl Rdma {
         for b in transfer {
             self.write_set[owner].remove(&b);
             self.local[owner][b as usize] = BlockState::Invalid;
-            m.cache_invalidate(owner, self.baddr(b), self.block);
+            m.cache_invalidate(owner, self.units.addr(b), self.units.unit());
             self.sharers[b as usize] &= !(1u64 << owner);
-            let h = self.home_of_block(b, w);
+            let h = self.units.home(b, w);
             if h == w {
                 // The new holder is the line's home: installing the data
                 // *is* the flush. Stale remote sharers get invalidated now.
@@ -350,72 +351,30 @@ impl Protocol for Rdma {
     }
 
     fn init(&mut self, m: &Machine, shape: &WorldShape) {
-        self.nprocs = m.nprocs();
-        assert!(self.nprocs <= 64, "sharer bitmask holds at most 64 nodes");
-        let nblocks = shape.heap_bytes.div_ceil(self.block).max(1) as usize;
-        self.homes = HomeMap::new(
-            self.home_policy,
-            self.nprocs,
-            shape.heap_bytes.div_ceil(PAGE_SIZE).max(1),
-        );
+        let nprocs = m.nprocs();
+        assert!(nprocs <= 64, "sharer bitmask holds at most 64 nodes");
+        self.units.init(nprocs, shape.heap_bytes);
+        let nblocks = self.units.count() as usize;
         self.sharers = vec![0; nblocks];
-        self.local = vec![vec![BlockState::Invalid; nblocks]; self.nprocs];
-        self.write_set = vec![BTreeSet::new(); self.nprocs];
-        self.held = vec![Vec::new(); self.nprocs];
+        self.local = vec![vec![BlockState::Invalid; nblocks]; nprocs];
+        self.write_set = vec![BTreeSet::new(); nprocs];
+        self.held = vec![Vec::new(); nprocs];
         self.deferred = vec![None; shape.nlocks];
         self.sync.init(m, shape);
     }
 
     fn read(&mut self, m: &mut Machine, p: usize, addr: u64, bytes: u64) -> Cycles {
-        debug_assert!(bytes > 0);
-        let mut t = m.clock[p];
-        let first = self.block_of(addr);
-        let last = self.block_of(addr + bytes - 1);
-        let mut all_local = true;
-        for b in first..=last {
-            let h = self.home_of_block(b, p);
-            // Home reads are always local: under release consistency a
-            // correctly synchronized program orders them after the remote
-            // writer's release, which flushed the line home.
-            if p == h || self.local[p][b as usize] != BlockState::Invalid {
-                continue;
-            }
-            all_local = false;
-            t = self.fetch(m, p, h, b, t);
-        }
-        if all_local {
-            m.counters_mut(p).local_accesses += 1;
-        }
-        m.cache_access(p, t, addr, bytes, false)
+        let span = self.units.span(addr, bytes);
+        m.access(p, addr, bytes, false, span, |m, b, t| {
+            self.ensure_valid(m, p, b, t)
+        })
     }
 
     fn write(&mut self, m: &mut Machine, p: usize, addr: u64, bytes: u64) -> Cycles {
-        debug_assert!(bytes > 0);
-        let mut t = m.clock[p];
-        let first = self.block_of(addr);
-        let last = self.block_of(addr + bytes - 1);
-        let mut all_local = true;
-        for b in first..=last {
-            let h = self.home_of_block(b, p);
-            if p == h {
-                // Home memory is written in place; remote sharers go stale
-                // and are invalidated at the release.
-                if self.sharers[b as usize] != 0 {
-                    self.note_write(p, b);
-                }
-                continue;
-            }
-            if self.local[p][b as usize] == BlockState::Invalid {
-                all_local = false;
-                t = self.fetch(m, p, h, b, t); // write-allocate
-            }
-            self.local[p][b as usize] = BlockState::Dirty;
-            self.note_write(p, b);
-        }
-        if all_local {
-            m.counters_mut(p).local_accesses += 1;
-        }
-        m.cache_access(p, t, addr, bytes, true)
+        let span = self.units.span(addr, bytes);
+        m.access(p, addr, bytes, true, span, |m, b, t| {
+            self.write_block(m, p, b, t)
+        })
     }
 
     fn lock(&mut self, m: &mut Machine, p: usize, lock: LockId) -> Option<Cycles> {
@@ -498,7 +457,7 @@ mod tests {
     use super::*;
     use ssm_mem::MemConfig;
     use ssm_net::CommParams;
-    use ssm_proto::ProtoCosts;
+    use ssm_proto::{ProtoCosts, PAGE_SIZE};
 
     fn setup(nprocs: usize, block: u64) -> (Machine, Rdma) {
         let m = Machine::new(

@@ -41,7 +41,7 @@ use ssm_engine::Cycles;
 use ssm_proto::machine::Activity;
 use ssm_proto::{
     BarrierId, HomeMap, HomePolicy, LockId, LockTable, Machine, Protocol, SendFrom, SyncManager,
-    WorldShape, PAGE_SIZE,
+    WorldShape,
 };
 
 /// Bytes of a small control message (requests, grants, invalidations, acks).
@@ -101,13 +101,11 @@ struct DirEntry {
 /// ```
 #[derive(Debug)]
 pub struct Sc {
-    block: u64,
-    nprocs: usize,
     mode: ScMode,
     /// DelayedRc: blocks written locally since the last release, per proc.
     write_set: Vec<std::collections::BTreeSet<u64>>,
-    home_policy: HomePolicy,
-    homes: HomeMap,
+    /// Blocks and their homes.
+    units: HomeMap,
     dir: Vec<DirEntry>,
     /// `local[node][block]` — this node's copy state (home nodes use the
     /// directory instead).
@@ -122,31 +120,19 @@ impl Sc {
     ///
     /// Panics unless `block` is a power of two in `[4, PAGE_SIZE]`.
     pub fn new(block: u64) -> Self {
-        assert!(
-            block.is_power_of_two() && (4..=PAGE_SIZE).contains(&block),
-            "block must be a power of two between 4 B and the page size"
-        );
         Sc {
-            block,
-            nprocs: 0,
             mode: ScMode::Sequential,
             write_set: Vec::new(),
-            home_policy: HomePolicy::RoundRobin,
-            homes: HomeMap::new(HomePolicy::RoundRobin, 1, 0),
+            units: HomeMap::new(HomePolicy::RoundRobin, block),
             dir: Vec::new(),
             local: Vec::new(),
             sync: SyncManager::new(CTRL_BYTES, SendFrom::App),
         }
     }
 
-    /// The configured block size in bytes.
-    pub fn block_size(&self) -> u64 {
-        self.block
-    }
-
     /// Selects the page-to-home placement policy (before `init`).
     pub fn with_homes(mut self, policy: HomePolicy) -> Self {
-        self.home_policy = policy;
+        self.units = HomeMap::new(policy, self.units.unit());
         self
     }
 
@@ -172,7 +158,7 @@ impl Sc {
         let mut local = t;
         let mut done = t;
         for b in dirty {
-            let h = self.home_of_block(b, p);
+            let h = self.units.home(b, p);
             if h == p {
                 // Home writer: invalidate remote sharers directly.
                 let acked = self.invalidate_sharers(m, p, b, local, p, true);
@@ -180,10 +166,11 @@ impl Sc {
                 continue;
             }
             // Ship the block's new contents to the home.
-            let (l, arr) = m.send_from_handler(p, local, h, self.block + HDR_BYTES);
+            let (addr, block) = (self.units.addr(b), self.units.unit());
+            let (l, arr) = m.send_from_handler(p, local, h, block + HDR_BYTES);
             local = l;
             let th = m.handle_request(h, arr, 0);
-            let th = m.proto_touch(h, th, self.baddr(b), self.block, true, Activity::DiffApply);
+            let th = m.proto_touch(h, th, addr, block, true, Activity::DiffApply);
             // Eager invalidations of the other sharers, from the home.
             let acked = self.invalidate_sharers(m, h, b, th, p, false);
             // The writer keeps a shared copy; the home copy is current.
@@ -205,20 +192,6 @@ impl Sc {
         self.local[node][block as usize]
     }
 
-    fn block_of(&self, addr: u64) -> u64 {
-        addr / self.block
-    }
-
-    fn home_of_block(&mut self, b: u64, toucher: usize) -> usize {
-        // A block's home is the home of its page, so data placement matches
-        // HLRC exactly and protocol comparisons see the same distribution.
-        self.homes.home(b * self.block / PAGE_SIZE, toucher)
-    }
-
-    fn baddr(&self, b: u64) -> u64 {
-        b * self.block
-    }
-
     /// Recalls the block from its remote owner to the home: the owner
     /// writes the data back and downgrades to `to_state`. Returns the time
     /// the home has merged the data.
@@ -233,23 +206,24 @@ impl Sc {
         to_shared: bool,
         from_app: bool,
     ) -> Cycles {
+        let (addr, block) = (self.units.addr(b), self.units.unit());
         let (_, arr) = if from_app {
             m.send_from_app(h, t, q, CTRL_BYTES)
         } else {
             m.send_from_handler(h, t, q, CTRL_BYTES)
         };
         let tq = m.handle_request(q, arr, 0);
-        let tq = m.proto_touch(q, tq, self.baddr(b), self.block, false, Activity::Handler);
-        let (_, wb) = m.send_from_handler(q, tq, h, self.block + HDR_BYTES);
+        let tq = m.proto_touch(q, tq, addr, block, false, Activity::Handler);
+        let (_, wb) = m.send_from_handler(q, tq, h, block + HDR_BYTES);
         let th = m.handle_request(h, wb, 0);
-        let th = m.proto_touch(h, th, self.baddr(b), self.block, true, Activity::Handler);
+        let th = m.proto_touch(h, th, addr, block, true, Activity::Handler);
         self.local[q][b as usize] = if to_shared {
             BlockState::Shared
         } else {
             BlockState::Invalid
         };
         if !to_shared {
-            m.cache_invalidate(q, self.baddr(b), self.block);
+            m.cache_invalidate(q, addr, block);
         }
         let e = &mut self.dir[b as usize];
         e.owner = None;
@@ -272,10 +246,11 @@ impl Sc {
         except: usize,
         from_app: bool,
     ) -> Cycles {
+        let (addr, block) = (self.units.addr(b), self.units.unit());
         let sharers = self.dir[b as usize].sharers;
         let mut t_send = t;
         let mut all_acked = t;
-        for q in 0..self.nprocs {
+        for q in 0..m.nprocs() {
             if q == except || q == h || sharers & (1u64 << q) == 0 {
                 continue;
             }
@@ -287,7 +262,7 @@ impl Sc {
             t_send = local_done;
             let tq = m.handle_request(q, arr, 0);
             self.local[q][b as usize] = BlockState::Invalid;
-            m.cache_invalidate(q, self.baddr(b), self.block);
+            m.cache_invalidate(q, addr, block);
             m.counters_mut(q).invalidations += 1;
             let (_, ack) = m.send_from_handler(q, tq, h, CTRL_BYTES);
             let acked = m.handle_request(h, ack, 0);
@@ -297,26 +272,25 @@ impl Sc {
         all_acked.max(t_send)
     }
 
-    /// Ensures `p` holds at least a shared copy of block `b`.
-    fn ensure_shared(&mut self, m: &mut Machine, p: usize, b: u64, t: Cycles) -> Cycles {
-        let h = self.home_of_block(b, p);
+    /// Ensures `p` holds at least a shared copy of block `b`. Returns the
+    /// completion time and whether `p` missed.
+    fn ensure_shared(&mut self, m: &mut Machine, p: usize, b: u64, t: Cycles) -> (Cycles, bool) {
+        let h = self.units.home(b, p);
         if p == h {
             // Home read: current unless a remote owner holds the block.
-            let owner = self.dir[b as usize].owner;
-            return match owner {
-                None => t,
-                Some(q) => {
-                    let t = m.proto_work(p, t, m.costs().handler_base, Activity::Handler);
-                    let done = self.recall(m, h, q as usize, b, t, true, true);
-                    m.counters_mut(p).remote_reads += 1;
-                    done
-                }
+            let Some(q) = self.dir[b as usize].owner else {
+                return (t, false);
             };
+            let t = m.proto_work(p, t, m.costs().handler_base, Activity::Handler);
+            let done = self.recall(m, h, q as usize, b, t, true, true);
+            m.counters_mut(p).remote_reads += 1;
+            return (done, true);
         }
         if self.local[p][b as usize] != BlockState::Invalid {
-            return t;
+            return (t, false);
         }
         // Remote read miss.
+        let (addr, block) = (self.units.addr(b), self.units.unit());
         let t = m.proto_work(p, t, m.costs().handler_base, Activity::Handler);
         let (_, arr) = m.send_from_app(p, t, h, CTRL_BYTES);
         let mut th = m.handle_request(h, arr, 0);
@@ -324,24 +298,25 @@ impl Sc {
             th = self.recall(m, h, q as usize, b, th, true, false);
         }
         // The home reads the block from memory and replies with data.
-        let th = m.proto_touch(h, th, self.baddr(b), self.block, false, Activity::Handler);
-        let (_, data) = m.send_from_handler(h, th, p, self.block + HDR_BYTES);
-        m.cache_invalidate(p, self.baddr(b), self.block);
+        let th = m.proto_touch(h, th, addr, block, false, Activity::Handler);
+        let (_, data) = m.send_from_handler(h, th, p, block + HDR_BYTES);
+        m.cache_invalidate(p, addr, block);
         self.local[p][b as usize] = BlockState::Shared;
         self.dir[b as usize].sharers |= 1u64 << p;
         let c = m.counters_mut(p);
         c.remote_reads += 1;
         c.fetches += 1;
-        data
+        (data, true)
     }
 
-    /// Ensures `p` holds the block exclusively.
-    fn ensure_exclusive(&mut self, m: &mut Machine, p: usize, b: u64, t: Cycles) -> Cycles {
-        let h = self.home_of_block(b, p);
+    /// Ensures `p` holds block `b` exclusively. Returns the completion time
+    /// and whether `p` missed.
+    fn ensure_exclusive(&mut self, m: &mut Machine, p: usize, b: u64, t: Cycles) -> (Cycles, bool) {
+        let h = self.units.home(b, p);
         if p == h {
             let e = self.dir[b as usize];
             if e.owner.is_none() && e.sharers == 0 {
-                return t; // home write, nobody else involved
+                return (t, false); // home write, nobody else involved
             }
             let mut t = m.proto_work(p, t, m.costs().handler_base, Activity::Handler);
             if let Some(q) = e.owner {
@@ -350,13 +325,14 @@ impl Sc {
             t = self.invalidate_sharers(m, h, b, t, p, true);
             self.dir[b as usize] = DirEntry::default();
             m.counters_mut(p).remote_writes += 1;
-            return t;
+            return (t, true);
         }
-        if self.local[p][b as usize] == BlockState::Exclusive {
-            return t;
-        }
-        let had_shared = self.local[p][b as usize] == BlockState::Shared;
+        let had_shared = match self.local[p][b as usize] {
+            BlockState::Exclusive => return (t, false),
+            state => state == BlockState::Shared,
+        };
         // Remote write miss / upgrade.
+        let (addr, block) = (self.units.addr(b), self.units.unit());
         let t = m.proto_work(p, t, m.costs().handler_base, Activity::Handler);
         let (_, arr) = m.send_from_app(p, t, h, CTRL_BYTES);
         let mut th = m.handle_request(h, arr, 0);
@@ -368,14 +344,14 @@ impl Sc {
         let bytes = if had_shared {
             CTRL_BYTES
         } else {
-            self.block + HDR_BYTES
+            block + HDR_BYTES
         };
         if !had_shared {
-            th = m.proto_touch(h, th, self.baddr(b), self.block, false, Activity::Handler);
+            th = m.proto_touch(h, th, addr, block, false, Activity::Handler);
         }
         let (_, grant) = m.send_from_handler(h, th, p, bytes);
         if !had_shared {
-            m.cache_invalidate(p, self.baddr(b), self.block);
+            m.cache_invalidate(p, addr, block);
         }
         self.local[p][b as usize] = BlockState::Exclusive;
         let e = &mut self.dir[b as usize];
@@ -386,7 +362,24 @@ impl Sc {
         if !had_shared {
             c.fetches += 1;
         }
-        grant
+        (grant, true)
+    }
+
+    /// SC-delayed write of block `b` by `p`: written locally into a valid
+    /// copy (a remote block is fetched on a miss), with the consistency
+    /// actions deferred to the next release. Returns the completion time
+    /// and whether `p` missed.
+    fn write_delayed(&mut self, m: &mut Machine, p: usize, b: u64, t: Cycles) -> (Cycles, bool) {
+        if self.units.home(b, p) == p {
+            // Home writer with remote sharers: also deferred.
+            if self.dir[b as usize].sharers != 0 {
+                self.write_set[p].insert(b);
+            }
+            return (t, false);
+        }
+        let done = self.ensure_shared(m, p, b, t);
+        self.write_set[p].insert(b);
+        done
     }
 }
 
@@ -399,82 +392,29 @@ impl Protocol for Sc {
     }
 
     fn init(&mut self, m: &Machine, shape: &WorldShape) {
-        self.nprocs = m.nprocs();
-        assert!(self.nprocs <= 64, "sharer bitmask holds at most 64 nodes");
-        let nblocks = shape.heap_bytes.div_ceil(self.block).max(1) as usize;
-        self.homes = HomeMap::new(
-            self.home_policy,
-            self.nprocs,
-            shape.heap_bytes.div_ceil(PAGE_SIZE).max(1),
-        );
+        let nprocs = m.nprocs();
+        assert!(nprocs <= 64, "sharer bitmask holds at most 64 nodes");
+        self.units.init(nprocs, shape.heap_bytes);
+        let nblocks = self.units.count() as usize;
         self.dir = vec![DirEntry::default(); nblocks];
-        self.local = vec![vec![BlockState::Invalid; nblocks]; self.nprocs];
+        self.local = vec![vec![BlockState::Invalid; nblocks]; nprocs];
         self.sync.init(m, shape);
-        self.write_set = vec![std::collections::BTreeSet::new(); self.nprocs];
+        self.write_set = vec![std::collections::BTreeSet::new(); nprocs];
     }
 
     fn read(&mut self, m: &mut Machine, p: usize, addr: u64, bytes: u64) -> Cycles {
-        debug_assert!(bytes > 0);
-        let mut t = m.clock[p];
-        let first = self.block_of(addr);
-        let last = self.block_of(addr + bytes - 1);
-        let mut all_local = true;
-        for b in first..=last {
-            let h = self.home_of_block(b, p);
-            let miss = if p == h {
-                self.dir[b as usize].owner.is_some()
-            } else {
-                self.local[p][b as usize] == BlockState::Invalid
-            };
-            all_local &= !miss;
-            t = self.ensure_shared(m, p, b, t);
-        }
-        if all_local {
-            m.counters_mut(p).local_accesses += 1;
-        }
-        m.cache_access(p, t, addr, bytes, false)
+        let span = self.units.span(addr, bytes);
+        m.access(p, addr, bytes, false, span, |m, b, t| {
+            self.ensure_shared(m, p, b, t)
+        })
     }
 
     fn write(&mut self, m: &mut Machine, p: usize, addr: u64, bytes: u64) -> Cycles {
-        debug_assert!(bytes > 0);
-        let mut t = m.clock[p];
-        let first = self.block_of(addr);
-        let last = self.block_of(addr + bytes - 1);
-        let mut all_local = true;
-        for b in first..=last {
-            match self.mode {
-                ScMode::Sequential => {
-                    let h = self.home_of_block(b, p);
-                    let miss = if p == h {
-                        let e = self.dir[b as usize];
-                        e.owner.is_some() || e.sharers != 0
-                    } else {
-                        self.local[p][b as usize] != BlockState::Exclusive
-                    };
-                    all_local &= !miss;
-                    t = self.ensure_exclusive(m, p, b, t);
-                }
-                ScMode::DelayedRc => {
-                    // Write locally into a valid copy; consistency actions
-                    // are deferred to the next release.
-                    let h = self.home_of_block(b, p);
-                    if p != h && self.local[p][b as usize] == BlockState::Invalid {
-                        all_local = false;
-                        t = self.ensure_shared(m, p, b, t);
-                    }
-                    if p != h {
-                        self.write_set[p].insert(b);
-                    } else if self.dir[b as usize].sharers != 0 {
-                        // Home writer with remote sharers: also deferred.
-                        self.write_set[p].insert(b);
-                    }
-                }
-            }
-        }
-        if all_local {
-            m.counters_mut(p).local_accesses += 1;
-        }
-        m.cache_access(p, t, addr, bytes, true)
+        let span = self.units.span(addr, bytes);
+        m.access(p, addr, bytes, true, span, |m, b, t| match self.mode {
+            ScMode::Sequential => self.ensure_exclusive(m, p, b, t),
+            ScMode::DelayedRc => self.write_delayed(m, p, b, t),
+        })
     }
 
     fn lock(&mut self, m: &mut Machine, p: usize, lock: LockId) -> Option<Cycles> {
@@ -503,7 +443,7 @@ mod tests {
     use super::*;
     use ssm_mem::MemConfig;
     use ssm_net::CommParams;
-    use ssm_proto::ProtoCosts;
+    use ssm_proto::{ProtoCosts, PAGE_SIZE};
 
     fn setup(nprocs: usize, block: u64) -> (Machine, Sc) {
         let m = Machine::new(

@@ -100,7 +100,7 @@ impl CommSpec {
 
     fn from_json(v: &Json) -> Result<Self, String> {
         if let Some(s) = v.as_str() {
-            return Ok(CommSpec::Preset(comm_preset_from_label(s)?));
+            return Ok(CommSpec::Preset(CommPreset::from_label(s)?));
         }
         let int = |key: &str| {
             v.get(key)
@@ -279,7 +279,7 @@ impl Cell {
                     self.comm.canonical(),
                     self.proto.label(),
                     self.procs,
-                    homes_label(self.homes),
+                    self.homes.label(),
                 );
                 // Appended only when nonzero so every pre-existing cache
                 // line keeps its hash.
@@ -331,7 +331,7 @@ impl Cell {
             ),
             (
                 "homes".to_string(),
-                Json::Str(homes_label(self.homes).to_string()),
+                Json::Str(self.homes.label().to_string()),
             ),
         ];
         if self.has_faults() {
@@ -353,9 +353,9 @@ impl Cell {
         };
         Ok(Cell {
             app: str_field("app")?.to_string(),
-            protocol: protocol_from_label(str_field("protocol")?)?,
+            protocol: Protocol::from_label(str_field("protocol")?)?,
             comm: CommSpec::from_json(v.get("comm").ok_or("cell missing comm")?)?,
-            proto: proto_preset_from_label(str_field("proto")?)?,
+            proto: ProtoPreset::from_label(str_field("proto")?)?,
             procs: v
                 .get("procs")
                 .and_then(Json::as_u64)
@@ -365,7 +365,7 @@ impl Cell {
                 Some(Json::Null) | None => None,
                 Some(b) => Some(b.as_u64().ok_or("bad sc_block")?),
             },
-            homes: homes_from_label(str_field("homes")?)?,
+            homes: HomePolicy::from_label(str_field("homes")?)?,
             // Absent in records written before fault injection existed.
             fault_rate_ppm: v.get("fault_rate_ppm").and_then(Json::as_u64).unwrap_or(0) as u32,
             fault_seed: v.get("fault_seed").and_then(Json::as_u64).unwrap_or(0),
@@ -389,33 +389,6 @@ pub fn scale_from_label(s: &str) -> Result<Scale, String> {
         "bench" => Ok(Scale::Bench),
         "full" => Ok(Scale::Full),
         other => Err(format!("unknown scale {other:?} (test|bench|full)")),
-    }
-}
-
-fn protocol_from_label(s: &str) -> Result<Protocol, String> {
-    Protocol::from_label(s)
-}
-
-fn comm_preset_from_label(s: &str) -> Result<CommPreset, String> {
-    CommPreset::from_label(s)
-}
-
-fn proto_preset_from_label(s: &str) -> Result<ProtoPreset, String> {
-    ProtoPreset::from_label(s)
-}
-
-fn homes_label(h: HomePolicy) -> &'static str {
-    match h {
-        HomePolicy::RoundRobin => "rr",
-        HomePolicy::FirstTouch => "first-touch",
-    }
-}
-
-fn homes_from_label(s: &str) -> Result<HomePolicy, String> {
-    match s {
-        "rr" => Ok(HomePolicy::RoundRobin),
-        "first-touch" => Ok(HomePolicy::FirstTouch),
-        other => Err(format!("unknown home policy {other:?}")),
     }
 }
 

@@ -496,3 +496,229 @@ fn sync_timing_is_pinned() {
         );
     }
 }
+
+/// Elements of `u64` per 4 KB page.
+const PAGE_ELEMS: usize = 512;
+
+/// The data path on five pages: accesses that cross 64 B block and 4 KB
+/// page boundaries, home writes to units with remote sharers, and reads
+/// after a remote write across a lock and across a barrier.
+struct DataPath {
+    data: std::cell::RefCell<Option<ssm::proto::SharedVec<u64>>>,
+}
+
+impl ssm::proto::Workload for DataPath {
+    fn name(&self) -> String {
+        "data-path".into()
+    }
+
+    fn mem_bytes(&self) -> usize {
+        6 * 4096
+    }
+
+    fn spawn(&self, world: &mut ssm::proto::World, nprocs: usize) -> Vec<ssm::proto::ThreadBody> {
+        let v = world.alloc_vec::<u64>(5 * PAGE_ELEMS);
+        let lock = world.alloc_lock();
+        let bar = world.alloc_barrier();
+        *self.data.borrow_mut() = Some(v.clone());
+        (0..nprocs)
+            .map(|pid| {
+                let v = v.clone();
+                let body: ssm::proto::ThreadBody = Box::new(move |p| {
+                    p.compute(40 * (pid as u64 + 1));
+                    // Bytes 48..80 of page `pid` (two blocks), then the last
+                    // two and first two words of pages `pid` and `pid + 1`.
+                    v.touch_range_write(p, PAGE_ELEMS * pid + 6, 4);
+                    v.touch_range_read(p, PAGE_ELEMS * (pid + 1) - 2, 4);
+                    // Everyone shares two blocks of page 4.
+                    v.touch_range_read(p, 4 * PAGE_ELEMS + 6, 4);
+                    for _ in 0..3 {
+                        p.lock(lock);
+                        // Reads what the previous holder wrote.
+                        v.set(p, 0, v.get(p, 0) + 1);
+                        v.touch_range_write(p, PAGE_ELEMS - 1, 2);
+                        p.unlock(lock);
+                        p.compute(100);
+                    }
+                    p.barrier(bar);
+                    if pid == 0 {
+                        // Page 4's home under round-robin writes blocks
+                        // the others share.
+                        v.touch_range_write(p, 4 * PAGE_ELEMS + 4, 8);
+                    }
+                    p.barrier(bar);
+                    v.touch_range_read(p, 4 * PAGE_ELEMS, 16);
+                    let _ = v.get(p, 0);
+                    v.set(p, 3 * PAGE_ELEMS + 8 * pid, pid as u64);
+                    p.barrier(bar);
+                    let _ = v.get(p, 3 * PAGE_ELEMS + 8 * ((pid + 1) % nprocs));
+                });
+                body
+            })
+            .collect()
+    }
+
+    fn verify(&self) -> Result<(), String> {
+        let v = self.data.borrow();
+        let got = v.as_ref().expect("spawned").get_direct(0);
+        (got == 12)
+            .then_some(())
+            .ok_or(format!("counter {got}, want 12"))
+    }
+}
+
+/// The shared-access path is pinned for every protocol under both home
+/// policies at p4 with 64 B blocks: total cycles, every per-processor
+/// bucket and the simulated-machine counters. A refactor of home
+/// placement, unit geometry or the per-access loop must leave every number
+/// unchanged.
+///
+/// Each cell is a `protocol homes total_cycles` line, one line per
+/// processor with its buckets in `Bucket::ALL` order, and one line of
+/// counters in the order `simulated` lists them.
+#[test]
+fn data_path_is_pinned() {
+    const PINS: &str = "
+        IDEAL RoundRobin 1320
+        [340, 728, 0, 152, 100, 0]
+        [380, 728, 0, 112, 100, 0]
+        [420, 728, 0, 88, 84, 0]
+        [460, 636, 0, 132, 76, 0]
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 12, 3, 65, 0]
+        HLRC RoundRobin 789530
+        [340, 672, 143700, 313432, 238200, 78990]
+        [380, 1092, 270664, 382444, 78566, 57284]
+        [420, 1016, 320708, 362726, 30846, 65462]
+        [460, 1008, 257344, 286822, 147184, 64368]
+        [134, 145376, 34, 21, 34, 21, 60, 21, 93, 24, 12, 3, 21, 0]
+        AURC RoundRobin 674176
+        [340, 924, 143656, 209376, 261476, 44360]
+        [380, 1092, 270128, 312276, 68520, 22680]
+        [420, 1016, 314252, 291100, 40376, 18660]
+        [460, 1092, 254476, 230920, 134228, 21960]
+        [143, 145280, 34, 21, 34, 0, 0, 0, 93, 24, 12, 3, 21, 30]
+        SC RoundRobin 440146
+        [340, 512, 116170, 137096, 106910, 83530]
+        [380, 1008, 133690, 239602, 40884, 29032]
+        [420, 1092, 141616, 175758, 105958, 19958]
+        [460, 1008, 159730, 184308, 70934, 26066]
+        [253, 11888, 33, 41, 50, 0, 0, 0, 0, 16, 12, 3, 8, 0]
+        SC-delayed RoundRobin 376528
+        [340, 7968, 36464, 159230, 106642, 73836]
+        [380, 1092, 83934, 170520, 90332, 31860]
+        [420, 1092, 101434, 188446, 66336, 21592]
+        [460, 932, 88922, 216442, 45636, 23564]
+        [237, 11376, 49, 0, 49, 30, 0, 0, 0, 32, 12, 3, 27, 0]
+        RDMA RoundRobin 171184
+        [340, 672, 15268, 0, 132284, 19800]
+        [380, 1092, 49104, 62920, 53758, 2520]
+        [420, 1092, 56942, 65484, 44426, 2820]
+        [460, 1016, 37454, 79924, 42372, 2880]
+        [142, 6784, 28, 7, 28, 0, 0, 0, 21, 9, 12, 3, 42, 0]
+        IDEAL FirstTouch 1320
+        [340, 728, 0, 152, 100, 0]
+        [380, 728, 0, 112, 100, 0]
+        [420, 728, 0, 88, 84, 0]
+        [460, 636, 0, 132, 76, 0]
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 12, 3, 65, 0]
+        HLRC FirstTouch 775632
+        [340, 712, 48716, 12152, 629250, 70458]
+        [380, 932, 323158, 359158, 20490, 71514]
+        [420, 1040, 231014, 281412, 163512, 64980]
+        [460, 1008, 276074, 327736, 91840, 69262]
+        [136, 145552, 34, 23, 34, 23, 76, 23, 96, 24, 12, 3, 21, 0]
+        AURC FirstTouch 656220
+        [340, 788, 57792, 21836, 514040, 48320]
+        [380, 1016, 333352, 281416, 20876, 19180]
+        [420, 1124, 239640, 226600, 136316, 21980]
+        [460, 1092, 281192, 267532, 78712, 17980]
+        [145, 145392, 34, 22, 34, 0, 0, 0, 96, 24, 12, 3, 22, 32]
+        SC FirstTouch 465676
+        [340, 6730, 118050, 164250, 85878, 97030]
+        [380, 1092, 193994, 181516, 73092, 19358]
+        [420, 1040, 111358, 211712, 115432, 30348]
+        [460, 1016, 186858, 217946, 46626, 17280]
+        [261, 12432, 33, 43, 54, 0, 0, 0, 0, 14, 12, 3, 10, 0]
+        SC-delayed FirstTouch 406282
+        [340, 6738, 26034, 171658, 122652, 89460]
+        [380, 1092, 111988, 200518, 73804, 21200]
+        [420, 1040, 86886, 185050, 105808, 31346]
+        [460, 1016, 109222, 230386, 46896, 19800]
+        [252, 12240, 54, 0, 54, 33, 0, 0, 0, 33, 12, 3, 29, 0]
+        RDMA FirstTouch 175054
+        [340, 712, 12436, 0, 138946, 19800]
+        [380, 1092, 60510, 63098, 47094, 2880]
+        [420, 1124, 47508, 60638, 55766, 2520]
+        [460, 1016, 57810, 69126, 42352, 2880]
+        [148, 7376, 30, 9, 30, 0, 0, 0, 24, 9, 12, 3, 45, 0]
+    ";
+    let mut got: Vec<String> = Vec::new();
+    for homes in [HomePolicy::RoundRobin, HomePolicy::FirstTouch] {
+        for proto in [
+            Protocol::Ideal,
+            Protocol::Hlrc,
+            Protocol::Aurc,
+            Protocol::Sc,
+            Protocol::ScDelayed,
+            Protocol::Rdma,
+        ] {
+            let w = DataPath {
+                data: std::cell::RefCell::new(None),
+            };
+            let r = SimBuilder::new(proto)
+                .procs(4)
+                .sc_block(64)
+                .home_policy(homes)
+                .run(&w)
+                .expect_verified();
+            let c = r.counters.without_engine_counters();
+            let simulated = [
+                c.messages,
+                c.bytes,
+                c.remote_reads,
+                c.remote_writes,
+                c.fetches,
+                c.diffs,
+                c.diff_words,
+                c.twins,
+                c.write_notices,
+                c.invalidations,
+                c.lock_acquires,
+                c.barriers,
+                c.local_accesses,
+                c.auto_updates,
+            ];
+            // Every other counter is zero on a fault-free run.
+            let rebuilt = ssm::stats::Counters {
+                messages: c.messages,
+                bytes: c.bytes,
+                remote_reads: c.remote_reads,
+                remote_writes: c.remote_writes,
+                fetches: c.fetches,
+                diffs: c.diffs,
+                diff_words: c.diff_words,
+                twins: c.twins,
+                write_notices: c.write_notices,
+                invalidations: c.invalidations,
+                lock_acquires: c.lock_acquires,
+                barriers: c.barriers,
+                local_accesses: c.local_accesses,
+                auto_updates: c.auto_updates,
+                ..Default::default()
+            };
+            assert_eq!(c, rebuilt, "{proto:?} {homes:?}: unpinned counter");
+            got.push(format!("{} {homes:?} {}", proto.label(), r.total_cycles));
+            for b in &r.per_proc {
+                let cycles: Vec<u64> = Bucket::ALL.iter().map(|&k| b.get(k)).collect();
+                got.push(format!("{cycles:?}"));
+            }
+            got.push(format!("{simulated:?}"));
+        }
+    }
+    let want: Vec<&str> = PINS
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty())
+        .collect();
+    assert_eq!(got, want, "(total; buckets per processor; counters)");
+}
