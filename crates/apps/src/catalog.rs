@@ -32,6 +32,27 @@ pub enum Scale {
     Full,
 }
 
+impl Scale {
+    /// The scale's label, as `--scale` and the result records spell it.
+    pub fn label(self) -> &'static str {
+        match self {
+            Scale::Test => "test",
+            Scale::Bench => "bench",
+            Scale::Full => "full",
+        }
+    }
+
+    /// Parses a scale from its label (`test`, `bench`, `full`).
+    pub fn from_label(s: &str) -> Result<Self, String> {
+        match s {
+            "test" => Ok(Scale::Test),
+            "bench" => Ok(Scale::Bench),
+            "full" => Ok(Scale::Full),
+            other => Err(format!("unknown scale {other:?} (test|bench|full)")),
+        }
+    }
+}
+
 /// One application in the suite (a row of Table 1).
 pub struct AppSpec {
     /// Display name as the paper uses it.

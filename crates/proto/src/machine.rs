@@ -168,11 +168,6 @@ impl Machine {
         });
     }
 
-    /// Injected-fault statistics for `p`'s outgoing messages.
-    pub fn fault_stats(&self, p: usize) -> ssm_net::FaultStats {
-        self.net.fault_stats(p)
-    }
-
     /// Moves one logical message reliably: transmits copies until one is
     /// accepted, waiting out an exponentially backed-off deadline before
     /// each retransmission and paying the context's CPU cost for it.
@@ -679,7 +674,6 @@ mod tests {
         assert_eq!(c.messages, 64, "logical message count is fault-free");
         assert!(c.retransmissions > 0, "half the copies dropped");
         assert_eq!(c.retransmissions, c.faults_dropped);
-        assert_eq!(mach.fault_stats(0).drops, c.faults_dropped);
     }
 
     #[test]

@@ -182,9 +182,31 @@ pub struct ProtoActivity {
 }
 
 impl ProtoActivity {
+    /// How many leading fields of [`ProtoActivity::fields_mut`] every
+    /// record carries: all of them (see [`Counters::ALWAYS_RECORDED`]).
+    pub const ALWAYS_RECORDED: usize = 5;
+
+    /// Every field by its record name, in record order. This is the one
+    /// place the names are written; `merge` and the sweep's record
+    /// codec go through it.
+    pub fn fields_mut(&mut self) -> [(&'static str, &mut u64); 5] {
+        [
+            ("handler", &mut self.handler),
+            ("diff_create", &mut self.diff_create),
+            ("diff_apply", &mut self.diff_apply),
+            ("twin", &mut self.twin),
+            ("mprotect", &mut self.mprotect),
+        ]
+    }
+
+    /// [`ProtoActivity::fields_mut`] by value.
+    pub fn fields(mut self) -> [(&'static str, u64); 5] {
+        self.fields_mut().map(|(name, v)| (name, *v))
+    }
+
     /// Total protocol cycles.
     pub fn total(&self) -> u64 {
-        self.handler + self.diff_create + self.diff_apply + self.twin + self.mprotect
+        self.fields().iter().map(|&(_, v)| v).sum()
     }
 
     /// All diff-related cycles (creation + application), the paper's "diff
@@ -195,13 +217,11 @@ impl ProtoActivity {
 
     /// Element-wise sum.
     pub fn merge(&self, o: &ProtoActivity) -> ProtoActivity {
-        ProtoActivity {
-            handler: self.handler + o.handler,
-            diff_create: self.diff_create + o.diff_create,
-            diff_apply: self.diff_apply + o.diff_apply,
-            twin: self.twin + o.twin,
-            mprotect: self.mprotect + o.mprotect,
+        let mut out = *self;
+        for ((_, x), (_, y)) in out.fields_mut().into_iter().zip(o.fields()) {
+            *x += y;
         }
+        out
     }
 }
 
@@ -273,37 +293,60 @@ pub struct Counters {
 }
 
 impl Counters {
+    /// How many leading fields of [`Counters::fields_mut`] every record
+    /// carries: `messages` through `auto_updates` were in the first
+    /// cache records. The fault and engine counters after them were added
+    /// later, so a record reader requires the first
+    /// `ALWAYS_RECORDED` and reads any later one that is absent as 0.
+    pub const ALWAYS_RECORDED: usize = 14;
+
+    /// Every counter by its record name, in record order. This is the one
+    /// place the names are written; `merge` and the sweep's record codec
+    /// go through it.
+    pub fn fields_mut(&mut self) -> [(&'static str, &mut u64); 27] {
+        [
+            ("messages", &mut self.messages),
+            ("bytes", &mut self.bytes),
+            ("remote_reads", &mut self.remote_reads),
+            ("remote_writes", &mut self.remote_writes),
+            ("fetches", &mut self.fetches),
+            ("diffs", &mut self.diffs),
+            ("diff_words", &mut self.diff_words),
+            ("twins", &mut self.twins),
+            ("write_notices", &mut self.write_notices),
+            ("invalidations", &mut self.invalidations),
+            ("lock_acquires", &mut self.lock_acquires),
+            ("barriers", &mut self.barriers),
+            ("local_accesses", &mut self.local_accesses),
+            ("auto_updates", &mut self.auto_updates),
+            ("retransmissions", &mut self.retransmissions),
+            ("dup_suppressed", &mut self.dup_suppressed),
+            ("faults_dropped", &mut self.faults_dropped),
+            ("faults_duplicated", &mut self.faults_duplicated),
+            ("faults_delayed", &mut self.faults_delayed),
+            ("faults_stalled", &mut self.faults_stalled),
+            ("handoffs", &mut self.handoffs),
+            ("sim_ops", &mut self.sim_ops),
+            ("ops_batched", &mut self.ops_batched),
+            ("flush_sync", &mut self.flush_sync),
+            ("flush_miss", &mut self.flush_miss),
+            ("flush_cap", &mut self.flush_cap),
+            ("flush_end", &mut self.flush_end),
+        ]
+    }
+
+    /// [`Counters::fields_mut`] by value.
+    pub fn fields(mut self) -> [(&'static str, u64); 27] {
+        self.fields_mut().map(|(name, v)| (name, *v))
+    }
+
     /// Element-wise sum.
     pub fn merge(&self, o: &Counters) -> Counters {
-        Counters {
-            messages: self.messages + o.messages,
-            bytes: self.bytes + o.bytes,
-            remote_reads: self.remote_reads + o.remote_reads,
-            remote_writes: self.remote_writes + o.remote_writes,
-            fetches: self.fetches + o.fetches,
-            diffs: self.diffs + o.diffs,
-            diff_words: self.diff_words + o.diff_words,
-            twins: self.twins + o.twins,
-            write_notices: self.write_notices + o.write_notices,
-            invalidations: self.invalidations + o.invalidations,
-            lock_acquires: self.lock_acquires + o.lock_acquires,
-            barriers: self.barriers + o.barriers,
-            local_accesses: self.local_accesses + o.local_accesses,
-            auto_updates: self.auto_updates + o.auto_updates,
-            retransmissions: self.retransmissions + o.retransmissions,
-            dup_suppressed: self.dup_suppressed + o.dup_suppressed,
-            faults_dropped: self.faults_dropped + o.faults_dropped,
-            faults_duplicated: self.faults_duplicated + o.faults_duplicated,
-            faults_delayed: self.faults_delayed + o.faults_delayed,
-            faults_stalled: self.faults_stalled + o.faults_stalled,
-            handoffs: self.handoffs + o.handoffs,
-            sim_ops: self.sim_ops + o.sim_ops,
-            ops_batched: self.ops_batched + o.ops_batched,
-            flush_sync: self.flush_sync + o.flush_sync,
-            flush_miss: self.flush_miss + o.flush_miss,
-            flush_cap: self.flush_cap + o.flush_cap,
-            flush_end: self.flush_end + o.flush_end,
+        let mut out = *self;
+        for ((_, x), (_, y)) in out.fields_mut().into_iter().zip(o.fields()) {
+            *x += y;
         }
+        out
     }
 
     /// A copy with the engine-performance counters (handoffs, batching,

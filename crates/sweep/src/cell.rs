@@ -233,8 +233,10 @@ impl Cell {
         self.fault_rate_ppm > 0 && self.protocol != Protocol::Ideal
     }
 
-    /// Display label, e.g. `FFT HLRC AO p16` (faulty cells append the
-    /// injection rate: `FFT HLRC AO p16 f10000`).
+    /// Display label, e.g. `FFT HLRC AO p16`. Whatever else sets the cell
+    /// apart from its default is appended: an SC or RDMA block override
+    /// (`FFT SC AO p16 256B`), first-touch homes, a custom comm layer's
+    /// canonical parameters, and the fault injection rate (`f10000`).
     pub fn label(&self) -> String {
         match self.protocol {
             Protocol::Ideal => format!("{} IDEAL p{}", self.app, self.procs),
@@ -247,6 +249,15 @@ impl Cell {
                     self.proto.label(),
                     self.procs
                 );
+                if let (Some(b), false) = (self.sc_block, self.page_based()) {
+                    s.push_str(&format!(" {b}B"));
+                }
+                if self.homes != HomePolicy::RoundRobin {
+                    s.push_str(&format!(" {}", self.homes.label()));
+                }
+                if let CommSpec::Custom(_) = self.comm {
+                    s.push_str(&format!(" {}", self.comm.canonical()));
+                }
                 if self.has_faults() {
                     s.push_str(&format!(" f{}", self.fault_rate_ppm));
                 }
@@ -255,22 +266,26 @@ impl Cell {
         }
     }
 
+    /// Whether the protocol is page-based, and so ignores the SC block.
+    fn page_based(&self) -> bool {
+        matches!(self.protocol, Protocol::Hlrc | Protocol::Aurc)
+    }
+
     /// The canonical identity string the hash is computed over. The ideal
     /// machine ignores layer costs, granularity and placement, so those
     /// fields are normalized away — every binary's "IDEAL" cell for an
     /// application is the *same* cell, whichever sweep ran it first.
     fn canonical(&self) -> String {
-        let scale = scale_label(self.scale);
+        let scale = self.scale.label();
         match self.protocol {
             Protocol::Ideal => {
                 format!("v1|{}|IDEAL|-|-|{}|{scale}|-|-", self.app, self.procs)
             }
             _ => {
-                let block = match (self.protocol, self.sc_block) {
-                    // Page-based protocols ignore the SC granularity.
-                    (Protocol::Hlrc | Protocol::Aurc, _) => "-".to_string(),
-                    (_, Some(b)) => b.to_string(),
-                    (_, None) => "app".to_string(),
+                let block = match self.sc_block {
+                    _ if self.page_based() => "-".to_string(),
+                    Some(b) => b.to_string(),
+                    None => "app".to_string(),
                 };
                 let mut s = format!(
                     "v1|{}|{}|{}|{}|{}|{scale}|{block}|{}",
@@ -320,7 +335,7 @@ impl Cell {
             ("procs".to_string(), Json::Int(self.procs as u64)),
             (
                 "scale".to_string(),
-                Json::Str(scale_label(self.scale).to_string()),
+                Json::Str(self.scale.label().to_string()),
             ),
             (
                 "sc_block".to_string(),
@@ -360,7 +375,7 @@ impl Cell {
                 .get("procs")
                 .and_then(Json::as_u64)
                 .ok_or("cell missing procs")? as usize,
-            scale: scale_from_label(str_field("scale")?)?,
+            scale: Scale::from_label(str_field("scale")?)?,
             sc_block: match v.get("sc_block") {
                 Some(Json::Null) | None => None,
                 Some(b) => Some(b.as_u64().ok_or("bad sc_block")?),
@@ -373,27 +388,10 @@ impl Cell {
     }
 }
 
-/// Scale serialization label.
-pub fn scale_label(s: Scale) -> &'static str {
-    match s {
-        Scale::Test => "test",
-        Scale::Bench => "bench",
-        Scale::Full => "full",
-    }
-}
-
-/// Parses a scale label (as accepted by `--scale`).
-pub fn scale_from_label(s: &str) -> Result<Scale, String> {
-    match s {
-        "test" => Ok(Scale::Test),
-        "bench" => Ok(Scale::Bench),
-        "full" => Ok(Scale::Full),
-        other => Err(format!("unknown scale {other:?} (test|bench|full)")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
 
     fn cell() -> Cell {
@@ -441,11 +439,59 @@ mod tests {
                 ..base.clone()
             },
             base.clone().with_comm_params(CommParams::achievable()),
+            base.clone().with_comm_params(CommParams::best()),
+            Cell {
+                protocol: Protocol::Sc,
+                ..base.clone()
+            }
+            .with_sc_block(256),
+            Cell {
+                protocol: Protocol::Rdma,
+                ..base.clone()
+            }
+            .with_sc_block(256),
+            Cell {
+                protocol: Protocol::Rdma,
+                ..base.clone()
+            },
+            base.clone().with_faults(10_000, 42),
         ];
-        let mut hashes: Vec<String> = variants.iter().map(Cell::hash).collect();
-        hashes.push(base.hash());
-        let unique: std::collections::HashSet<&String> = hashes.iter().collect();
-        assert_eq!(unique.len(), hashes.len(), "collision among {hashes:?}");
+        let mut cells = variants.to_vec();
+        cells.push(base.clone());
+        let hashes: HashSet<String> = cells.iter().map(Cell::hash).collect();
+        assert_eq!(hashes.len(), cells.len(), "hash collision among {cells:?}");
+        // Distinct hashes print distinct labels. The scale is the one
+        // exception: a sweep runs at one scale, which every table header
+        // names, so labels leave it out.
+        cells.retain(|c| c.scale == base.scale);
+        let labels: HashSet<String> = cells.iter().map(Cell::label).collect();
+        assert_eq!(
+            labels.len(),
+            cells.len(),
+            "label collision among {labels:?}"
+        );
+    }
+
+    #[test]
+    fn default_labels_are_unchanged_and_overrides_are_appended() {
+        assert_eq!(cell().label(), "FFT HLRC AO p16");
+        assert_eq!(cell().with_sc_block(256).label(), "FFT HLRC AO p16");
+        let sc = Cell {
+            protocol: Protocol::Sc,
+            ..cell()
+        };
+        assert_eq!(sc.label(), "FFT SC AO p16");
+        assert_eq!(
+            sc.with_sc_block(256)
+                .with_homes(HomePolicy::FirstTouch)
+                .with_faults(10_000, 42)
+                .label(),
+            "FFT SC AO p16 256B first-touch f10000"
+        );
+        assert_eq!(
+            cell().with_comm_params(CommParams::best()).label(),
+            "FFT HLRC customO p16 custom:0,1/2,0,0,20,4096,rdma:0/0"
+        );
     }
 
     #[test]

@@ -32,7 +32,6 @@ use std::time::Duration;
 
 use ssm_apps::catalog::{suite, AppSpec, Scale};
 
-use crate::cell::{scale_from_label, scale_label};
 use crate::shard::ShardSpec;
 
 /// Prints a usage error and exits with status 2 (no panic backtrace).
@@ -114,7 +113,7 @@ impl SweepCli {
                     let v = args
                         .next()
                         .unwrap_or_else(|| die("--scale test|bench|full"));
-                    cli.scale = scale_from_label(&v)
+                    cli.scale = Scale::from_label(&v)
                         .unwrap_or_else(|_| die(&format!("--scale test|bench|full, got {v:?}")));
                 }
                 "--app" => {
@@ -175,11 +174,7 @@ impl SweepCli {
 
     /// One-line run description for table headers.
     pub fn describe(&self) -> String {
-        format!(
-            "{} processors, scale {}",
-            self.procs,
-            scale_label(self.scale)
-        )
+        format!("{} processors, scale {}", self.procs, self.scale.label())
     }
 }
 

@@ -26,6 +26,8 @@
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
+use std::fs::File;
+use std::io::{BufWriter, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -122,90 +124,17 @@ impl SweepRun {
     }
 
     /// Writes `bench_summary.json` into `dir`: sweep totals plus one entry
-    /// per cell (speedup when a baseline is available, wall cycles,
-    /// verification, host time). This is the repo's machine-readable
-    /// benchmark-trajectory output. The write is atomic (temp file, then
-    /// rename), so a killed sweep never leaves a torn summary behind.
+    /// per cell (a completed cell carries its cache record under `record`
+    /// and its speedup when a baseline is available). This is the repo's
+    /// machine-readable benchmark-trajectory output. The write is atomic
+    /// (temp file, then rename), so a killed sweep never leaves a torn
+    /// summary behind.
     pub fn write_summary(&self, dir: &Path) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
-        let cells: Vec<Json> = self
-            .outcomes
-            .iter()
-            .map(|o| {
-                let mut fields = vec![
-                    ("hash".to_string(), Json::Str(o.hash.clone())),
-                    ("label".to_string(), Json::Str(o.cell.label())),
-                    ("cell".to_string(), o.cell.to_json()),
-                    ("cached".to_string(), Json::Bool(o.cached)),
-                ];
-                match &o.status {
-                    CellStatus::Done(rec) => {
-                        fields.push(("status".to_string(), Json::Str("done".to_string())));
-                        fields.push(("total_cycles".to_string(), Json::Int(rec.total_cycles)));
-                        fields.push(("verified".to_string(), Json::Bool(rec.verified)));
-                        fields.push(("host_ms".to_string(), Json::Int(rec.host_ms)));
-                        if o.cell.has_faults() {
-                            let c = &rec.counters;
-                            fields.push((
-                                "recovery".to_string(),
-                                Json::Obj(vec![
-                                    ("retransmissions".to_string(), Json::Int(c.retransmissions)),
-                                    ("dup_suppressed".to_string(), Json::Int(c.dup_suppressed)),
-                                    (
-                                        "faults_injected".to_string(),
-                                        Json::Int(c.faults_injected()),
-                                    ),
-                                ]),
-                            ));
-                        }
-                        if let Some(s) = self.speedup(&o.cell) {
-                            fields.push(("speedup".to_string(), Json::Num(s)));
-                        }
-                        let avg = rec.avg_breakdown();
-                        fields.push((
-                            "breakdown".to_string(),
-                            Json::Obj(
-                                ssm_stats::Bucket::ALL
-                                    .iter()
-                                    .map(|b| (b.label().to_string(), Json::Int(avg.get(*b))))
-                                    .collect(),
-                            ),
-                        ));
-                        let c = &rec.counters;
-                        fields.push((
-                            "engine".to_string(),
-                            Json::Obj(vec![
-                                ("handoffs".to_string(), Json::Int(c.handoffs)),
-                                ("sim_ops".to_string(), Json::Int(c.sim_ops)),
-                                ("ops_batched".to_string(), Json::Int(c.ops_batched)),
-                                ("flush_sync".to_string(), Json::Int(c.flush_sync)),
-                                ("flush_miss".to_string(), Json::Int(c.flush_miss)),
-                                ("flush_cap".to_string(), Json::Int(c.flush_cap)),
-                                ("flush_end".to_string(), Json::Int(c.flush_end)),
-                                (
-                                    "threads_spawned".to_string(),
-                                    Json::Int(rec.threads_spawned),
-                                ),
-                                ("threads_reused".to_string(), Json::Int(rec.threads_reused)),
-                            ]),
-                        ));
-                    }
-                    CellStatus::Failed(e) => {
-                        fields.push(("status".to_string(), Json::Str("failed".to_string())));
-                        fields.push(("error".to_string(), Json::Str(e.clone())));
-                    }
-                    CellStatus::TimedOut(d) => {
-                        fields.push(("status".to_string(), Json::Str("timeout".to_string())));
-                        fields.push(("timeout_ms".to_string(), Json::Int(d.as_millis() as u64)));
-                    }
-                }
-                Json::Obj(fields)
-            })
-            .collect();
-        let summary = Json::Obj(vec![
+        let totals = Json::Obj(vec![
             (
                 "schema".to_string(),
-                Json::Str("ssm-sweep-summary/1".to_string()),
+                Json::Str("ssm-sweep-summary/2".to_string()),
             ),
             (
                 "cells_total".to_string(),
@@ -222,12 +151,53 @@ impl SweepRun {
                 Json::Int(self.abandoned_threads as u64),
             ),
             ("host_ms".to_string(), Json::Int(self.host_ms)),
-            ("cells".to_string(), Json::Arr(cells)),
-        ]);
+        ])
+        .render();
         let path = dir.join(SUMMARY_FILE);
         let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, summary.render() + "\n")?;
+        let mut out = BufWriter::new(File::create(&tmp)?);
+        // The cell entries follow the totals and are rendered and written
+        // one at a time, so a large sweep's summary is never held in
+        // memory whole.
+        let open = totals
+            .strip_suffix('}')
+            .expect("an object renders with braces");
+        write!(out, "{open},\"cells\":[")?;
+        for (i, o) in self.outcomes.iter().enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            write!(out, "{sep}{}", self.summary_entry(o).render())?;
+        }
+        writeln!(out, "]}}")?;
+        out.into_inner()?;
         std::fs::rename(&tmp, &path)
+    }
+
+    /// One cell's `bench_summary.json` entry.
+    fn summary_entry(&self, o: &CellOutcome) -> Json {
+        let mut fields = vec![
+            ("hash".to_string(), Json::Str(o.hash.clone())),
+            ("label".to_string(), Json::Str(o.cell.label())),
+            ("cell".to_string(), o.cell.to_json()),
+            ("cached".to_string(), Json::Bool(o.cached)),
+        ];
+        match &o.status {
+            CellStatus::Done(rec) => {
+                fields.push(("status".to_string(), Json::Str("done".to_string())));
+                fields.push(("record".to_string(), rec.to_json()));
+                if let Some(s) = self.speedup(&o.cell) {
+                    fields.push(("speedup".to_string(), Json::Num(s)));
+                }
+            }
+            CellStatus::Failed(e) => {
+                fields.push(("status".to_string(), Json::Str("failed".to_string())));
+                fields.push(("error".to_string(), Json::Str(e.clone())));
+            }
+            CellStatus::TimedOut(d) => {
+                fields.push(("status".to_string(), Json::Str("timeout".to_string())));
+                fields.push(("timeout_ms".to_string(), Json::Int(d.as_millis() as u64)));
+            }
+        }
+        Json::Obj(fields)
     }
 }
 

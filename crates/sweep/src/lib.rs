@@ -57,7 +57,7 @@ pub mod shard;
 pub mod store;
 
 pub use builder::Sweep;
-pub use cell::{scale_from_label, scale_label, Cell, CommSpec};
+pub use cell::{Cell, CommSpec};
 pub use cli::SweepCli;
 pub use exec::{execute, execute_with, CellOutcome, CellStatus, SweepRun};
 pub use json::Json;

@@ -111,8 +111,6 @@ impl CellRecord {
 
     /// Serializes to the cache-line schema.
     pub fn to_json(&self) -> Json {
-        let a = &self.activity;
-        let c = &self.counters;
         Json::Obj(vec![
             ("v".to_string(), Json::Int(SCHEMA_VERSION)),
             ("hash".to_string(), Json::Str(self.cell.hash())),
@@ -127,51 +125,8 @@ impl CellRecord {
                         .collect(),
                 ),
             ),
-            (
-                "activity".to_string(),
-                Json::Obj(vec![
-                    ("handler".to_string(), Json::Int(a.handler)),
-                    ("diff_create".to_string(), Json::Int(a.diff_create)),
-                    ("diff_apply".to_string(), Json::Int(a.diff_apply)),
-                    ("twin".to_string(), Json::Int(a.twin)),
-                    ("mprotect".to_string(), Json::Int(a.mprotect)),
-                ]),
-            ),
-            (
-                "counters".to_string(),
-                Json::Obj(vec![
-                    ("messages".to_string(), Json::Int(c.messages)),
-                    ("bytes".to_string(), Json::Int(c.bytes)),
-                    ("remote_reads".to_string(), Json::Int(c.remote_reads)),
-                    ("remote_writes".to_string(), Json::Int(c.remote_writes)),
-                    ("fetches".to_string(), Json::Int(c.fetches)),
-                    ("diffs".to_string(), Json::Int(c.diffs)),
-                    ("diff_words".to_string(), Json::Int(c.diff_words)),
-                    ("twins".to_string(), Json::Int(c.twins)),
-                    ("write_notices".to_string(), Json::Int(c.write_notices)),
-                    ("invalidations".to_string(), Json::Int(c.invalidations)),
-                    ("lock_acquires".to_string(), Json::Int(c.lock_acquires)),
-                    ("barriers".to_string(), Json::Int(c.barriers)),
-                    ("local_accesses".to_string(), Json::Int(c.local_accesses)),
-                    ("auto_updates".to_string(), Json::Int(c.auto_updates)),
-                    ("retransmissions".to_string(), Json::Int(c.retransmissions)),
-                    ("dup_suppressed".to_string(), Json::Int(c.dup_suppressed)),
-                    ("faults_dropped".to_string(), Json::Int(c.faults_dropped)),
-                    (
-                        "faults_duplicated".to_string(),
-                        Json::Int(c.faults_duplicated),
-                    ),
-                    ("faults_delayed".to_string(), Json::Int(c.faults_delayed)),
-                    ("faults_stalled".to_string(), Json::Int(c.faults_stalled)),
-                    ("handoffs".to_string(), Json::Int(c.handoffs)),
-                    ("sim_ops".to_string(), Json::Int(c.sim_ops)),
-                    ("ops_batched".to_string(), Json::Int(c.ops_batched)),
-                    ("flush_sync".to_string(), Json::Int(c.flush_sync)),
-                    ("flush_miss".to_string(), Json::Int(c.flush_miss)),
-                    ("flush_cap".to_string(), Json::Int(c.flush_cap)),
-                    ("flush_end".to_string(), Json::Int(c.flush_end)),
-                ]),
-            ),
+            ("activity".to_string(), fields_json(self.activity.fields())),
+            ("counters".to_string(), fields_json(self.counters.fields())),
             ("verified".to_string(), Json::Bool(self.verified)),
             (
                 "verify_error".to_string(),
@@ -215,52 +170,18 @@ impl CellRecord {
             })
             .collect::<Result<Vec<_>, String>>()?;
         let section = |name: &str| v.get(name).ok_or_else(|| format!("record missing {name}"));
-        let field = |obj: &Json, key: &str| {
-            obj.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("record missing {key}"))
-        };
-        let opt = |obj: &Json, key: &str| obj.get(key).and_then(Json::as_u64).unwrap_or(0);
-        let a = section("activity")?;
-        let activity = ProtoActivity {
-            handler: field(a, "handler")?,
-            diff_create: field(a, "diff_create")?,
-            diff_apply: field(a, "diff_apply")?,
-            twin: field(a, "twin")?,
-            mprotect: field(a, "mprotect")?,
-        };
-        let c = section("counters")?;
-        let counters = Counters {
-            messages: field(c, "messages")?,
-            bytes: field(c, "bytes")?,
-            remote_reads: field(c, "remote_reads")?,
-            remote_writes: field(c, "remote_writes")?,
-            fetches: field(c, "fetches")?,
-            diffs: field(c, "diffs")?,
-            diff_words: field(c, "diff_words")?,
-            twins: field(c, "twins")?,
-            write_notices: field(c, "write_notices")?,
-            invalidations: field(c, "invalidations")?,
-            lock_acquires: field(c, "lock_acquires")?,
-            barriers: field(c, "barriers")?,
-            local_accesses: field(c, "local_accesses")?,
-            auto_updates: field(c, "auto_updates")?,
-            // Absent in records written before fault injection existed.
-            retransmissions: opt(c, "retransmissions"),
-            dup_suppressed: opt(c, "dup_suppressed"),
-            faults_dropped: opt(c, "faults_dropped"),
-            faults_duplicated: opt(c, "faults_duplicated"),
-            faults_delayed: opt(c, "faults_delayed"),
-            faults_stalled: opt(c, "faults_stalled"),
-            // Absent in records written before batched handoffs existed.
-            handoffs: opt(c, "handoffs"),
-            sim_ops: opt(c, "sim_ops"),
-            ops_batched: opt(c, "ops_batched"),
-            flush_sync: opt(c, "flush_sync"),
-            flush_miss: opt(c, "flush_miss"),
-            flush_cap: opt(c, "flush_cap"),
-            flush_end: opt(c, "flush_end"),
-        };
+        let mut activity = ProtoActivity::default();
+        read_fields(
+            section("activity")?,
+            activity.fields_mut(),
+            ProtoActivity::ALWAYS_RECORDED,
+        )?;
+        let mut counters = Counters::default();
+        read_fields(
+            section("counters")?,
+            counters.fields_mut(),
+            Counters::ALWAYS_RECORDED,
+        )?;
         Ok(CellRecord {
             cell,
             total_cycles: v
@@ -284,6 +205,33 @@ impl CellRecord {
             threads_reused: v.get("threads_reused").and_then(Json::as_u64).unwrap_or(0),
         })
     }
+}
+
+/// A by-name field view as a JSON object, in view order.
+fn fields_json<const N: usize>(fields: [(&'static str, u64); N]) -> Json {
+    Json::Obj(
+        fields
+            .into_iter()
+            .map(|(name, v)| (name.to_string(), Json::Int(v)))
+            .collect(),
+    )
+}
+
+/// Reads `obj` into a by-name field view. The first `required` names
+/// must be present; a later one that is absent keeps its value.
+fn read_fields<const N: usize>(
+    obj: &Json,
+    fields: [(&'static str, &mut u64); N],
+    required: usize,
+) -> Result<(), String> {
+    for (i, (name, slot)) in fields.into_iter().enumerate() {
+        match obj.get(name).and_then(Json::as_u64) {
+            Some(x) => *slot = x,
+            None if i >= required => {}
+            None => return Err(format!("record missing {name}")),
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -355,6 +303,124 @@ mod tests {
         assert_eq!(back.attempts, 1);
         assert_eq!(back.counters.retransmissions, 0);
         assert_eq!(back.counters.faults_injected(), 0);
+    }
+
+    /// [`record`] with every counter and activity field distinct and
+    /// nonzero, so a name read into the wrong field changes the result.
+    fn distinct_record() -> CellRecord {
+        CellRecord {
+            activity: ProtoActivity {
+                handler: 101,
+                diff_create: 102,
+                diff_apply: 103,
+                twin: 104,
+                mprotect: 105,
+            },
+            counters: Counters {
+                messages: 1,
+                bytes: 2,
+                remote_reads: 3,
+                remote_writes: 4,
+                fetches: 5,
+                diffs: 6,
+                diff_words: 7,
+                twins: 8,
+                write_notices: 9,
+                invalidations: 10,
+                lock_acquires: 11,
+                barriers: 12,
+                local_accesses: 13,
+                auto_updates: 14,
+                retransmissions: 15,
+                dup_suppressed: 16,
+                faults_dropped: 17,
+                faults_duplicated: 18,
+                faults_delayed: 19,
+                faults_stalled: 20,
+                handoffs: 21,
+                sim_ops: 22,
+                ops_batched: 23,
+                flush_sync: 24,
+                flush_miss: 25,
+                flush_cap: 26,
+                flush_end: 27,
+            },
+            ..record()
+        }
+    }
+
+    /// The counters added after the first schema-1 records: absent ones
+    /// read as 0.
+    const LATER_COUNTERS: [&str; 13] = [
+        "retransmissions",
+        "dup_suppressed",
+        "faults_dropped",
+        "faults_duplicated",
+        "faults_delayed",
+        "faults_stalled",
+        "handoffs",
+        "sim_ops",
+        "ops_batched",
+        "flush_sync",
+        "flush_miss",
+        "flush_cap",
+        "flush_end",
+    ];
+
+    /// `record`'s JSON with `drop(name)` counters removed.
+    fn without_counters(r: &CellRecord, drop: impl Fn(&str) -> bool) -> Json {
+        let mut j = r.to_json();
+        if let Json::Obj(fields) = &mut j {
+            for (k, v) in fields.iter_mut() {
+                if let (true, Json::Obj(cs)) = (k == "counters", v) {
+                    cs.retain(|(ck, _)| !drop(ck));
+                }
+            }
+        }
+        j
+    }
+
+    #[test]
+    fn record_codec_is_pinned_field_by_field() {
+        const PINNED: &str = r#"{"v":1,"hash":"7778b45c36420f1e","cell":{"app":"FFT","protocol":"HLRC","comm":"A","proto":"O","procs":2,"scale":"test","sc_block":null,"homes":"rr"},"total_cycles":123456,"per_proc":[[1,2,3,4,5,6],[60,50,40,30,20,10]],"activity":{"handler":101,"diff_create":102,"diff_apply":103,"twin":104,"mprotect":105},"counters":{"messages":1,"bytes":2,"remote_reads":3,"remote_writes":4,"fetches":5,"diffs":6,"diff_words":7,"twins":8,"write_notices":9,"invalidations":10,"lock_acquires":11,"barriers":12,"local_accesses":13,"auto_updates":14,"retransmissions":15,"dup_suppressed":16,"faults_dropped":17,"faults_duplicated":18,"faults_delayed":19,"faults_stalled":20,"handoffs":21,"sim_ops":22,"ops_batched":23,"flush_sync":24,"flush_miss":25,"flush_cap":26,"flush_end":27},"verified":false,"verify_error":"sum: got 3, want \"4\"\n(line two)","host_ms":42,"attempts":1,"threads_spawned":3,"threads_reused":0}"#;
+        let r = distinct_record();
+        let line = r.to_json().render();
+        assert_eq!(line, PINNED);
+        let back = CellRecord::from_json(&Json::parse(&line).expect("parse")).expect("record");
+        assert_eq!(back, r);
+    }
+
+    #[test]
+    fn first_schema_counters_are_required() {
+        let j = without_counters(&distinct_record(), |k| k == "messages");
+        let err = CellRecord::from_json(&j).expect_err("messages is required");
+        assert!(err.contains("messages"), "{err}");
+    }
+
+    #[test]
+    fn later_counters_read_as_zero_when_absent() {
+        let r = distinct_record();
+        let j = without_counters(&r, |k| LATER_COUNTERS.contains(&k));
+        let back = CellRecord::from_json(&j).expect("record without later counters");
+        let want = Counters {
+            messages: 1,
+            bytes: 2,
+            remote_reads: 3,
+            remote_writes: 4,
+            fetches: 5,
+            diffs: 6,
+            diff_words: 7,
+            twins: 8,
+            write_notices: 9,
+            invalidations: 10,
+            lock_acquires: 11,
+            barriers: 12,
+            local_accesses: 13,
+            auto_updates: 14,
+            ..Counters::default()
+        };
+        assert_eq!(back.counters, want);
+        assert_eq!(back.activity, r.activity);
     }
 
     #[test]

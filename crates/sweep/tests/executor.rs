@@ -6,7 +6,7 @@ use std::path::PathBuf;
 
 use ssm_apps::catalog::Scale;
 use ssm_core::{LayerConfig, Protocol};
-use ssm_sweep::{Cell, CellStatus, Json, Sweep, SweepCli, CACHE_FILE, SUMMARY_FILE};
+use ssm_sweep::{Cell, CellRecord, CellStatus, Json, Sweep, SweepCli, CACHE_FILE, SUMMARY_FILE};
 
 fn run_sweep(cells: &[Cell], cli: &SweepCli) -> ssm_sweep::SweepRun {
     Sweep::enumerate(cells).configure(cli).run()
@@ -185,16 +185,19 @@ fn rerun_completes_entirely_from_cache() {
     let cache = std::fs::read_to_string(dir.join(CACHE_FILE)).expect("cache file");
     assert_eq!(cache.lines().count(), first.executed);
 
-    // The summary is valid JSON with one entry per cell.
+    // The summary is valid JSON with one entry per cell, and each done
+    // entry carries the cell's own cache record.
     let summary = std::fs::read_to_string(dir.join(SUMMARY_FILE)).expect("summary");
     let summary = Json::parse(summary.trim()).expect("summary parses");
-    assert_eq!(
-        summary
-            .get("cells")
-            .and_then(|c| c.as_arr())
-            .map(<[Json]>::len),
-        Some(first.outcomes.len())
-    );
+    let entries = summary.get("cells").and_then(Json::as_arr).expect("cells");
+    assert_eq!(entries.len(), first.outcomes.len());
+    for (entry, outcome) in entries.iter().zip(&first.outcomes) {
+        let CellStatus::Done(rec) = &outcome.status else {
+            panic!("small cells all complete");
+        };
+        let carried = entry.get("record").expect("done entry has a record");
+        assert_eq!(&CellRecord::from_json(carried).expect("record"), rec);
+    }
 
     let second = run_sweep(&cells, &opts);
     assert_eq!(second.executed, 0, "rerun must be all cache hits");
