@@ -8,20 +8,6 @@ use ssm_core::{CommPreset, LayerConfig, ProtoPreset, Protocol};
 use ssm_stats::Table;
 use ssm_sweep::prelude::*;
 
-const COMMS: [CommPreset; 5] = [
-    CommPreset::Worse,
-    CommPreset::Achievable,
-    CommPreset::Halfway,
-    CommPreset::Best,
-    CommPreset::BetterThanBest,
-];
-
-const PROTOS: [ProtoPreset; 3] = [
-    ProtoPreset::Original,
-    ProtoPreset::Halfway,
-    ProtoPreset::Best,
-];
-
 fn main() {
     let cli = SweepCli::parse();
     let default = [
@@ -47,8 +33,9 @@ fn main() {
     let mut cells = Vec::new();
     for spec in &apps {
         cells.push(Cell::baseline(spec.name, cli.scale));
-        for comm in COMMS {
-            for proto in PROTOS {
+        // Worst to best: the presets' own order, reversed.
+        for comm in CommPreset::ALL.into_iter().rev() {
+            for proto in ProtoPreset::ALL.into_iter().rev() {
                 cells.push(cell(spec.name, comm, proto));
             }
         }
@@ -63,9 +50,9 @@ fn main() {
 
     for spec in &apps {
         let mut t = Table::new(vec!["comm \\ proto", "O", "H", "B"]);
-        for comm in COMMS {
+        for comm in CommPreset::ALL.into_iter().rev() {
             let mut row = vec![comm.label().to_string()];
-            for proto in PROTOS {
+            for proto in ProtoPreset::ALL.into_iter().rev() {
                 row.push(fmt_speedup_opt(run.speedup(&cell(spec.name, comm, proto))));
             }
             t.row(row);

@@ -167,12 +167,6 @@ impl LayerConfig {
         ))
     }
 
-    /// Alias of [`LayerConfig::parse`], matching the `from_label` naming
-    /// of [`CommPreset`], [`ProtoPreset`] and [`Protocol`].
-    pub fn from_label(label: &str) -> Result<Self, String> {
-        LayerConfig::parse(label)
-    }
-
     /// The same configuration with deterministic fault injection set.
     pub fn with_faults(mut self, faults: FaultSpec) -> Self {
         self.faults = faults;
@@ -180,25 +174,14 @@ impl LayerConfig {
     }
 
     /// The configurations shown as bars in Figure 3, best to worst:
-    /// B+B, BB, AB, BO, AO, WO. (HO/AH/HB are discussed in the text and
-    /// available through [`LayerConfig::full_grid`].)
+    /// B+B, BB, AB, BO, AO, WO. (HO/AH/HB are discussed in the text; the
+    /// `grid` binary sweeps all of [`CommPreset::ALL`] x
+    /// [`ProtoPreset::ALL`].)
     pub fn figure3() -> Vec<LayerConfig> {
         ["B+B", "BB", "AB", "BO", "AO", "WO"]
             .into_iter()
             .map(|l| LayerConfig::parse(l).expect("known labels"))
             .collect()
-    }
-
-    /// Every combination of the five communication and three protocol
-    /// presets (15 configurations).
-    pub fn full_grid() -> Vec<LayerConfig> {
-        let mut v = Vec::new();
-        for comm in CommPreset::ALL {
-            for proto in ProtoPreset::ALL {
-                v.push(LayerConfig::of(comm, proto));
-            }
-        }
-        v
     }
 
     /// The paper's two-letter label ("AO", "BB", "B+B", …). Fault
@@ -347,16 +330,6 @@ mod tests {
     }
 
     #[test]
-    fn grid_is_complete() {
-        let g = LayerConfig::full_grid();
-        assert_eq!(g.len(), 15);
-        let labels: std::collections::HashSet<String> = g.iter().map(|c| c.label()).collect();
-        assert_eq!(labels.len(), 15);
-        assert!(labels.contains("HB"));
-        assert!(labels.contains("WO"));
-    }
-
-    #[test]
     fn presets_resolve() {
         assert_eq!(CommPreset::Best.params().host_overhead, 0);
         assert_eq!(ProtoPreset::Halfway.costs().handler_base, 50);
@@ -377,9 +350,11 @@ mod tests {
             assert_eq!(Protocol::from_label(p.label()), Ok(p));
         }
         assert_eq!(Protocol::from_label("RDMA"), Ok(Protocol::Rdma));
-        for cfg in LayerConfig::full_grid() {
-            assert_eq!(LayerConfig::parse(&cfg.label()), Ok(cfg));
-            assert_eq!(LayerConfig::from_label(&cfg.label()), Ok(cfg));
+        for comm in CommPreset::ALL {
+            for proto in ProtoPreset::ALL {
+                let cfg = LayerConfig::of(comm, proto);
+                assert_eq!(LayerConfig::parse(&cfg.label()), Ok(cfg));
+            }
         }
         assert_eq!(
             LayerConfig::parse("B+B"),

@@ -20,23 +20,23 @@
 //!
 //! # Batched handoffs
 //!
-//! With batching enabled (the default), threads run against a batching
-//! [`Proc`] that hands every operation up to the next `Lock` or `Barrier`
-//! to the driver in one baton exchange. The driver queues each batch per
-//! processor and replays it **one operation per scheduling step**: a step
-//! either pops the next queued operation or — only when the queue is
-//! empty — resumes the thread for more. The operation stream each
-//! processor feeds the protocol, and the order the scheduler interleaves
-//! the processors, are therefore exactly those of an unbatched run, and
-//! every simulated result of a data-race-free workload is byte-identical;
-//! only the handoff counters differ (see [`ssm_proto::vm`]).
+//! Threads run against a [`Proc`] that hands every operation up to the
+//! next `Lock` or `Barrier` to the driver in one baton exchange, up to
+//! [`BATCH_CAP`] operations (one when batching is off). The driver queues
+//! each batch per processor and replays it **one operation per scheduling
+//! step**: a step either pops the next queued operation or — only when
+//! the queue is empty — resumes the thread for more. The operation stream
+//! each processor feeds the protocol, and the order the scheduler
+//! interleaves the processors, are therefore exactly those of an
+//! unbatched run, and every simulated result of a data-race-free workload
+//! is byte-identical; only the handoff counters differ (see
+//! [`ssm_proto::vm`]).
 
 use std::collections::VecDeque;
 
 use ssm_engine::{Cycles, Resumed, ThreadId, ThreadPool, WorkerSet};
 use ssm_proto::{
-    Machine, Op, Proc, Protocol as ProtocolTrait, Workload, World, WorldShape, FLUSH_CAP,
-    FLUSH_END, FLUSH_SYNC,
+    Flush, Machine, Op, Proc, Protocol as ProtocolTrait, Workload, World, WorldShape, BATCH_CAP,
 };
 use ssm_stats::Bucket;
 
@@ -49,7 +49,8 @@ pub struct EngineOptions {
     /// Recycle OS threads from this set instead of spawning per run.
     pub workers: Option<WorkerSet>,
     /// Hand every operation up to the next `Lock`/`Barrier` over in one
-    /// baton exchange (see [`ssm_proto::vm`] module docs). On by default.
+    /// baton exchange (see [`ssm_proto::vm`] module docs); off, each
+    /// operation is a one-op batch of its own. On by default.
     pub batching: Batching,
 }
 
@@ -122,18 +123,14 @@ pub fn run_simulation_with(
     };
     protocol.init(&machine, &shape);
 
-    let mut pool: ThreadPool<Op> = match &opts.workers {
+    let mut pool: ThreadPool<(Vec<Op>, Flush)> = match &opts.workers {
         Some(ws) => ThreadPool::with_workers(ws.clone()),
         None => ThreadPool::new(),
     };
-    let batching = opts.batching.0;
+    let cap = if opts.batching.0 { BATCH_CAP } else { 1 };
     for (pid, body) in bodies.into_iter().enumerate() {
         pool.spawn(move |y| {
-            let proc = if batching {
-                Proc::batched(y, pid, nprocs)
-            } else {
-                Proc::new(y, pid, nprocs)
-            };
+            let proc = Proc::new(y, pid, nprocs, cap);
             body(&proc);
             proc.finish();
         });
@@ -170,15 +167,13 @@ pub fn run_simulation_with(
                 m.counters_mut(p).handoffs += 1;
                 match pool.resume(ThreadId(p)) {
                     Resumed::Finished => None,
-                    Resumed::Op(op) => Some(op),
-                    Resumed::Batch(ops, cause) => {
+                    Resumed::Op((ops, flush)) => {
                         let c = m.counters_mut(p);
                         c.ops_batched += ops.len() as u64;
-                        match cause {
-                            FLUSH_SYNC => c.flush_sync += 1,
-                            FLUSH_CAP => c.flush_cap += 1,
-                            FLUSH_END => c.flush_end += 1,
-                            other => panic!("unknown batch-flush cause {other}"),
+                        match flush {
+                            Flush::Sync => c.flush_sync += 1,
+                            Flush::Cap => c.flush_cap += 1,
+                            Flush::End => c.flush_end += 1,
                         }
                         queued[p].extend(ops);
                         queued[p].pop_front()

@@ -68,7 +68,6 @@ pub struct SimBuilder {
     nprocs: usize,
     comm: CommParams,
     costs: ProtoCosts,
-    mem: MemConfig,
     sc_block: u64,
     homes: HomePolicy,
     trace: bool,
@@ -86,7 +85,6 @@ impl SimBuilder {
             nprocs: DEFAULT_PROCS,
             comm: CommParams::achievable(),
             costs: ProtoCosts::original(),
-            mem: MemConfig::pentium_pro_like(),
             sc_block: DEFAULT_SC_BLOCK,
             homes: HomePolicy::RoundRobin,
             trace: false,
@@ -121,12 +119,6 @@ impl SimBuilder {
         self.comm(cfg.comm.params())
             .proto(cfg.proto.costs())
             .faults(cfg.faults)
-    }
-
-    /// Sets the node memory-hierarchy configuration.
-    pub fn mem(mut self, mem: MemConfig) -> Self {
-        self.mem = mem;
-        self
     }
 
     /// Sets the SC protocol's coherence granularity in bytes (ignored by
@@ -190,7 +182,7 @@ impl SimBuilder {
             self.nprocs,
             self.comm.clone(),
             self.costs.clone(),
-            self.mem.clone(),
+            MemConfig::pentium_pro_like(),
         );
         if self.trace {
             machine.enable_trace();

@@ -24,17 +24,12 @@
 //!   `ssm-proto` crate relies on this for its shared-memory store).
 //!
 //! Each handoff costs two OS context switches, which dominates host time
-//! for fine-grained programs. Two mitigations live here:
-//!
-//! * **batched handoffs** — [`Yielder::yield_batch`] hands a whole *run* of
-//!   operations to the simulator in one baton exchange ([`Resumed::Batch`]);
-//!   the caller decides which operations may legally be grouped (see
-//!   `ssm-proto`'s batching `Proc` and `ssm-core`'s driver, which replays a
-//!   batch one operation per scheduling step, preserving exact simulated
-//!   order);
-//! * **worker recycling** — threads are leased from a [`WorkerSet`]
-//!   (`ThreadPool::with_workers`), so consecutive simulations reuse parked
-//!   OS threads instead of spawning fresh ones.
+//! for fine-grained programs. The engine hands over one message type `R`
+//! per exchange and leaves its meaning to the caller: `ssm-proto`'s `Proc`
+//! sends a whole batch of operations in one message, which `ssm-core`'s
+//! driver replays one operation per scheduling step. Threads are leased
+//! from a [`WorkerSet`] (`ThreadPool::with_workers`), so consecutive
+//! simulations reuse parked OS threads instead of spawning fresh ones.
 //!
 //! Threads that return normally report [`Resumed::Finished`]; a panic inside
 //! application code is captured and re-thrown in the simulator with the
@@ -60,7 +55,6 @@ impl std::fmt::Display for ThreadId {
 
 enum Req<R> {
     Op(R),
-    Batch(Vec<R>, u32),
     Finished,
     Panicked(String),
 }
@@ -72,12 +66,8 @@ struct Canceled;
 /// What a resumed thread did with its time slice.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Resumed<R> {
-    /// The thread yielded a simulated operation and is parked again.
+    /// The thread yielded a message and is parked again.
     Op(R),
-    /// The thread yielded a whole run of operations in one handoff and is
-    /// parked again. The `u32` tag is opaque to the engine: the yielding
-    /// layer uses it to record *why* the run ended (sync, miss, cap, …).
-    Batch(Vec<R>, u32),
     /// The thread's closure returned; it must not be resumed again.
     Finished,
 }
@@ -104,23 +94,7 @@ impl<R> Yielder<R> {
     /// Panics (with a silent cancellation payload) if the pool was dropped;
     /// the unwind is caught by the pool's thread wrapper.
     pub fn yield_op(&self, op: R) {
-        self.hand_over(Req::Op(op));
-    }
-
-    /// Hands a whole batch of operations (and the baton) to the simulator
-    /// in **one** exchange; returns when the simulator, having processed
-    /// every operation of the batch, resumes this thread. `tag` travels
-    /// with the batch untouched (see [`Resumed::Batch`]).
-    ///
-    /// # Panics
-    ///
-    /// As [`Yielder::yield_op`].
-    pub fn yield_batch(&self, ops: Vec<R>, tag: u32) {
-        self.hand_over(Req::Batch(ops, tag));
-    }
-
-    fn hand_over(&self, req: Req<R>) {
-        if self.req_tx.send((self.tid, req)).is_err() {
+        if self.req_tx.send((self.tid, Req::Op(op))).is_err() {
             panic::panic_any(Canceled);
         }
         if self.resume_rx.recv().is_err() {
@@ -179,10 +153,10 @@ impl PendingJobs {
 /// let mut pool: ThreadPool<u32> = ThreadPool::new();
 /// let a = pool.spawn(|y| {
 ///     y.yield_op(1);
-///     y.yield_batch(vec![2, 3], 7);
+///     y.yield_op(2);
 /// });
 /// assert_eq!(pool.resume(a), Resumed::Op(1));
-/// assert_eq!(pool.resume(a), Resumed::Batch(vec![2, 3], 7));
+/// assert_eq!(pool.resume(a), Resumed::Op(2));
 /// assert_eq!(pool.resume(a), Resumed::Finished);
 /// ```
 pub struct ThreadPool<R> {
@@ -279,29 +253,14 @@ impl<R: Send + 'static> ThreadPool<R> {
         tid
     }
 
-    /// Number of threads spawned so far.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether no threads were spawned.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Whether `tid` has finished (its closure returned).
-    pub fn is_finished(&self, tid: ThreadId) -> bool {
-        self.slots[tid.0].finished
-    }
-
     /// How many of this pool's threads required a fresh OS thread spawn,
     /// and how many reused a parked worker from the pool's [`WorkerSet`].
     pub fn thread_stats(&self) -> (usize, usize) {
         (self.spawned, self.reused)
     }
 
-    /// Hands the baton to thread `tid` and blocks until it yields an
-    /// operation (or a batch) or finishes.
+    /// Hands the baton to thread `tid` and blocks until it yields a
+    /// message or finishes.
     ///
     /// # Panics
     ///
@@ -321,7 +280,6 @@ impl<R: Send + 'static> ThreadPool<R> {
         debug_assert_eq!(from, tid, "baton protocol violated: wrong thread ran");
         match req {
             Req::Op(op) => Resumed::Op(op),
-            Req::Batch(ops, tag) => Resumed::Batch(ops, tag),
             Req::Finished => {
                 self.slots[tid.0].finished = true;
                 Resumed::Finished
@@ -381,21 +339,6 @@ mod tests {
         for i in 0..5 {
             assert_eq!(pool.resume(t), Resumed::Op(i));
         }
-        assert_eq!(pool.resume(t), Resumed::Finished);
-        assert!(pool.is_finished(t));
-    }
-
-    #[test]
-    fn batched_yield_round_trip() {
-        let mut pool: ThreadPool<u32> = ThreadPool::new();
-        let t = pool.spawn(|y| {
-            y.yield_batch(vec![1, 2, 3], 9);
-            y.yield_op(4);
-            y.yield_batch(Vec::new(), 0); // empty batches are legal
-        });
-        assert_eq!(pool.resume(t), Resumed::Batch(vec![1, 2, 3], 9));
-        assert_eq!(pool.resume(t), Resumed::Op(4));
-        assert_eq!(pool.resume(t), Resumed::Batch(Vec::new(), 0));
         assert_eq!(pool.resume(t), Resumed::Finished);
     }
 

@@ -166,12 +166,12 @@ impl Hlrc {
         // Access fault: the SIGSEGV handler runs on p.
         let t = m.proto_work(p, t, m.costs().handler_base, Activity::Handler);
         // Request to the home.
-        let (_, req) = m.send_from_app(p, t, h, CTRL_BYTES);
+        let (_, req) = m.send(SendFrom::App, p, t, h, CTRL_BYTES);
         let th = m.handle_request(h, req, 0);
         // VMMC-style send: the NI DMAs the page straight out of home
         // memory — the home CPU only posts the send (host overhead); the
         // data movement cost is the I/O-bus transfer inside `deliver`.
-        let (_, data) = m.send_from_handler(h, th, p, PAGE_SIZE + HDR_BYTES);
+        let (_, data) = m.send(SendFrom::Handler, h, th, p, PAGE_SIZE + HDR_BYTES);
         // Fresh contents: locally cached lines of this page are stale.
         m.cache_invalidate(p, self.units.addr(page), PAGE_SIZE);
         // Map it read-only.
@@ -254,7 +254,7 @@ impl Hlrc {
             WriteMode::AutoUpdate => {
                 // Hardware propagates the written words to the home as one
                 // coalesced update (no CPU at either end).
-                let arrival = m.send_hardware(p, t, h, HDR_BYTES + (hi - lo));
+                let (_, arrival) = m.send(SendFrom::Hardware, p, t, h, HDR_BYTES + (hi - lo));
                 m.cache_invalidate(h, lo, hi - lo);
                 self.inflight[p] = self.inflight[p].max(arrival);
                 self.auto_written[p].insert(page);
@@ -297,7 +297,7 @@ impl Hlrc {
         );
         // Ship it.
         let bytes = HDR_BYTES + DIFF_WORD_BYTES * dirty;
-        let (local, arr) = m.send_from_handler(p, t, h, bytes);
+        let (local, arr) = m.send(SendFrom::Handler, p, t, h, bytes);
         // Apply at the home.
         let th = m.handle_request(h, arr, 0);
         let apply = m.costs().diff_apply.cost(dirty);

@@ -27,11 +27,11 @@ pub mod vm;
 pub mod workload;
 
 pub use costs::{PerWord, ProtoCosts};
-pub use machine::{Machine, TraceEvent};
+pub use machine::{Machine, SendFrom, TraceEvent};
 pub use protocol::{Ideal, Protocol, WorldShape};
 pub use shmem::{BarrierId, LockId, Scalar, SharedMem, SharedVec, World};
-pub use sync::{BarrierTable, LockTable, SendFrom, SyncManager};
-pub use vm::{Op, Proc, BATCH_CAP, FLUSH_CAP, FLUSH_END, FLUSH_SYNC};
+pub use sync::{BarrierTable, LockTable, SyncManager};
+pub use vm::{Flush, Op, Proc, BATCH_CAP};
 pub use workload::{ThreadBody, Workload};
 
 /// Page size of the shared virtual memory system (bytes).

@@ -40,20 +40,23 @@ pub enum Activity {
     Mprotect,
 }
 
-/// Which execution context initiated a send — it decides how the CPU
-/// cost of a *retransmission* is charged (the first copy's host overhead
-/// is charged by the send method itself, exactly as on the fault-free
-/// path).
+/// The execution context a message is sent from. It decides how the
+/// sender's host overhead is charged, for the first copy and for every
+/// retransmission alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SendCtx {
-    /// Application-initiated transaction: overhead occupies the CPU with
-    /// no bucket charge (the window rule folds it into the operation's
-    /// wait bucket).
+pub enum SendFrom {
+    /// An application-initiated transaction (a fault request, a lock
+    /// acquire, a barrier arrival): the overhead occupies the CPU with no
+    /// bucket charge, so the window rule folds it into the operation's
+    /// wait bucket.
     App,
-    /// Handler context: overhead is protocol time.
+    /// Handler context (a home replying with a page): the overhead is
+    /// protocol time.
     Handler,
-    /// Hardware-generated (AURC auto-update): the NI retransmit timer
-    /// resends with no host CPU involvement.
+    /// The NI, with no host CPU at either end (AURC's automatic update,
+    /// RDMA's one-sided operations): the send costs the host nothing, and
+    /// the NI's retransmit timer resends without it. Every copy still pays
+    /// bus and NI occupancy.
     Hardware,
 }
 
@@ -170,8 +173,8 @@ impl Machine {
 
     /// Moves one logical message reliably: transmits copies until one is
     /// accepted, waiting out an exponentially backed-off deadline before
-    /// each retransmission and paying the context's CPU cost for it.
-    /// Returns `(local_done, arrival)` like the plain send paths.
+    /// each retransmission and paying `from`'s host overhead for it.
+    /// Returns `(local_done, arrival)` like [`Machine::send`].
     ///
     /// # Panics
     ///
@@ -179,11 +182,11 @@ impl Machine {
     /// as a failed cell rather than hanging.
     fn transmit_reliably(
         &mut self,
+        from: SendFrom,
         src: usize,
         dst: usize,
         first_ready: Cycles,
         bytes: u64,
-        ctx: SendCtx,
     ) -> (Cycles, Cycles) {
         let (rto_pad, max_retries, seq, ch) = {
             let n = self.net.len();
@@ -234,19 +237,7 @@ impl Machine {
             self.trace_event(resume, src, "retransmit", || {
                 format!("-> N{dst}, {bytes} B, attempt {attempt}")
             });
-            local_done = match ctx {
-                SendCtx::App => {
-                    self.cpu[src]
-                        .acquire_span(resume, self.comm.host_overhead)
-                        .1
-                }
-                SendCtx::Handler => {
-                    self.proto_work(src, resume, self.comm.host_overhead, Activity::Handler)
-                }
-                // The NI's retransmit timer replays the copy without the
-                // host; the copy itself still pays bus + NI occupancy.
-                SendCtx::Hardware => resume,
-            };
+            local_done = self.send_overhead(from, src, resume);
             send_at = local_done;
         }
     }
@@ -429,67 +420,40 @@ impl Machine {
         self.hier[p].stats()
     }
 
-    /// Sends a message from an *application-initiated* transaction on `src`
-    /// (e.g. a fault request): occupies the CPU for the host overhead
-    /// without charging a bucket (the window rule attributes it to the
-    /// operation's wait), then injects the message. Returns
-    /// `(local_done, arrival)`: when the sender's CPU is free again, and
-    /// when the message reaches `dst`.
-    pub fn send_from_app(
+    /// Sends `bytes` from `src` to `dst` at `at`, from context `from`:
+    /// charges the sender's host overhead, counts the message, then
+    /// injects it, through the reliable-delivery sublayer when a fault plan
+    /// is installed. Returns `(local_done, arrival)`: when the sender is
+    /// free again (`at` for [`SendFrom::Hardware`]), and when the message
+    /// reaches `dst`.
+    pub fn send(
         &mut self,
+        from: SendFrom,
         src: usize,
         at: Cycles,
         dst: usize,
         bytes: u64,
     ) -> (Cycles, Cycles) {
-        let (_, t) = self.cpu[src].acquire_span(at, self.comm.host_overhead);
+        let t = self.send_overhead(from, src, at);
         self.counters[src].messages += 1;
         self.counters[src].bytes += bytes;
-        self.trace_event(at, src, "send", || format!("app -> N{dst}, {bytes} B"));
+        self.trace_event(at, src, "send", || format!("{from:?} -> N{dst}, {bytes} B"));
         if self.rel.is_some() {
-            self.transmit_reliably(src, dst, t, bytes, SendCtx::App)
+            self.transmit_reliably(from, src, dst, t, bytes)
         } else {
             (t, self.net.deliver(t, src, dst, bytes))
         }
     }
 
-    /// Sends a message from *handler context* on `src` (e.g. the home
-    /// replying with a page): host overhead occupies the CPU and is charged
-    /// as protocol time. Returns `(local_done, arrival)`: when the sender's
-    /// CPU is free again, and when the message reaches `dst`.
-    pub fn send_from_handler(
-        &mut self,
-        src: usize,
-        at: Cycles,
-        dst: usize,
-        bytes: u64,
-    ) -> (Cycles, Cycles) {
-        let t = self.proto_work(src, at, self.comm.host_overhead, Activity::Handler);
-        self.counters[src].messages += 1;
-        self.counters[src].bytes += bytes;
-        self.trace_event(at, src, "send", || format!("handler -> N{dst}, {bytes} B"));
-        if self.rel.is_some() {
-            self.transmit_reliably(src, dst, t, bytes, SendCtx::Handler)
-        } else {
-            (t, self.net.deliver(t, src, dst, bytes))
-        }
-    }
-
-    /// Sends a message generated by *hardware* at `src` (e.g. AURC's
-    /// automatic write propagation, snooped off the memory bus by the NI):
-    /// no host CPU involvement at either end — the message only occupies
-    /// the NI and buses. Returns the arrival time at `dst`.
-    pub fn send_hardware(&mut self, src: usize, at: Cycles, dst: usize, bytes: u64) -> Cycles {
-        self.counters[src].messages += 1;
-        self.counters[src].bytes += bytes;
-        self.trace_event(at, src, "send", || {
-            format!("hw-update -> N{dst}, {bytes} B")
-        });
-        if self.rel.is_some() {
-            self.transmit_reliably(src, dst, at, bytes, SendCtx::Hardware)
-                .1
-        } else {
-            self.net.deliver(at, src, dst, bytes)
+    /// Charges `src`'s host overhead for one copy of a message sent from
+    /// `from` at `at`; returns when the sender is free again.
+    fn send_overhead(&mut self, from: SendFrom, src: usize, at: Cycles) -> Cycles {
+        match from {
+            SendFrom::App => self.cpu[src].acquire_span(at, self.comm.host_overhead).1,
+            SendFrom::Handler => {
+                self.proto_work(src, at, self.comm.host_overhead, Activity::Handler)
+            }
+            SendFrom::Hardware => at,
         }
     }
 
@@ -571,9 +535,9 @@ mod tests {
     }
 
     #[test]
-    fn send_from_app_does_not_charge_buckets() {
+    fn app_send_does_not_charge_buckets() {
         let mut mach = m(2);
-        let (local, arrival) = mach.send_from_app(0, 0, 1, 64);
+        let (local, arrival) = mach.send(SendFrom::App, 0, 0, 1, 64);
         assert_eq!(local, 600);
         assert!(arrival > 600); // host overhead + network
         assert_eq!(mach.breakdowns()[0].total(), 0);
@@ -581,10 +545,22 @@ mod tests {
     }
 
     #[test]
-    fn send_from_handler_charges_protocol() {
+    fn handler_send_charges_protocol() {
         let mut mach = m(2);
-        let _ = mach.send_from_handler(0, 0, 1, 64);
+        let _ = mach.send(SendFrom::Handler, 0, 0, 1, 64);
         assert_eq!(mach.breakdowns()[0].get(Bucket::Protocol), 600);
+    }
+
+    #[test]
+    fn hardware_send_costs_the_host_nothing() {
+        let mut mach = m(2);
+        let (local, arrival) = mach.send(SendFrom::Hardware, 0, 50, 1, 64);
+        assert_eq!(local, 50);
+        assert!(arrival > 50);
+        assert_eq!(mach.breakdowns()[0].total(), 0);
+        assert_eq!(mach.counters()[0].messages, 1);
+        // The CPU stayed free: an app send at 50 starts at once.
+        assert_eq!(mach.send(SendFrom::App, 0, 50, 1, 64).0, 650);
     }
 
     #[test]
@@ -633,16 +609,16 @@ mod tests {
             9,
         ));
         assert_eq!(
-            plain.send_from_app(0, 0, 1, 64),
-            armed.send_from_app(0, 0, 1, 64)
+            plain.send(SendFrom::App, 0, 0, 1, 64),
+            armed.send(SendFrom::App, 0, 0, 1, 64)
         );
         assert_eq!(
-            plain.send_from_handler(1, 50, 0, 4096),
-            armed.send_from_handler(1, 50, 0, 4096)
+            plain.send(SendFrom::Handler, 1, 50, 0, 4096),
+            armed.send(SendFrom::Handler, 1, 50, 0, 4096)
         );
         assert_eq!(
-            plain.send_hardware(0, 99_000, 1, 8),
-            armed.send_hardware(0, 99_000, 1, 8)
+            plain.send(SendFrom::Hardware, 0, 99_000, 1, 8),
+            armed.send(SendFrom::Hardware, 0, 99_000, 1, 8)
         );
         assert_eq!(plain.breakdowns(), armed.breakdowns());
         assert_eq!(armed.counters()[0].retransmissions, 0);
@@ -666,7 +642,7 @@ mod tests {
         ));
         let mut t = 0;
         for _ in 0..64 {
-            let (local, arrival) = mach.send_from_app(0, t, 1, 256);
+            let (local, arrival) = mach.send(SendFrom::App, 0, t, 1, 256);
             assert!(arrival > local || arrival > t);
             t = arrival;
         }
@@ -691,8 +667,8 @@ mod tests {
             },
             3,
         ));
-        let (_, a1) = mach.send_from_app(0, 0, 1, 64);
-        let (_, _) = mach.send_from_app(0, a1, 1, 64);
+        let (_, a1) = mach.send(SendFrom::App, 0, 0, 1, 64);
+        let (_, _) = mach.send(SendFrom::App, 0, a1, 1, 64);
         assert_eq!(mach.counters()[1].dup_suppressed, 2);
         assert_eq!(mach.counters()[0].faults_duplicated, 2);
         assert_eq!(mach.counters()[0].retransmissions, 0);
@@ -715,7 +691,7 @@ mod tests {
         ));
         let mut t = 0;
         for _ in 0..32 {
-            let (local, arrival) = mach.send_from_handler(0, t, 1, 512);
+            let (local, arrival) = mach.send(SendFrom::Handler, 0, t, 1, 512);
             t = local.max(arrival);
         }
         let c = mach.counters()[0];
@@ -742,6 +718,6 @@ mod tests {
             },
             1,
         ));
-        let _ = mach.send_from_app(0, 0, 1, 64);
+        let _ = mach.send(SendFrom::App, 0, 0, 1, 64);
     }
 }

@@ -9,9 +9,9 @@
 
 use ssm_engine::Cycles;
 
-use crate::machine::Machine;
+use crate::machine::{Machine, SendFrom};
 use crate::shmem::{BarrierId, LockId};
-use crate::sync::{SendFrom, SyncManager};
+use crate::sync::SyncManager;
 
 /// Static shape of the workload's world, given to [`Protocol::init`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

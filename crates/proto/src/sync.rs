@@ -10,7 +10,7 @@
 
 use ssm_engine::Cycles;
 
-use crate::machine::{Activity, Machine};
+use crate::machine::{Activity, Machine, SendFrom};
 use crate::protocol::WorldShape;
 use crate::shmem::{BarrierId, LockId};
 
@@ -157,17 +157,6 @@ impl BarrierTable {
     }
 }
 
-/// The context a message to a manager leaves its sender in. Acquires and
-/// barrier arrivals are sent from the application; HLRC sends its lock
-/// releases from handler context (its release flush is protocol work).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SendFrom {
-    /// The host overhead folds into the caller's wait.
-    App,
-    /// The host overhead is protocol time.
-    Handler,
-}
-
 /// The distributed lock manager and the centralized-per-barrier manager
 /// shared by every protocol.
 ///
@@ -191,6 +180,9 @@ impl SyncManager {
     /// Creates an uninitialized manager whose control messages are
     /// `ctrl_bytes` long and whose lock releases are sent from
     /// `release_from` ([`SyncManager::init`] must run before use).
+    /// Acquires and barrier arrivals are sent from the application; HLRC
+    /// sends its lock releases from handler context (its release flush is
+    /// protocol work).
     pub fn new(ctrl_bytes: u64, release_from: SendFrom) -> Self {
         SyncManager {
             nprocs: 0,
@@ -238,10 +230,7 @@ impl SyncManager {
             let t = m.proto_work(p, now, m.costs().handler_base, Activity::Handler);
             return (t, t);
         }
-        let (local, arr) = match from {
-            SendFrom::App => m.send_from_app(p, now, mgr, self.ctrl_bytes),
-            SendFrom::Handler => m.send_from_handler(p, now, mgr, self.ctrl_bytes),
-        };
+        let (local, arr) = m.send(from, p, now, mgr, self.ctrl_bytes);
         (local, m.handle_request(mgr, arr, 0))
     }
 
@@ -260,7 +249,7 @@ impl SyncManager {
         if mgr == w {
             return t;
         }
-        let (_, arr) = m.send_from_handler(mgr, t, w, bytes);
+        let (_, arr) = m.send(SendFrom::Handler, mgr, t, w, bytes);
         m.handle_request(w, arr, elems)
     }
 
@@ -332,7 +321,7 @@ impl SyncManager {
             let t_q = if q == mgr {
                 t_mgr
             } else {
-                let (local, arr) = m.send_from_handler(mgr, t_mgr, q, self.ctrl_bytes);
+                let (local, arr) = m.send(SendFrom::Handler, mgr, t_mgr, q, self.ctrl_bytes);
                 t_mgr = local;
                 m.handle_request(q, arr, 0)
             };

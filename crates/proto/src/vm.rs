@@ -9,16 +9,18 @@
 //! operation, so tight loops that interleave arithmetic with shared reads
 //! cost only one baton handover per shared access.
 //!
-//! A batching handle ([`Proc::batched`]) goes further: it *buffers* every
-//! operation that does not block — `Compute` blocks, reads, writes and lock
-//! releases — and hands the run to the simulator as one batch
-//! ([`ssm_engine::Yielder::yield_batch`]). A batch is flushed — one baton
-//! handoff — when:
+//! A `Proc` *buffers* every operation that does not block — `Compute`
+//! blocks, reads, writes and lock releases — and hands the run to the
+//! simulator as one batch, in one [`ssm_engine::Yielder::yield_op`]
+//! exchange that carries the operations and the [`Flush`] cause. A batch
+//! is handed over when:
 //!
 //! * a **sync** operation is issued (`Lock`, `Barrier`): the thread must
-//!   block until the simulator grants it ([`FLUSH_SYNC`]);
-//! * the batch reaches [`BATCH_CAP`] operations ([`FLUSH_CAP`]);
-//! * the thread body returns ([`FLUSH_END`]).
+//!   block until the simulator grants it ([`Flush::Sync`]);
+//! * the batch reaches the `Proc`'s cap ([`Flush::Cap`]): [`BATCH_CAP`]
+//!   operations when batching, 1 when it is off, so that every operation
+//!   is a handoff of its own;
+//! * the thread body returns ([`Flush::End`]).
 //!
 //! So the number of handoffs depends on the operation stream alone.
 //!
@@ -34,7 +36,9 @@
 //! `Lock`/`Unlock` or `Barrier` chain, and the thread cannot pass a `Lock`
 //! or `Barrier` until the simulator grants it. A [`crate::Workload`] with
 //! a data race may read different values, and so issue different
-//! operations, batched and unbatched. Until the workspace has a race checker, run a new workload
+//! operations, batched and unbatched. With a cap of 1 a thread cannot pass
+//! any operation before the driver replays it, so the unbatched run is the
+//! reference. Until the workspace has a race checker, run a new workload
 //! both ways (`--no-batching` in the sweep CLI, `batching(false)` on the
 //! simulation builder) and compare the output.
 
@@ -66,43 +70,48 @@ pub enum Op {
 /// ahead of simulated time.
 pub const BATCH_CAP: usize = 256;
 
-/// Batch-flush cause: a sync operation (`Lock`/`Barrier`) ended the run.
-pub const FLUSH_SYNC: u32 = 0;
-/// Batch-flush cause: the batch reached [`BATCH_CAP`] operations.
-pub const FLUSH_CAP: u32 = 2;
-/// Batch-flush cause: the thread body returned.
-pub const FLUSH_END: u32 = 3;
+/// Why a batch was handed over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flush {
+    /// A sync operation (`Lock`/`Barrier`) ended the batch.
+    Sync,
+    /// The batch reached the `Proc`'s cap.
+    Cap,
+    /// The thread body returned.
+    End,
+}
 
 /// The per-processor handle passed to application code.
 pub struct Proc<'a> {
-    y: &'a Yielder<Op>,
+    y: &'a Yielder<(Vec<Op>, Flush)>,
     pid: usize,
     nprocs: usize,
     pending: Cell<u64>,
-    /// The operations buffered so far; `None` when batching is off.
-    batch: Option<RefCell<Vec<Op>>>,
+    /// The operations buffered since the last handoff.
+    batch: RefCell<Vec<Op>>,
+    /// How many operations a batch holds before it is handed over.
+    cap: usize,
 }
 
 impl<'a> Proc<'a> {
     /// Wraps a yielder; used by the simulation driver when spawning
-    /// application threads. Every operation is one baton handoff.
-    pub fn new(y: &'a Yielder<Op>, pid: usize, nprocs: usize) -> Self {
+    /// application threads. Batches are handed over at `cap` operations
+    /// (see module docs): [`BATCH_CAP`] batches, 1 hands over every
+    /// operation alone. Simulated results of a data-race-free workload do
+    /// not depend on `cap`; only the number of baton handoffs does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cap` is 0.
+    pub fn new(y: &'a Yielder<(Vec<Op>, Flush)>, pid: usize, nprocs: usize, cap: usize) -> Self {
+        assert!(cap > 0, "a batch must hold at least one operation");
         Proc {
             y,
             pid,
             nprocs,
             pending: Cell::new(0),
-            batch: None,
-        }
-    }
-
-    /// Like [`Proc::new`], but buffers every non-blocking operation into
-    /// batches (see module docs). Simulated results of a data-race-free
-    /// workload are identical; only the number of baton handoffs changes.
-    pub fn batched(y: &'a Yielder<Op>, pid: usize, nprocs: usize) -> Self {
-        Proc {
-            batch: Some(RefCell::new(Vec::new())),
-            ..Proc::new(y, pid, nprocs)
+            batch: RefCell::new(Vec::new()),
+            cap,
         }
     }
 
@@ -121,10 +130,9 @@ impl<'a> Proc<'a> {
         self.pending.set(self.pending.get() + cycles);
     }
 
-    /// Flushes deferred computation; called automatically before any other
-    /// operation and by the driver when the thread body returns. In
-    /// batching mode the `Compute` op joins the current batch instead of
-    /// forcing a handoff.
+    /// Flushes deferred computation into the current batch; called
+    /// automatically before any other operation and by the driver when the
+    /// thread body returns.
     pub fn flush(&self) {
         let c = self.pending.replace(0);
         if c > 0 {
@@ -132,36 +140,26 @@ impl<'a> Proc<'a> {
         }
     }
 
-    /// Issues a non-blocking `op`: one handoff, or in batching mode into
-    /// the current batch, which is handed over if the cap is reached.
+    /// Buffers a non-blocking `op`, handing the batch over if it reached
+    /// the cap.
     fn issue(&self, op: Op) {
-        match &self.batch {
-            None => self.y.yield_op(op),
-            Some(b) => {
-                let mut ops = b.borrow_mut();
-                ops.push(op);
-                if ops.len() >= BATCH_CAP {
-                    let batch = std::mem::take(&mut *ops);
-                    drop(ops);
-                    self.y.yield_batch(batch, FLUSH_CAP);
-                }
-            }
+        let mut ops = self.batch.borrow_mut();
+        ops.push(op);
+        if ops.len() >= self.cap {
+            let batch = std::mem::take(&mut *ops);
+            drop(ops);
+            self.y.yield_op((batch, Flush::Cap));
         }
     }
 
-    /// Issues a blocking `op`. In batching mode it ends the current batch
-    /// and hands the whole run over; the thread blocks until the simulator
-    /// has replayed every buffered operation.
+    /// Issues a blocking `op`: it ends the current batch and hands the
+    /// whole run over; the thread blocks until the simulator has replayed
+    /// every buffered operation and granted `op`.
     fn sync(&self, op: Op) {
         self.flush();
-        match &self.batch {
-            None => self.y.yield_op(op),
-            Some(b) => {
-                let mut batch = std::mem::take(&mut *b.borrow_mut());
-                batch.push(op);
-                self.y.yield_batch(batch, FLUSH_SYNC);
-            }
-        }
+        let mut batch = self.batch.take();
+        batch.push(op);
+        self.y.yield_op((batch, Flush::Sync));
     }
 
     /// Simulated shared-memory read of `[addr, addr+bytes)`.
@@ -181,9 +179,9 @@ impl<'a> Proc<'a> {
         self.sync(Op::Lock(lock));
     }
 
-    /// Releases `lock`. Non-blocking, so in batching mode it joins the
-    /// batch: the driver still replays it in issue order, before any
-    /// waiter is granted the lock.
+    /// Releases `lock`. Non-blocking, so it joins the batch: the driver
+    /// still replays it in issue order, before any waiter is granted the
+    /// lock.
     pub fn unlock(&self, lock: LockId) {
         self.flush();
         self.issue(Op::Unlock(lock));
@@ -195,15 +193,12 @@ impl<'a> Proc<'a> {
     }
 
     /// Hands over whatever remains buffered; called by the driver when the
-    /// thread body returns. (Equivalent to [`Proc::flush`] when batching
-    /// is off.)
+    /// thread body returns.
     pub fn finish(&self) {
         self.flush();
-        if let Some(b) = &self.batch {
-            let batch = std::mem::take(&mut *b.borrow_mut());
-            if !batch.is_empty() {
-                self.y.yield_batch(batch, FLUSH_END);
-            }
+        let batch = self.batch.take();
+        if !batch.is_empty() {
+            self.y.yield_op((batch, Flush::End));
         }
     }
 
@@ -231,56 +226,67 @@ mod tests {
     use super::*;
     use ssm_engine::{Resumed, ThreadPool};
 
+    type Pool = ThreadPool<(Vec<Op>, Flush)>;
+
+    fn batch(ops: &[Op], why: Flush) -> Resumed<(Vec<Op>, Flush)> {
+        Resumed::Op((ops.to_vec(), why))
+    }
+
     #[test]
     fn compute_batches_until_flush() {
-        let mut pool: ThreadPool<Op> = ThreadPool::new();
+        let mut pool = Pool::new();
         let t = pool.spawn(|y| {
-            let p = Proc::new(y, 0, 1);
+            let p = Proc::new(y, 0, 1, 1);
             p.compute(10);
             p.compute(5);
             p.touch_read(0, 4); // flush(15) then read
             p.compute(3);
             p.flush();
         });
-        assert_eq!(pool.resume(t), Resumed::Op(Op::Compute(15)));
-        assert_eq!(pool.resume(t), Resumed::Op(Op::Read { addr: 0, bytes: 4 }));
-        assert_eq!(pool.resume(t), Resumed::Op(Op::Compute(3)));
+        assert_eq!(pool.resume(t), batch(&[Op::Compute(15)], Flush::Cap));
+        let read = Op::Read { addr: 0, bytes: 4 };
+        assert_eq!(pool.resume(t), batch(&[read], Flush::Cap));
+        assert_eq!(pool.resume(t), batch(&[Op::Compute(3)], Flush::Cap));
         assert_eq!(pool.resume(t), Resumed::Finished);
     }
 
     #[test]
     fn lock_ops_in_order() {
-        let mut pool: ThreadPool<Op> = ThreadPool::new();
+        let mut pool = Pool::new();
         let t = pool.spawn(|y| {
-            let p = Proc::new(y, 2, 4);
+            let p = Proc::new(y, 2, 4, 1);
             assert_eq!(p.pid(), 2);
             assert_eq!(p.nprocs(), 4);
-            p.with_lock(LockId(7), || {});
+            p.with_lock(LockId(7), || p.compute(1));
             p.barrier(BarrierId(1));
+            p.finish(); // nothing left buffered: no END batch
         });
-        assert_eq!(pool.resume(t), Resumed::Op(Op::Lock(LockId(7))));
-        assert_eq!(pool.resume(t), Resumed::Op(Op::Unlock(LockId(7))));
-        assert_eq!(pool.resume(t), Resumed::Op(Op::Barrier(BarrierId(1))));
+        assert_eq!(pool.resume(t), batch(&[Op::Lock(LockId(7))], Flush::Sync));
+        assert_eq!(pool.resume(t), batch(&[Op::Compute(1)], Flush::Cap));
+        assert_eq!(pool.resume(t), batch(&[Op::Unlock(LockId(7))], Flush::Cap));
+        let b = Op::Barrier(BarrierId(1));
+        assert_eq!(pool.resume(t), batch(&[b], Flush::Sync));
         assert_eq!(pool.resume(t), Resumed::Finished);
     }
 
     #[test]
     fn zero_compute_is_elided() {
-        let mut pool: ThreadPool<Op> = ThreadPool::new();
+        let mut pool = Pool::new();
         let t = pool.spawn(|y| {
-            let p = Proc::new(y, 0, 1);
+            let p = Proc::new(y, 0, 1, 1);
             p.compute(0);
             p.touch_write(8, 8);
         });
-        assert_eq!(pool.resume(t), Resumed::Op(Op::Write { addr: 8, bytes: 8 }));
+        let write = Op::Write { addr: 8, bytes: 8 };
+        assert_eq!(pool.resume(t), batch(&[write], Flush::Cap));
         assert_eq!(pool.resume(t), Resumed::Finished);
     }
 
     #[test]
     fn batched_proc_buffers_cold_accesses_until_lock() {
-        let mut pool: ThreadPool<Op> = ThreadPool::new();
+        let mut pool = Pool::new();
         let t = pool.spawn(|y| {
-            let p = Proc::batched(y, 0, 1);
+            let p = Proc::new(y, 0, 1, BATCH_CAP);
             p.compute(10);
             p.touch_read(0, 4); // never touched before: still buffered
             p.touch_write(8192, 4); // another page: still buffered
@@ -288,33 +294,28 @@ mod tests {
             p.lock(LockId(0)); // sync: seals the whole run
             p.finish();
         });
-        assert_eq!(
-            pool.resume(t),
-            Resumed::Batch(
-                vec![
-                    Op::Compute(10),
-                    Op::Read { addr: 0, bytes: 4 },
-                    Op::Write {
-                        addr: 8192,
-                        bytes: 4
-                    },
-                    Op::Read {
-                        addr: 1 << 20,
-                        bytes: 64
-                    },
-                    Op::Lock(LockId(0)),
-                ],
-                FLUSH_SYNC
-            )
-        );
+        let run = [
+            Op::Compute(10),
+            Op::Read { addr: 0, bytes: 4 },
+            Op::Write {
+                addr: 8192,
+                bytes: 4,
+            },
+            Op::Read {
+                addr: 1 << 20,
+                bytes: 64,
+            },
+            Op::Lock(LockId(0)),
+        ];
+        assert_eq!(pool.resume(t), batch(&run, Flush::Sync));
         assert_eq!(pool.resume(t), Resumed::Finished);
     }
 
     #[test]
     fn sync_ops_seal_and_unlock_batches() {
-        let mut pool: ThreadPool<Op> = ThreadPool::new();
+        let mut pool = Pool::new();
         let t = pool.spawn(|y| {
-            let p = Proc::batched(y, 0, 1);
+            let p = Proc::new(y, 0, 1, BATCH_CAP);
             p.compute(5);
             p.lock(LockId(1)); // sync: seals [Compute, Lock]
             p.compute(7);
@@ -325,55 +326,39 @@ mod tests {
         });
         assert_eq!(
             pool.resume(t),
-            Resumed::Batch(vec![Op::Compute(5), Op::Lock(LockId(1))], FLUSH_SYNC)
+            batch(&[Op::Compute(5), Op::Lock(LockId(1))], Flush::Sync)
         );
-        assert_eq!(
-            pool.resume(t),
-            Resumed::Batch(
-                vec![
-                    Op::Compute(7),
-                    Op::Unlock(LockId(1)),
-                    Op::Barrier(BarrierId(0)),
-                ],
-                FLUSH_SYNC
-            )
-        );
-        assert_eq!(
-            pool.resume(t),
-            Resumed::Batch(vec![Op::Compute(1)], FLUSH_END)
-        );
+        let run = [
+            Op::Compute(7),
+            Op::Unlock(LockId(1)),
+            Op::Barrier(BarrierId(0)),
+        ];
+        assert_eq!(pool.resume(t), batch(&run, Flush::Sync));
+        assert_eq!(pool.resume(t), batch(&[Op::Compute(1)], Flush::End));
         assert_eq!(pool.resume(t), Resumed::Finished);
     }
 
     #[test]
     fn cap_flushes_long_runs() {
-        let mut pool: ThreadPool<Op> = ThreadPool::new();
+        let mut pool = Pool::new();
         let t = pool.spawn(|y| {
-            let p = Proc::batched(y, 0, 1);
+            let p = Proc::new(y, 0, 1, BATCH_CAP);
             for _ in 0..BATCH_CAP + 1 {
                 p.touch_read(0, 4);
             }
             p.finish();
         });
-        match pool.resume(t) {
-            Resumed::Batch(ops, cause) => {
-                assert_eq!(ops.len(), BATCH_CAP);
-                assert_eq!(cause, FLUSH_CAP);
-            }
-            other => panic!("expected CAP batch, got {other:?}"),
-        }
-        assert_eq!(
-            pool.resume(t),
-            Resumed::Batch(vec![Op::Read { addr: 0, bytes: 4 }], FLUSH_END)
-        );
+        let read = Op::Read { addr: 0, bytes: 4 };
+        assert_eq!(pool.resume(t), batch(&[read; BATCH_CAP], Flush::Cap));
+        assert_eq!(pool.resume(t), batch(&[read], Flush::End));
         assert_eq!(pool.resume(t), Resumed::Finished);
     }
 
     #[test]
     fn empty_finish_yields_nothing() {
-        let mut pool: ThreadPool<Op> = ThreadPool::new();
+        let mut pool = Pool::new();
         let t = pool.spawn(|y| {
-            let p = Proc::batched(y, 0, 1);
+            let p = Proc::new(y, 0, 1, BATCH_CAP);
             p.finish();
         });
         assert_eq!(pool.resume(t), Resumed::Finished);

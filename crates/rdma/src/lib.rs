@@ -164,9 +164,10 @@ impl Rdma {
     /// the line sits in `p`'s memory.
     fn fetch(&mut self, m: &mut Machine, p: usize, h: usize, b: u64, t: Cycles) -> Cycles {
         let t_issue = m.occupy_cpu(p, t, m.comm().rdma_issue).1;
-        let cmd = m.send_hardware(p, t_issue, h, CMD_BYTES);
+        let (_, cmd) = m.send(SendFrom::Hardware, p, t_issue, h, CMD_BYTES);
         let served = m.rdma_serve(h, cmd);
-        let data = m.send_hardware(h, served, p, self.units.unit() + HDR_BYTES);
+        let line = self.units.unit() + HDR_BYTES;
+        let (_, data) = m.send(SendFrom::Hardware, h, served, p, line);
         m.cache_invalidate(p, self.units.addr(b), self.units.unit());
         self.local[p][b as usize] = BlockState::Clean;
         self.sharers[b as usize] |= 1u64 << p;
@@ -210,14 +211,14 @@ impl Rdma {
             if q == except || q == from || sharers & (1u64 << q) == 0 {
                 continue;
             }
-            let arr = m.send_hardware(from, t, q, CMD_BYTES);
+            let (_, arr) = m.send(SendFrom::Hardware, from, t, q, CMD_BYTES);
             let tq = m.rdma_serve(q, arr);
             self.local[q][b as usize] = BlockState::Invalid;
             m.cache_invalidate(q, self.units.addr(b), self.units.unit());
             m.counters_mut(q).invalidations += 1;
             // An invalidated dirty copy is dead; q no longer owes a flush.
             self.write_set[q].remove(&b);
-            let ack = m.send_hardware(q, tq, from, CMD_BYTES);
+            let (_, ack) = m.send(SendFrom::Hardware, q, tq, from, CMD_BYTES);
             all_acked = all_acked.max(m.rdma_serve(from, ack));
         }
         self.sharers[b as usize] &= 1u64 << except;
@@ -235,7 +236,8 @@ impl Rdma {
             return (t, done);
         }
         let t_issue = m.occupy_cpu(p, t, m.comm().rdma_issue).1;
-        let arr = m.send_hardware(p, t_issue, h, self.units.unit() + HDR_BYTES);
+        let line = self.units.unit() + HDR_BYTES;
+        let (_, arr) = m.send(SendFrom::Hardware, p, t_issue, h, line);
         let served = m.rdma_serve(h, arr);
         let done = self.hw_invalidate(m, h, b, served, p);
         self.local[p][b as usize] = BlockState::Clean;
@@ -304,12 +306,13 @@ impl Rdma {
             // just picks up the push.
             m.rdma_serve(owner, t_mgr)
         } else {
-            let cmd = m.send_hardware(mgr, t_mgr, owner, CMD_BYTES);
+            let (_, cmd) = m.send(SendFrom::Hardware, mgr, t_mgr, owner, CMD_BYTES);
             m.rdma_serve(owner, cmd)
         };
         // ...which pushes the whole protected set to `w` in one message.
         let n = transfer.len() as u64;
-        let data = m.send_hardware(owner, t_o, w, n * (self.units.unit() + HDR_BYTES));
+        let bytes = n * (self.units.unit() + HDR_BYTES);
+        let (_, data) = m.send(SendFrom::Hardware, owner, t_o, w, bytes);
         // `w` installs the lines and their write notices (per-list-element
         // handler cost — the piggybacked coherence information).
         let mut installed = m.handle_request(w, data, n);

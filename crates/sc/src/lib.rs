@@ -161,18 +161,18 @@ impl Sc {
             let h = self.units.home(b, p);
             if h == p {
                 // Home writer: invalidate remote sharers directly.
-                let acked = self.invalidate_sharers(m, p, b, local, p, true);
+                let acked = self.invalidate_sharers(m, p, b, local, p, SendFrom::App);
                 done = done.max(acked);
                 continue;
             }
             // Ship the block's new contents to the home.
             let (addr, block) = (self.units.addr(b), self.units.unit());
-            let (l, arr) = m.send_from_handler(p, local, h, block + HDR_BYTES);
+            let (l, arr) = m.send(SendFrom::Handler, p, local, h, block + HDR_BYTES);
             local = l;
             let th = m.handle_request(h, arr, 0);
             let th = m.proto_touch(h, th, addr, block, true, Activity::DiffApply);
             // Eager invalidations of the other sharers, from the home.
-            let acked = self.invalidate_sharers(m, h, b, th, p, false);
+            let acked = self.invalidate_sharers(m, h, b, th, p, SendFrom::Handler);
             // The writer keeps a shared copy; the home copy is current.
             self.dir[b as usize].sharers |= 1u64 << p;
             self.local[p][b as usize] = BlockState::Shared;
@@ -192,9 +192,10 @@ impl Sc {
         self.local[node][block as usize]
     }
 
-    /// Recalls the block from its remote owner to the home: the owner
-    /// writes the data back and downgrades to `to_state`. Returns the time
-    /// the home has merged the data.
+    /// Recalls the block from its remote owner to the home: the home sends
+    /// the recall from context `from`, and the owner writes the data back
+    /// and downgrades to `to_shared`'s state. Returns the time the home has
+    /// merged the data.
     #[allow(clippy::too_many_arguments)] // a coherence transaction has this many actors
     fn recall(
         &mut self,
@@ -204,17 +205,13 @@ impl Sc {
         b: u64,
         t: Cycles,
         to_shared: bool,
-        from_app: bool,
+        from: SendFrom,
     ) -> Cycles {
         let (addr, block) = (self.units.addr(b), self.units.unit());
-        let (_, arr) = if from_app {
-            m.send_from_app(h, t, q, CTRL_BYTES)
-        } else {
-            m.send_from_handler(h, t, q, CTRL_BYTES)
-        };
+        let (_, arr) = m.send(from, h, t, q, CTRL_BYTES);
         let tq = m.handle_request(q, arr, 0);
         let tq = m.proto_touch(q, tq, addr, block, false, Activity::Handler);
-        let (_, wb) = m.send_from_handler(q, tq, h, block + HDR_BYTES);
+        let (_, wb) = m.send(SendFrom::Handler, q, tq, h, block + HDR_BYTES);
         let th = m.handle_request(h, wb, 0);
         let th = m.proto_touch(h, th, addr, block, true, Activity::Handler);
         self.local[q][b as usize] = if to_shared {
@@ -233,10 +230,10 @@ impl Sc {
         th
     }
 
-    /// Invalidates every remote sharer of `b` from node `ctx` (the home),
-    /// collecting acks; `except` is not invalidated. Sends serialize on the
-    /// home CPU; acks are handled as they arrive. Returns the time all acks
-    /// are in.
+    /// Invalidates every remote sharer of `b` from the home `h`, sending
+    /// from context `from` and collecting acks; `except` is not
+    /// invalidated. Sends serialize on the home CPU; acks are handled as
+    /// they arrive. Returns the time all acks are in.
     fn invalidate_sharers(
         &mut self,
         m: &mut Machine,
@@ -244,7 +241,7 @@ impl Sc {
         b: u64,
         t: Cycles,
         except: usize,
-        from_app: bool,
+        from: SendFrom,
     ) -> Cycles {
         let (addr, block) = (self.units.addr(b), self.units.unit());
         let sharers = self.dir[b as usize].sharers;
@@ -254,17 +251,13 @@ impl Sc {
             if q == except || q == h || sharers & (1u64 << q) == 0 {
                 continue;
             }
-            let (local_done, arr) = if from_app {
-                m.send_from_app(h, t_send, q, CTRL_BYTES)
-            } else {
-                m.send_from_handler(h, t_send, q, CTRL_BYTES)
-            };
+            let (local_done, arr) = m.send(from, h, t_send, q, CTRL_BYTES);
             t_send = local_done;
             let tq = m.handle_request(q, arr, 0);
             self.local[q][b as usize] = BlockState::Invalid;
             m.cache_invalidate(q, addr, block);
             m.counters_mut(q).invalidations += 1;
-            let (_, ack) = m.send_from_handler(q, tq, h, CTRL_BYTES);
+            let (_, ack) = m.send(SendFrom::Handler, q, tq, h, CTRL_BYTES);
             let acked = m.handle_request(h, ack, 0);
             all_acked = all_acked.max(acked);
         }
@@ -282,7 +275,7 @@ impl Sc {
                 return (t, false);
             };
             let t = m.proto_work(p, t, m.costs().handler_base, Activity::Handler);
-            let done = self.recall(m, h, q as usize, b, t, true, true);
+            let done = self.recall(m, h, q as usize, b, t, true, SendFrom::App);
             m.counters_mut(p).remote_reads += 1;
             return (done, true);
         }
@@ -292,14 +285,14 @@ impl Sc {
         // Remote read miss.
         let (addr, block) = (self.units.addr(b), self.units.unit());
         let t = m.proto_work(p, t, m.costs().handler_base, Activity::Handler);
-        let (_, arr) = m.send_from_app(p, t, h, CTRL_BYTES);
+        let (_, arr) = m.send(SendFrom::App, p, t, h, CTRL_BYTES);
         let mut th = m.handle_request(h, arr, 0);
         if let Some(q) = self.dir[b as usize].owner {
-            th = self.recall(m, h, q as usize, b, th, true, false);
+            th = self.recall(m, h, q as usize, b, th, true, SendFrom::Handler);
         }
         // The home reads the block from memory and replies with data.
         let th = m.proto_touch(h, th, addr, block, false, Activity::Handler);
-        let (_, data) = m.send_from_handler(h, th, p, block + HDR_BYTES);
+        let (_, data) = m.send(SendFrom::Handler, h, th, p, block + HDR_BYTES);
         m.cache_invalidate(p, addr, block);
         self.local[p][b as usize] = BlockState::Shared;
         self.dir[b as usize].sharers |= 1u64 << p;
@@ -320,9 +313,9 @@ impl Sc {
             }
             let mut t = m.proto_work(p, t, m.costs().handler_base, Activity::Handler);
             if let Some(q) = e.owner {
-                t = self.recall(m, h, q as usize, b, t, false, true);
+                t = self.recall(m, h, q as usize, b, t, false, SendFrom::App);
             }
-            t = self.invalidate_sharers(m, h, b, t, p, true);
+            t = self.invalidate_sharers(m, h, b, t, p, SendFrom::App);
             self.dir[b as usize] = DirEntry::default();
             m.counters_mut(p).remote_writes += 1;
             return (t, true);
@@ -334,12 +327,12 @@ impl Sc {
         // Remote write miss / upgrade.
         let (addr, block) = (self.units.addr(b), self.units.unit());
         let t = m.proto_work(p, t, m.costs().handler_base, Activity::Handler);
-        let (_, arr) = m.send_from_app(p, t, h, CTRL_BYTES);
+        let (_, arr) = m.send(SendFrom::App, p, t, h, CTRL_BYTES);
         let mut th = m.handle_request(h, arr, 0);
         if let Some(q) = self.dir[b as usize].owner {
-            th = self.recall(m, h, q as usize, b, th, false, false);
+            th = self.recall(m, h, q as usize, b, th, false, SendFrom::Handler);
         }
-        th = self.invalidate_sharers(m, h, b, th, p, false);
+        th = self.invalidate_sharers(m, h, b, th, p, SendFrom::Handler);
         // Grant: data travels unless the requester already had a copy.
         let bytes = if had_shared {
             CTRL_BYTES
@@ -349,7 +342,7 @@ impl Sc {
         if !had_shared {
             th = m.proto_touch(h, th, addr, block, false, Activity::Handler);
         }
-        let (_, grant) = m.send_from_handler(h, th, p, bytes);
+        let (_, grant) = m.send(SendFrom::Handler, h, th, p, bytes);
         if !had_shared {
             m.cache_invalidate(p, addr, block);
         }

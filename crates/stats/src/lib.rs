@@ -276,9 +276,8 @@ pub struct Counters {
     /// Simulated operations processed by the driver (compute blocks,
     /// shared accesses, sync operations).
     pub sim_ops: u64,
-    /// Operations that arrived inside a batched handoff (0 with batching
-    /// disabled; with batching on, `ops_batched / sim_ops` is the
-    /// batched-op ratio).
+    /// Operations that arrived inside a batch. Every operation does, so
+    /// this equals `sim_ops`; with batching disabled each batch holds one.
     pub ops_batched: u64,
     /// Batch flushes forced by a synchronization operation (lock/barrier).
     pub flush_sync: u64,

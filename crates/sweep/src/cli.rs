@@ -8,9 +8,11 @@
 //! * `--jobs N` — host worker threads (default: available parallelism);
 //! * `--no-cache` — ignore the result cache and write nothing under
 //!   `--results` (neither `sweep_cache.jsonl` nor `bench_summary.json`);
-//! * `--no-batching` — one baton handoff per simulated operation (the
-//!   pre-batching engine behavior; results are byte-identical, only the
-//!   host-side handoff counters and wall time change);
+//! * `--no-batching` — one baton handoff per simulated operation: the
+//!   same batching path with a cap of one operation, so a thread never
+//!   runs past an operation the driver has not replayed (results are
+//!   byte-identical; only the host-side handoff counters and wall time
+//!   change, and every operation counts as a one-op batch);
 //! * `--timeout SECS` — per-cell wall-time limit (default: none);
 //! * `--results DIR` — results directory (default `results/`);
 //! * `--quiet` — suppress stderr progress;

@@ -4,9 +4,10 @@
 //! the exact same operation sequence at the exact same simulated times
 //! whether the operations arrive one per handoff or in runs. These tests
 //! pin that invariant across the whole application catalog, every
-//! protocol, the figure-3 layer presets, and chaos fault plans — and pin
-//! the two perf claims the optimization is justified by (fewer handoffs,
-//! zero fresh thread spawns once the worker pool is warm).
+//! protocol, the figure-3 layer presets, and chaos fault plans; pin the
+//! batched handoff schedule of a few cells; and pin the two perf claims
+//! the optimization is justified by (fewer handoffs, zero fresh thread
+//! spawns once the worker pool is warm).
 
 use ssm_apps::catalog::{suite, Scale};
 use ssm_core::{LayerConfig, Protocol};
@@ -39,15 +40,24 @@ fn assert_identical(cell: &Cell) {
     );
     assert!(batched.verified, "{label}: {:?}", batched.verify_error);
     assert!(unbatched.verified, "{label}: {:?}", unbatched.verify_error);
-    // The whole point: batching never takes MORE handoffs, and an
-    // unbatched run batches nothing.
+    // The whole point: batching never takes MORE handoffs. An unbatched
+    // run hands over one operation per handoff, plus each thread's final
+    // resume that reports it finished.
     assert!(
         batched.counters.handoffs <= unbatched.counters.handoffs,
         "{label}: batching increased handoffs ({} > {})",
         batched.counters.handoffs,
         unbatched.counters.handoffs
     );
-    assert_eq!(unbatched.counters.ops_batched, 0, "{label}");
+    assert_eq!(
+        unbatched.counters.handoffs,
+        unbatched.counters.sim_ops + cell.procs as u64,
+        "{label}: unbatched handoffs"
+    );
+    assert_eq!(
+        unbatched.counters.ops_batched, unbatched.counters.sim_ops,
+        "{label}: an unbatched run hands over one-op batches"
+    );
     // Batches end only at sync ops, the cap and thread end.
     assert_eq!(batched.counters.flush_miss, 0, "{label}: flush_miss");
     assert_eq!(
@@ -90,6 +100,39 @@ fn batched_results_are_identical_under_fault_injection() {
                 assert_identical(&cell);
             }
         }
+    }
+}
+
+#[test]
+fn batched_handoff_schedule_is_pinned() {
+    // Where every batch ends is a function of the op stream alone, so the
+    // engine counters of a batched run are exact. Together these cells end
+    // batches at a sync op, at the cap and at thread end.
+    let cell = |app, proto| Cell::new(app, proto, LayerConfig::base(), PROCS, Scale::Test);
+    let pins = [
+        // handoffs, ops_batched, flush_sync, flush_cap, flush_end, sim_ops
+        (
+            Cell::ideal("Barnes-original", PROCS, Scale::Test),
+            [187, 6404, 169, 16, 0, 6404],
+        ),
+        (
+            cell("Raytrace", Protocol::Hlrc),
+            [52, 8932, 20, 28, 2, 8932],
+        ),
+        (cell("Volrend", Protocol::Sc), [40, 4692, 20, 16, 2, 4692]),
+        (cell("Radix", Protocol::Rdma), [22, 2084, 12, 8, 0, 2084]),
+    ];
+    for (cell, want) in pins {
+        let c = run(&cell, true).counters;
+        let got = [
+            c.handoffs,
+            c.ops_batched,
+            c.flush_sync,
+            c.flush_cap,
+            c.flush_end,
+            c.sim_ops,
+        ];
+        assert_eq!(got, want, "{}", cell.label());
     }
 }
 
