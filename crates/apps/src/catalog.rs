@@ -22,7 +22,7 @@ use crate::water_nsq::WaterNsq;
 use crate::water_sp::WaterSp;
 
 /// Problem-size scale for a catalog entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scale {
     /// Tiny: for tests.
     Test,

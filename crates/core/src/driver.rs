@@ -31,15 +31,28 @@
 //! unbatched run, and every simulated result of a data-race-free workload
 //! is byte-identical; only the handoff counters differ (see
 //! [`ssm_proto::vm`]).
+//!
+//! # Capture and replay
+//!
+//! The loop takes its batches from a feed. A live run's feed resumes the
+//! application threads, and [`run_captured`] also records what they hand
+//! over into a [`ReplayLog`]. [`run_replayed`] feeds the same loop from
+//! such a log, under another protocol or other layer costs, with no
+//! threads and no world; it stops at the first lock grant the log did not
+//! record. The loop is the same either way, so the engine counters
+//! (`handoffs`, `ops_batched`, the flush causes) come out exactly as in a
+//! live run.
 
 use std::collections::VecDeque;
 
 use ssm_engine::{Cycles, Resumed, ThreadId, ThreadPool, WorkerSet};
 use ssm_proto::{
-    Flush, Machine, Op, Proc, Protocol as ProtocolTrait, Workload, World, WorldShape, BATCH_CAP,
+    Flush, LockId, Machine, Op, Proc, Protocol as ProtocolTrait, Workload, World, WorldShape,
+    BATCH_CAP,
 };
 use ssm_stats::Bucket;
 
+use crate::replay::{Recorder, ReplayLog};
 use crate::result::RunResult;
 
 /// Host-side engine knobs. None of them affect simulated results — they
@@ -64,13 +77,20 @@ impl Default for Batching {
     }
 }
 
+/// What a blocked processor waits for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Wait {
+    Lock(LockId),
+    Barrier,
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PState {
     Ready,
     Blocked {
         since: Cycles,
         bucket_total_before: u64,
-        bucket: Bucket,
+        wait: Wait,
     },
     Done,
 }
@@ -105,9 +125,79 @@ pub fn run_simulation_with(
     protocol: &mut dyn ProtocolTrait,
     workload: &dyn Workload,
     nprocs: usize,
-    mut machine: Machine,
+    machine: Machine,
     opts: &EngineOptions,
 ) -> RunResult {
+    run_live(protocol, workload, nprocs, machine, opts, false).0
+}
+
+/// [`run_simulation_with`], also recording the run into a [`ReplayLog`]
+/// for [`run_replayed`]. The log is `None` when it could not be written
+/// (no temporary file, a failed write); the run is unaffected.
+///
+/// # Panics
+///
+/// As [`run_simulation_with`].
+pub fn run_captured(
+    protocol: &mut dyn ProtocolTrait,
+    workload: &dyn Workload,
+    nprocs: usize,
+    machine: Machine,
+    opts: &EngineOptions,
+) -> (RunResult, Option<ReplayLog>) {
+    run_live(protocol, workload, nprocs, machine, opts, true)
+}
+
+/// Runs the application captured in `log` under `protocol` on `machine`,
+/// feeding the driver loop from the log instead of from application
+/// threads: no thread starts and no world is built. Every lock grant is
+/// checked against the log. `None` means the log cannot stand for this
+/// run, which must then run live on a fresh machine: the run's
+/// synchronization order left the log's, the log's file could not be read
+/// back, or the log was captured at another processor count or batching
+/// setting. A run that completes is identical to a live run of the
+/// workload, except that it reports no threads.
+///
+/// # Panics
+///
+/// On deadlock.
+pub fn run_replayed(
+    protocol: &mut dyn ProtocolTrait,
+    log: &ReplayLog,
+    nprocs: usize,
+    mut machine: Machine,
+    batching: Batching,
+) -> Option<RunResult> {
+    assert_eq!(machine.nprocs(), nprocs, "machine size must match nprocs");
+    if log.nprocs() != nprocs || log.batching() != batching {
+        return None;
+    }
+    protocol.init(&machine, log.shape());
+    let mut feed = Replay {
+        log,
+        next_batch: vec![0; nprocs],
+        next_grant: vec![0; log.shape().nlocks],
+        buf: Vec::new(),
+    };
+    drive(protocol, &mut machine, &mut feed, log.app()).ok()?;
+    Some(summarize(
+        protocol,
+        &mut machine,
+        log.app().to_string(),
+        log.verify_error(),
+        (0, 0),
+    ))
+}
+
+/// A live run, recording it when `capture` is set and a log can be opened.
+fn run_live(
+    protocol: &mut dyn ProtocolTrait,
+    workload: &dyn Workload,
+    nprocs: usize,
+    mut machine: Machine,
+    opts: &EngineOptions,
+    capture: bool,
+) -> (RunResult, Option<ReplayLog>) {
     assert_eq!(machine.nprocs(), nprocs, "machine size must match nprocs");
     let mut world = World::new(workload.mem_bytes());
     let bodies = workload.spawn(&mut world, nprocs);
@@ -136,7 +226,110 @@ pub fn run_simulation_with(
         });
     }
 
-    let m = &mut machine;
+    let mut feed = Live {
+        pool,
+        recorder: capture
+            .then(|| Recorder::new(nprocs, shape, opts.batching).ok())
+            .flatten(),
+    };
+    let name = workload.name();
+    if drive(protocol, &mut machine, &mut feed, &name).is_err() {
+        unreachable!("a live feed never stops a run");
+    }
+    let verify_error = workload.verify().err();
+    let (spawned, reused) = feed.pool.thread_stats();
+    let log = feed
+        .recorder
+        .and_then(|r| r.finish(name.clone(), verify_error.clone()));
+    let result = summarize(
+        protocol,
+        &mut machine,
+        name,
+        verify_error,
+        (spawned as u64, reused as u64),
+    );
+    (result, log)
+}
+
+/// A replay cannot go on: its sync order left the log's, or the log could
+/// not be read back.
+struct Abandon;
+
+/// Where the driver loop's batches come from.
+trait Feed {
+    /// Appends processor `p`'s next batch to `queue` and returns why it
+    /// ended, or `None` once `p`'s thread has finished.
+    fn next_batch(&mut self, p: usize, queue: &mut VecDeque<Op>) -> Result<Option<Flush>, Abandon>;
+
+    /// `lock` was just granted to `p`.
+    fn granted(&mut self, lock: LockId, p: usize) -> Result<(), Abandon>;
+}
+
+/// The application threads, behind the baton; optionally recorded.
+struct Live {
+    pool: ThreadPool<(Vec<Op>, Flush)>,
+    recorder: Option<Recorder>,
+}
+
+impl Feed for Live {
+    fn next_batch(&mut self, p: usize, queue: &mut VecDeque<Op>) -> Result<Option<Flush>, Abandon> {
+        Ok(match self.pool.resume(ThreadId(p)) {
+            Resumed::Finished => None,
+            Resumed::Op((ops, flush)) => {
+                if let Some(r) = &mut self.recorder {
+                    r.batch(p, &ops, flush);
+                }
+                queue.extend(ops);
+                Some(flush)
+            }
+        })
+    }
+
+    fn granted(&mut self, lock: LockId, p: usize) -> Result<(), Abandon> {
+        if let Some(r) = &mut self.recorder {
+            r.grant(lock, p);
+        }
+        Ok(())
+    }
+}
+
+/// A captured run, read back batch by batch.
+struct Replay<'a> {
+    log: &'a ReplayLog,
+    /// Per processor, the index of its next batch.
+    next_batch: Vec<usize>,
+    /// Per lock, how many grants have been checked.
+    next_grant: Vec<usize>,
+    buf: Vec<u8>,
+}
+
+impl Feed for Replay<'_> {
+    fn next_batch(&mut self, p: usize, queue: &mut VecDeque<Op>) -> Result<Option<Flush>, Abandon> {
+        let i = self.next_batch[p];
+        self.next_batch[p] += 1;
+        self.log
+            .batch(p, i, &mut self.buf, queue)
+            .map_err(|_| Abandon)
+    }
+
+    fn granted(&mut self, lock: LockId, p: usize) -> Result<(), Abandon> {
+        let n = &mut self.next_grant[lock.0 as usize];
+        *n += 1;
+        match self.log.grant(lock, *n - 1) {
+            Some(q) if q == p => Ok(()),
+            _ => Err(Abandon),
+        }
+    }
+}
+
+/// The scheduling loop, shared by live and replayed runs.
+fn drive(
+    protocol: &mut dyn ProtocolTrait,
+    m: &mut Machine,
+    feed: &mut impl Feed,
+    name: &str,
+) -> Result<(), Abandon> {
+    let nprocs = m.nprocs();
     let mut state = vec![PState::Ready; nprocs];
     // Operations received in a batch but not yet replayed, per processor.
     let mut queued: Vec<VecDeque<Op>> = vec![VecDeque::new(); nprocs];
@@ -153,8 +346,7 @@ pub fn run_simulation_with(
                 .map(|q| format!("P{q}@{}", m.clock[q]))
                 .collect();
             panic!(
-                "simulation deadlock in {}: all unfinished processors blocked: {}",
-                workload.name(),
+                "simulation deadlock in {name}: all unfinished processors blocked: {}",
                 blocked.join(", ")
             );
         };
@@ -165,18 +357,18 @@ pub fn run_simulation_with(
             Some(op) => Some(op),
             None => {
                 m.counters_mut(p).handoffs += 1;
-                match pool.resume(ThreadId(p)) {
-                    Resumed::Finished => None,
-                    Resumed::Op((ops, flush)) => {
+                let queue = &mut queued[p];
+                match feed.next_batch(p, queue)? {
+                    None => None,
+                    Some(flush) => {
                         let c = m.counters_mut(p);
-                        c.ops_batched += ops.len() as u64;
+                        c.ops_batched += queue.len() as u64;
                         match flush {
                             Flush::Sync => c.flush_sync += 1,
                             Flush::Cap => c.flush_cap += 1,
                             Flush::End => c.flush_end += 1,
                         }
-                        queued[p].extend(ops);
-                        queued[p].pop_front()
+                        queue.pop_front()
                     }
                 }
             }
@@ -192,6 +384,11 @@ pub fn run_simulation_with(
                 m.counters_mut(p).sim_ops += 1;
                 let t0 = m.clock[p];
                 let before = m.breakdowns()[p].total();
+                let block = |wait| PState::Blocked {
+                    since: t0,
+                    bucket_total_before: before,
+                    wait,
+                };
                 match op {
                     Op::Compute(c) => {
                         let (_, end) = m.occupy_cpu(p, t0, c);
@@ -207,14 +404,11 @@ pub fn run_simulation_with(
                         settle_window(m, p, t0, t, before, Bucket::DataWait);
                     }
                     Op::Lock(l) => match protocol.lock(m, p, l) {
-                        Some(t) => settle_window(m, p, t0, t, before, Bucket::LockWait),
-                        None => {
-                            state[p] = PState::Blocked {
-                                since: t0,
-                                bucket_total_before: before,
-                                bucket: Bucket::LockWait,
-                            }
+                        Some(t) => {
+                            feed.granted(l, p)?;
+                            settle_window(m, p, t0, t, before, Bucket::LockWait);
                         }
+                        None => state[p] = block(Wait::Lock(l)),
                     },
                     Op::Unlock(l) => {
                         let t = protocol.unlock(m, p, l);
@@ -222,13 +416,7 @@ pub fn run_simulation_with(
                     }
                     Op::Barrier(b) => match protocol.barrier(m, p, b) {
                         Some(t) => settle_window(m, p, t0, t, before, Bucket::BarrierWait),
-                        None => {
-                            state[p] = PState::Blocked {
-                                since: t0,
-                                bucket_total_before: before,
-                                bucket: Bucket::BarrierWait,
-                            }
-                        }
+                        None => state[p] = block(Wait::Barrier),
                     },
                 }
             }
@@ -239,16 +427,33 @@ pub fn run_simulation_with(
             let PState::Blocked {
                 since,
                 bucket_total_before,
-                bucket,
+                wait,
             } = state[q]
             else {
                 panic!("protocol woke P{q}, which is not blocked");
+            };
+            let bucket = match wait {
+                Wait::Lock(l) => {
+                    feed.granted(l, q)?;
+                    Bucket::LockWait
+                }
+                Wait::Barrier => Bucket::BarrierWait,
             };
             settle_window(m, q, since, t, bucket_total_before, bucket);
             state[q] = PState::Ready;
         }
     }
+    Ok(())
+}
 
+/// The result of a finished run on `m`.
+fn summarize(
+    protocol: &dyn ProtocolTrait,
+    m: &mut Machine,
+    app: String,
+    verify_error: Option<String>,
+    (threads_spawned, threads_reused): (u64, u64),
+) -> RunResult {
     let total_cycles = m.clock.iter().copied().max().unwrap_or(0);
     let activity = m
         .activities()
@@ -258,20 +463,18 @@ pub fn run_simulation_with(
         .counters()
         .iter()
         .fold(ssm_stats::Counters::default(), |a, b| a.merge(b));
-    let trace = m.take_trace();
-    let (threads_spawned, threads_reused) = pool.thread_stats();
     RunResult {
-        app: workload.name(),
+        app,
         protocol: protocol.name().to_string(),
-        nprocs,
+        nprocs: m.nprocs(),
         total_cycles,
         per_proc: m.breakdowns().to_vec(),
         activity,
         counters,
-        verify_error: workload.verify().err(),
-        trace,
-        threads_spawned: threads_spawned as u64,
-        threads_reused: threads_reused as u64,
+        verify_error,
+        trace: m.take_trace(),
+        threads_spawned,
+        threads_reused,
     }
 }
 

@@ -42,10 +42,12 @@
 
 pub mod config;
 pub mod driver;
+pub mod replay;
 pub mod result;
 
 pub use config::{CommPreset, FaultSpec, LayerConfig, ProtoPreset, Protocol};
 pub use driver::{run_simulation, run_simulation_with, EngineOptions};
+pub use replay::ReplayLog;
 pub use result::RunResult;
 
 use ssm_hlrc::Hlrc;
@@ -171,13 +173,34 @@ impl SimBuilder {
         self
     }
 
-    /// Runs `workload` and returns the measurements.
+    /// Runs `workload` live and returns the measurements.
     ///
     /// # Panics
     ///
     /// Panics on simulation deadlock or an application-thread panic (see
     /// [`driver::run_simulation`]).
     pub fn run(&self, workload: &dyn Workload) -> RunResult {
+        let (machine, mut protocol, opts) = self.parts();
+        driver::run_simulation_with(protocol.as_mut(), workload, self.nprocs, machine, &opts)
+    }
+
+    /// [`SimBuilder::run`], also recording the run for
+    /// [`SimBuilder::replay`] (see [`driver::run_captured`]).
+    pub fn capture(&self, workload: &dyn Workload) -> (RunResult, Option<ReplayLog>) {
+        let (machine, mut protocol, opts) = self.parts();
+        driver::run_captured(protocol.as_mut(), workload, self.nprocs, machine, &opts)
+    }
+
+    /// Runs this configuration from `log` instead of from the
+    /// application's threads; `None` when the log cannot stand for this
+    /// run (see [`driver::run_replayed`]).
+    pub fn replay(&self, log: &ReplayLog) -> Option<RunResult> {
+        let (machine, mut protocol, opts) = self.parts();
+        driver::run_replayed(protocol.as_mut(), log, self.nprocs, machine, opts.batching)
+    }
+
+    /// The machine, protocol and engine options this builder describes.
+    fn parts(&self) -> (Machine, Box<dyn ProtocolTrait>, EngineOptions) {
         let mut machine = Machine::new(
             self.nprocs,
             self.comm.clone(),
@@ -197,7 +220,7 @@ impl SimBuilder {
             workers: self.workers.clone(),
             batching: driver::Batching(self.batching),
         };
-        let mut protocol: Box<dyn ProtocolTrait> = match self.protocol {
+        let protocol: Box<dyn ProtocolTrait> = match self.protocol {
             Protocol::Hlrc => Box::new(Hlrc::new().with_homes(self.homes)),
             Protocol::Aurc => Box::new(Hlrc::aurc().with_homes(self.homes)),
             Protocol::Sc => Box::new(Sc::new(self.sc_block).with_homes(self.homes)),
@@ -207,7 +230,7 @@ impl SimBuilder {
             Protocol::Rdma => Box::new(Rdma::new(self.sc_block).with_homes(self.homes)),
             Protocol::Ideal => Box::new(ssm_proto::Ideal::new()),
         };
-        driver::run_simulation_with(protocol.as_mut(), workload, self.nprocs, machine, &opts)
+        (machine, protocol, opts)
     }
 }
 

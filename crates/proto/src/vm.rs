@@ -41,6 +41,17 @@
 //! reference. Until the workspace has a race checker, run a new workload
 //! both ways (`--no-batching` in the sweep CLI, `batching(false)` on the
 //! simulation builder) and compare the output.
+//!
+//! Capture and replay (see `ssm_core::replay`) makes the requirement hold
+//! across protocols too. A sweep runs an application's threads once per
+//! (scale, processor count, batching setting) and replays the recorded
+//! operation streams under every other protocol and cost preset whose
+//! lock grants come in the same order. For a data-race-free workload
+//! those streams are exactly what a live run would issue; a racy
+//! workload would silently replay the first protocol's stream in every
+//! cell. `--no-batching` is still the manual race check: it replays only
+//! unbatched captures, so comparing its output with a batched sweep's
+//! still compares two executions.
 
 use std::cell::{Cell, RefCell};
 

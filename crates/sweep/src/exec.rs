@@ -21,8 +21,15 @@
 //!   it with [`ResultStore::merge_shards`]; cells the shards did not
 //!   finish simply execute here. A conflicting shard record aborts the
 //!   sweep (exit 1) and leaves the main cache untouched;
+//! * **capture and replay** — cells that share a replay key (app, scale,
+//!   procs, batching) feed the driver the same operation streams, so the
+//!   first cell of a key runs live and records them, and the key's later
+//!   cells replay the record under their own protocol and costs, without
+//!   application threads (DESIGN.md §14). Cells are dealt to the deques
+//!   by key, so a key's cells follow each other on one worker;
 //! * **progress** — a live stderr line (done/total, cache hits, failures,
-//!   ETA).
+//!   ETA), and a completion line that counts replayed cells and aborted
+//!   replays.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -32,11 +39,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, RecvTimeoutError};
-use std::sync::{Mutex, Once};
+use std::sync::{Arc, Mutex, Once};
 use std::time::{Duration, Instant};
 
-use ssm_apps::catalog;
-use ssm_core::{FaultSpec, Protocol, SimBuilder};
+use ssm_apps::catalog::{self, Scale};
+use ssm_core::{FaultSpec, Protocol, ReplayLog, SimBuilder};
 use ssm_engine::{WorkerSet, WORKER_THREAD_PREFIX};
 
 use crate::cell::Cell;
@@ -83,6 +90,11 @@ pub struct SweepRun {
     pub(crate) index: HashMap<String, usize>,
     /// Cells actually simulated during this run.
     pub executed: usize,
+    /// Executed cells that were replayed from an earlier cell's capture.
+    pub replayed: usize,
+    /// Replays abandoned because the cell's lock grants left the capture;
+    /// each such cell reran live.
+    pub replays_aborted: usize,
     /// Cells served from the cache.
     pub cached: usize,
     /// Cells that failed or timed out.
@@ -209,16 +221,55 @@ pub fn execute(cell: &Cell) -> Result<CellRecord, String> {
 
 /// [`execute`] with the sweep's engine knobs: an optional shared
 /// [`WorkerSet`] to recycle OS threads across cells, and the batching
-/// toggle. Neither affects simulated results.
+/// toggle. Neither affects simulated results. The cell always runs live.
 pub fn execute_with(
     cell: &Cell,
     workers: Option<&WorkerSet>,
     batching: bool,
 ) -> Result<CellRecord, String> {
+    execute_planned(cell, workers, batching, Plan::Live).map(|(rec, _)| rec)
+}
+
+/// The cells whose application threads issue the same operation streams:
+/// one application at one scale, processor count and batching setting.
+/// The protocol, the layer costs, the SC block, the home policy and the
+/// fault plan reach only the protocol and the machine; application code
+/// sees only its `pid` and `nprocs` and the values it reads.
+type ReplayKey = (String, Scale, usize, bool);
+
+fn replay_key(cell: &Cell, batching: bool) -> ReplayKey {
+    (cell.app.clone(), cell.scale, cell.procs, batching)
+}
+
+/// How a cell is to run.
+enum Plan {
+    Live,
+    /// Live, recording a log for the key's later cells.
+    Capture,
+    Replay(Arc<ReplayLog>),
+}
+
+/// How a cell did run.
+enum Ran {
+    Live,
+    /// Live; the log, unless it could not be written.
+    Captured(Option<ReplayLog>),
+    Replayed,
+    /// The replay diverged and the cell reran live.
+    Aborted,
+}
+
+/// Runs `cell` as `plan` says: a replay that diverges reruns live on a
+/// fresh machine.
+fn execute_planned(
+    cell: &Cell,
+    workers: Option<&WorkerSet>,
+    batching: bool,
+    plan: Plan,
+) -> Result<(CellRecord, Ran), String> {
     let spec =
         catalog::by_name(&cell.app).ok_or_else(|| format!("unknown application {:?}", cell.app))?;
     let started = Instant::now();
-    let workload = spec.build(cell.scale);
     let mut builder = SimBuilder::new(cell.protocol)
         .procs(cell.procs)
         .sc_block(cell.sc_block.unwrap_or(spec.sc_block))
@@ -233,12 +284,71 @@ pub fn execute_with(
     if cell.has_faults() {
         builder = builder.faults(FaultSpec::at(cell.fault_rate_ppm, cell.fault_seed));
     }
-    let result = builder.run(workload.as_ref());
-    Ok(CellRecord::from_run(
-        cell.clone(),
-        &result,
-        started.elapsed().as_millis() as u64,
-    ))
+    let live = || builder.run(spec.build(cell.scale).as_ref());
+    let (result, ran) = match plan {
+        Plan::Live => (live(), Ran::Live),
+        Plan::Capture => {
+            let (result, log) = builder.capture(spec.build(cell.scale).as_ref());
+            (result, Ran::Captured(log))
+        }
+        Plan::Replay(log) => match builder.replay(&log) {
+            Some(result) => (result, Ran::Replayed),
+            None => (live(), Ran::Aborted),
+        },
+    };
+    let rec = CellRecord::from_run(cell.clone(), &result, started.elapsed().as_millis() as u64);
+    Ok((rec, ran))
+}
+
+/// The replay state of one [`ReplayKey`] within a sweep.
+struct KeyLog {
+    /// The key's cells not yet started.
+    unstarted: usize,
+    log: LogState,
+}
+
+enum LogState {
+    Idle,
+    Capturing,
+    Ready(Arc<ReplayLog>),
+    /// A replay diverged: the key's remaining cells run live.
+    LiveOnly,
+}
+
+impl KeyLog {
+    /// Plans the key's next cell: replay a finished log; else capture one
+    /// if a later cell could use it and no cell is capturing already; else
+    /// run live. The sweep lets go of the log when its last cell starts.
+    fn start(&mut self) -> Plan {
+        self.unstarted -= 1;
+        match &self.log {
+            LogState::Ready(log) => {
+                let log = Arc::clone(log);
+                if self.unstarted == 0 {
+                    self.log = LogState::Idle;
+                }
+                Plan::Replay(log)
+            }
+            LogState::Idle if self.unstarted > 0 => {
+                self.log = LogState::Capturing;
+                Plan::Capture
+            }
+            _ => Plan::Live,
+        }
+    }
+
+    /// Takes in how a cell of this key ran (`None`: it failed or timed
+    /// out); `capturing` says whether it was planned as the capture.
+    fn finish(&mut self, capturing: bool, ran: Option<Ran>) {
+        match ran {
+            Some(Ran::Aborted) => self.log = LogState::LiveOnly,
+            Some(Ran::Captured(Some(log))) if self.unstarted > 0 => {
+                self.log = LogState::Ready(Arc::new(log));
+            }
+            _ if capturing => self.log = LogState::Idle,
+            _ => {}
+        }
+    }
 }
 
 /// Number of sweep cells currently in flight (used by the panic filter).
@@ -275,15 +385,24 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs one cell on a leased worker thread, enforcing the wall-time
-/// limit. Returns the status (never panics).
-fn execute_with_limits(cell: &Cell, workers: &WorkerSet, cli: &SweepCli) -> CellStatus {
+/// Runs one cell as `plan` says on a leased worker thread, enforcing the
+/// wall-time limit. Returns the status, and how the cell ran if it
+/// completed (never panics).
+fn execute_with_limits(
+    cell: &Cell,
+    plan: Plan,
+    workers: &WorkerSet,
+    cli: &SweepCli,
+) -> (CellStatus, Option<Ran>) {
     let c = cell.clone();
     let ws = workers.clone();
     let batching = !cli.no_batching;
-    run_guarded(workers, cli.timeout, move || {
-        execute_with(&c, Some(&ws), batching)
-    })
+    match run_guarded(workers, cli.timeout, move || {
+        execute_planned(&c, Some(&ws), batching, plan)
+    }) {
+        Ok((rec, ran)) => (CellStatus::Done(rec), Some(ran)),
+        Err(status) => (status, None),
+    }
 }
 
 /// The guard around one cell execution: a leased worker thread, panic
@@ -296,11 +415,15 @@ fn execute_with_limits(cell: &Cell, workers: &WorkerSet, cli: &SweepCli) -> Cell
 /// own `ThreadPool` has dropped, its application workers) are parked and
 /// ready for the next cell. That ordering is what makes "zero fresh
 /// spawns on the second cell" deterministic.
-fn run_guarded(
+///
+/// Returns the work's output, or the failed or timed-out status.
+// The error is never `Done`, the large variant.
+#[allow(clippy::result_large_err)]
+fn run_guarded<T: Send + 'static>(
     workers: &WorkerSet,
     timeout: Option<Duration>,
-    work: impl FnOnce() -> Result<CellRecord, String> + Send + 'static,
-) -> CellStatus {
+    work: impl FnOnce() -> Result<T, String> + Send + 'static,
+) -> Result<T, CellStatus> {
     let (tx, rx) = channel();
     ACTIVE_CELLS.fetch_add(1, Ordering::SeqCst);
     workers.submit(Box::new(move || {
@@ -317,8 +440,8 @@ fn run_guarded(
         None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
     };
     let status = match received {
-        Ok(Ok(rec)) => CellStatus::Done(rec),
-        Ok(Err(e)) => CellStatus::Failed(e),
+        Ok(Ok(out)) => Ok(out),
+        Ok(Err(e)) => Err(CellStatus::Failed(e)),
         Err(RecvTimeoutError::Timeout) => {
             // Abandon the cell: its completion will land on a dropped
             // receiver, and its worker stays busy (unavailable for lease)
@@ -327,11 +450,11 @@ fn run_guarded(
             // already-reported cell.
             drop(rx);
             ACTIVE_CELLS.fetch_sub(1, Ordering::SeqCst);
-            return CellStatus::TimedOut(timeout.expect("timeout fired"));
+            return Err(CellStatus::TimedOut(timeout.expect("timeout fired")));
         }
-        Err(RecvTimeoutError::Disconnected) => {
-            CellStatus::Failed("cell worker vanished without a result".to_string())
-        }
+        Err(RecvTimeoutError::Disconnected) => Err(CellStatus::Failed(
+            "cell worker vanished without a result".to_string(),
+        )),
     };
     ACTIVE_CELLS.fetch_sub(1, Ordering::SeqCst);
     status
@@ -341,6 +464,8 @@ struct Progress {
     total: usize,
     done: usize,
     executed: usize,
+    replayed: usize,
+    replays_aborted: usize,
     failed: usize,
     abandoned: usize,
     started: Instant,
@@ -461,13 +586,38 @@ pub(crate) fn run_local(cells: &[Cell], cli: &SweepCli) -> SweepRun {
         );
     }
 
-    // Work-stealing deques: cells are dealt round-robin; a worker pops its
-    // own deque from the front and steals from the back of others'.
+    // Work-stealing deques: each replay key's cells go to one deque in
+    // enumeration order, so a key's later cells follow its capture on the
+    // same worker; keys are dealt round-robin. A worker pops its own deque
+    // from the front and steals from the back of others'.
+    let batching = !cli.no_batching;
+    let mut keys: HashMap<ReplayKey, usize> = HashMap::new();
+    let mut key_of = vec![0; unique.len()];
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for &i in &misses {
+        let k = *keys
+            .entry(replay_key(&unique[i].0, batching))
+            .or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+        groups[k].push(i);
+        key_of[i] = k;
+    }
     let deques: Vec<Mutex<VecDeque<usize>>> =
         (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (k, &i) in misses.iter().enumerate() {
-        deques[k % jobs].lock().expect("deque").push_back(i);
+    for (k, group) in groups.iter().enumerate() {
+        deques[k % jobs].lock().expect("deque").extend(group);
     }
+    let key_logs: Mutex<Vec<KeyLog>> = Mutex::new(
+        groups
+            .iter()
+            .map(|g| KeyLog {
+                unstarted: g.len(),
+                log: LogState::Idle,
+            })
+            .collect(),
+    );
 
     // State shared by the workers: per-cell status slots, the open cache,
     // and progress accounting. One lock, taken once per finished cell.
@@ -483,6 +633,8 @@ pub(crate) fn run_local(cells: &[Cell], cli: &SweepCli) -> SweepRun {
             total: unique.len(),
             done: cached,
             executed: 0,
+            replayed: 0,
+            replays_aborted: 0,
             failed: 0,
             abandoned: 0,
             started: Instant::now(),
@@ -490,6 +642,8 @@ pub(crate) fn run_local(cells: &[Cell], cli: &SweepCli) -> SweepRun {
     ));
     let unique_ref = &unique;
     let deques_ref = &deques;
+    let key_of = &key_of;
+    let key_logs = &key_logs;
     let shared = &shared_results;
 
     // One worker set per sweep: both the per-cell guard jobs and every
@@ -511,7 +665,12 @@ pub(crate) fn run_local(cells: &[Cell], cli: &SweepCli) -> SweepRun {
                 });
                 let Some(i) = next else { break };
                 let (cell, _) = &unique_ref[i];
-                let status = execute_with_limits(cell, workers_ref, cli);
+                let plan = key_logs.lock().expect("key logs")[key_of[i]].start();
+                let capturing = matches!(plan, Plan::Capture);
+                let (status, ran) = execute_with_limits(cell, plan, workers_ref, cli);
+                let replayed = matches!(ran, Some(Ran::Replayed));
+                let aborted = matches!(ran, Some(Ran::Aborted));
+                key_logs.lock().expect("key logs")[key_of[i]].finish(capturing, ran);
                 let mut guard = shared.lock().expect("results");
                 let (results, store, progress) = &mut *guard;
                 if let CellStatus::Done(rec) = &status {
@@ -530,15 +689,14 @@ pub(crate) fn run_local(cells: &[Cell], cli: &SweepCli) -> SweepRun {
                 results[i] = Some(status);
                 progress.done += 1;
                 progress.executed += 1;
+                progress.replayed += usize::from(replayed);
+                progress.replays_aborted += usize::from(aborted);
                 progress.report(progress_on);
             });
         }
     });
 
-    let (executed, failed, abandoned_threads) = {
-        let (_, _, progress) = shared_results.into_inner().expect("results");
-        (progress.executed, progress.failed, progress.abandoned)
-    };
+    let (_, _, progress) = shared_results.into_inner().expect("results");
 
     let outcomes: Vec<CellOutcome> = unique
         .iter()
@@ -555,10 +713,12 @@ pub(crate) fn run_local(cells: &[Cell], cli: &SweepCli) -> SweepRun {
     let run = SweepRun {
         outcomes,
         index,
-        executed,
+        executed: progress.executed,
+        replayed: progress.replayed,
+        replays_aborted: progress.replays_aborted,
         cached,
-        failed,
-        abandoned_threads,
+        failed: progress.failed,
+        abandoned_threads: progress.abandoned,
         host_ms: sweep_started.elapsed().as_millis() as u64,
     };
     if !cli.no_cache {
@@ -576,11 +736,13 @@ pub(crate) fn run_local(cells: &[Cell], cli: &SweepCli) -> SweepRun {
             String::new()
         };
         eprintln!(
-            "[ssm-sweep] sweep complete: {} cells ({} executed, {} cached, {} failed{zombies}) in {:.1}s",
+            "[ssm-sweep] sweep complete: {} cells ({} executed, {} cached, {} failed, {} replayed, {} replays aborted{zombies}) in {:.1}s",
             run.outcomes.len(),
             run.executed,
             run.cached,
             run.failed,
+            run.replayed,
+            run.replays_aborted,
             run.host_ms as f64 / 1000.0
         );
     }
@@ -616,8 +778,8 @@ mod tests {
         let rec = dummy_record();
         let want = rec.clone();
         match run_guarded(&workers, None, move || Ok(rec)) {
-            CellStatus::Done(got) => assert_eq!(got, want),
-            other => panic!("expected Done, got {other:?}"),
+            Ok(got) => assert_eq!(got, want),
+            Err(other) => panic!("expected Done, got {other:?}"),
         }
     }
 
@@ -625,14 +787,14 @@ mod tests {
     fn guard_captures_panics_as_failed_cells() {
         install_panic_filter(); // keep the test log free of backtrace spew
         let workers = WorkerSet::new();
-        match run_guarded(&workers, None, || panic!("cell exploded: {}", 7)) {
-            CellStatus::Failed(msg) => assert!(msg.contains("cell exploded: 7"), "{msg}"),
+        match run_guarded::<()>(&workers, None, || panic!("cell exploded: {}", 7)) {
+            Err(CellStatus::Failed(msg)) => assert!(msg.contains("cell exploded: 7"), "{msg}"),
             other => panic!("expected Failed, got {other:?}"),
         }
         // The panic unwound through the leased worker; the set hands out a
         // fresh one and the caller keeps going.
-        match run_guarded(&workers, None, || Err("soft failure".to_string())) {
-            CellStatus::Failed(msg) => assert_eq!(msg, "soft failure"),
+        match run_guarded::<()>(&workers, None, || Err("soft failure".to_string())) {
+            Err(CellStatus::Failed(msg)) => assert_eq!(msg, "soft failure"),
             other => panic!("expected Failed, got {other:?}"),
         }
     }
@@ -646,7 +808,7 @@ mod tests {
             std::thread::sleep(Duration::from_secs(5));
             Ok(dummy_record())
         });
-        assert_eq!(status, CellStatus::TimedOut(limit));
+        assert_eq!(status, Err(CellStatus::TimedOut(limit)));
     }
 
     #[test]
@@ -681,6 +843,8 @@ mod tests {
             outcomes: Vec::new(),
             index: HashMap::new(),
             executed: 0,
+            replayed: 0,
+            replays_aborted: 0,
             cached: 0,
             failed: 0,
             abandoned_threads: 0,
