@@ -7,9 +7,14 @@
 //! exactly the behaviour the paper relies on when it calls FFT a
 //! "coarse-grained-access, single-writer application" with little protocol
 //! activity but real bandwidth demands.
+//!
+//! The input and the six-step twiddles both need n-th roots of unity. Each
+//! `spawn` builds them once, as a `Roots` table of two √n-entry halves,
+//! and its threads share it through an `Arc`.
 
 use std::cell::RefCell;
 use std::f64::consts::PI;
+use std::sync::Arc;
 
 use ssm_proto::{Proc, SharedVec, ThreadBody, Workload, World};
 
@@ -61,11 +66,45 @@ impl Fft {
         self.n / 3 + 1
     }
 
-    fn input(&self, j: usize) -> Cx {
-        let n = self.n as f64;
-        let w0 = Cx::cis(2.0 * PI * (K0 * j % self.n) as f64 / n);
-        let w1 = Cx::cis(2.0 * PI * (self.second_spike() * j % self.n) as f64 / n);
-        A0 * w0 + A1 * w1
+    fn input(&self, roots: &Roots, j: usize) -> Cx {
+        A0 * roots.get(K0 * j) + A1 * roots.get(self.second_spike() * j)
+    }
+}
+
+/// The n-th roots of unity `W^k = e^{2πik/n}` for an n = m² point FFT, from
+/// two m-entry tables. Writing `k = i·m + j` with `i, j < m`, `W^k =
+/// cis(2πi/m) · cis(2πj/n)`: one complex product per root, against one
+/// `cos` and one `sin` for the direct form. Each part is within 1e-15 of
+/// `Cx::cis(2πk/n)`.
+#[derive(Debug)]
+struct Roots {
+    /// `cis(2πi/m)`: the roots at multiples of m.
+    coarse: Vec<Cx>,
+    /// `cis(2πj/n)`: the roots between two multiples of m.
+    fine: Vec<Cx>,
+    /// `log2 m`.
+    shift: u32,
+}
+
+impl Roots {
+    fn new(n: usize) -> Self {
+        let m = 1usize << (n.trailing_zeros() / 2);
+        let table = |steps: usize| -> Vec<Cx> {
+            (0..m)
+                .map(|i| Cx::cis(2.0 * PI * i as f64 / steps as f64))
+                .collect()
+        };
+        Roots {
+            coarse: table(m),
+            fine: table(n),
+            shift: m.trailing_zeros(),
+        }
+    }
+
+    /// `e^{2πik/n}`, for any `k` (taken mod n).
+    fn get(&self, k: usize) -> Cx {
+        let mask = (1 << self.shift) - 1;
+        self.coarse[(k >> self.shift) & mask] * self.fine[k & mask]
     }
 }
 
@@ -99,15 +138,14 @@ fn transpose_band(
 }
 
 /// One processor's row-FFT pass over its band, optionally applying the
-/// six-step twiddle factors `W_n^{j2*k1}` after the transform.
+/// six-step twiddle factors `W_n^{-j2*k1}` after the transform.
 fn fft_band(
     p: &Proc<'_>,
     v: &SharedVec<f64>,
-    n: usize,
     m: usize,
     r0: usize,
     r1: usize,
-    twiddle: bool,
+    twiddle: Option<&Roots>,
 ) {
     for r in r0..r1 {
         let seg = read_block(p, v, r * m * 2, m * 2);
@@ -116,10 +154,11 @@ fn fft_band(
             .collect();
         fft_in_place(&mut row, false);
         p.compute(fft_cycles(m));
-        if twiddle {
+        if let Some(roots) = twiddle {
             for (k1, c) in row.iter_mut().enumerate() {
-                let w = Cx::cis(-2.0 * PI * ((r * k1) % n) as f64 / n as f64);
-                *c = *c * w;
+                // W^{-k} is the conjugate of W^k.
+                let w = roots.get(r * k1);
+                *c = *c * Cx::new(w.re, -w.im);
             }
             p.compute(m as u64 * 6 * FLOP);
         }
@@ -146,30 +185,32 @@ impl Workload for Fft {
         let data = world.alloc_vec::<f64>(self.n * 2);
         let scratch = world.alloc_vec::<f64>(self.n * 2);
         let bar = world.alloc_barrier();
+        let roots = Arc::new(Roots::new(self.n));
         for j in 0..self.n {
-            let c = self.input(j);
+            let c = self.input(&roots, j);
             data.set_direct(2 * j, c.re);
             data.set_direct(2 * j + 1, c.im);
         }
         *self.result.borrow_mut() = Some(scratch.clone());
-        let (n, m) = (self.n, self.m);
+        let m = self.m;
         (0..nprocs)
             .map(|pid| {
                 let data = data.clone();
                 let scratch = scratch.clone();
+                let roots = Arc::clone(&roots);
                 let body: ThreadBody = Box::new(move |p: &Proc<'_>| {
                     let (r0, r1) = block_range(m, p.nprocs(), pid);
                     // Step 1: transpose data -> scratch.
                     transpose_band(p, &data, &scratch, m, r0, r1);
                     p.barrier(bar);
                     // Step 2+3: row FFTs on scratch with twiddles.
-                    fft_band(p, &scratch, n, m, r0, r1, true);
+                    fft_band(p, &scratch, m, r0, r1, Some(&roots));
                     p.barrier(bar);
                     // Step 4: transpose scratch -> data.
                     transpose_band(p, &scratch, &data, m, r0, r1);
                     p.barrier(bar);
                     // Step 5: row FFTs on data.
-                    fft_band(p, &data, n, m, r0, r1, false);
+                    fft_band(p, &data, m, r0, r1, None);
                     p.barrier(bar);
                     // Step 6: final transpose data -> scratch (natural order).
                     transpose_band(p, &data, &scratch, m, r0, r1);
@@ -255,6 +296,23 @@ mod tests {
             (seq as f64 / par as f64) > 2.0,
             "ideal speedup too low: {seq}/{par}"
         );
+    }
+
+    #[test]
+    fn roots_match_the_direct_form() {
+        // Test scale and bench scale (4^10 points).
+        for n in [256, 1 << 20] {
+            let roots = Roots::new(n);
+            for k in 0..n {
+                let got = roots.get(k);
+                let want = Cx::cis(2.0 * PI * k as f64 / n as f64);
+                assert!(
+                    (got.re - want.re).abs() <= 1e-15 && (got.im - want.im).abs() <= 1e-15,
+                    "n {n}, k {k}: {got:?} vs {want:?}"
+                );
+            }
+            assert_eq!(roots.get(n + 3), roots.get(3), "taken mod n");
+        }
     }
 
     #[test]

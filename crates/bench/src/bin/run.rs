@@ -9,6 +9,9 @@
 //!
 //! Shares the sweep cache: a cell this runner executes is a cache hit for
 //! every figure/table binary, and vice versa.
+//!
+//! Exits 1 if the cell failed, timed out or did not verify (after printing
+//! the requested report), 2 on a usage error.
 
 use ssm_apps::catalog::{by_name, suite};
 use ssm_core::{CommPreset, LayerConfig, ProtoPreset, Protocol};
@@ -168,5 +171,8 @@ fn main() {
             t.row(row);
         }
         println!("\n{t}");
+    }
+    if !rec.verified {
+        std::process::exit(1);
     }
 }

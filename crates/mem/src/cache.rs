@@ -137,24 +137,49 @@ impl Cache {
         outcome
     }
 
-    /// Removes the line containing `addr` if present (no writeback: the
-    /// contents are assumed stale). Returns whether it was present.
-    pub fn invalidate(&mut self, addr: u64) -> bool {
-        let (set, key) = self.locate(addr);
-        let mut i = 0;
-        while i < set.len() && set[i] != 0 {
-            if set[i] & !DIRTY == key {
-                // Later slots each move one place toward MRU; the last empties.
-                while i + 1 < set.len() {
-                    set[i] = set[i + 1];
-                    i += 1;
+    /// Removes every line of `[addr, addr + len)` that is present (no
+    /// writeback: the contents are assumed stale).
+    ///
+    /// The range is walked in runs of lines that share a tag. Such a run
+    /// maps to consecutive sets, so its slots are one contiguous stretch of
+    /// the directory, and one branch-free scan against the run's key says
+    /// whether any of its lines is resident. Only a run where the scan
+    /// found one pays for the order-preserving removal. Removals from one
+    /// LRU-ordered set commute, and no key matches an empty slot, so the
+    /// result is the one a line-by-line removal gives.
+    pub fn invalidate_range(&mut self, addr: u64, len: u64) {
+        if len == 0 {
+            return;
+        }
+        let set_bits = self.tag_shift - self.line_shift;
+        let last = (addr + len - 1) >> self.line_shift;
+        let mut line = addr >> self.line_shift;
+        while line <= last {
+            // The run ends at its tag's last set or at the range's end.
+            let end = (line | self.set_mask).min(last);
+            let key = (line >> set_bits) << 2 | VALID;
+            let lo = (line & self.set_mask) as usize * self.assoc;
+            let hi = ((end & self.set_mask) as usize + 1) * self.assoc;
+            let run = &mut self.slots[lo..hi];
+            if run.iter().fold(false, |hit, &s| hit | (s & !DIRTY == key)) {
+                for set in run.chunks_exact_mut(self.assoc) {
+                    remove(set, key);
                 }
-                set[i] = 0;
-                return true;
             }
+            line = end + 1;
+        }
+    }
+}
+
+/// Removes the slot matching `key` from `set`, if any: later slots each
+/// move one place toward MRU, and the last empties.
+fn remove(set: &mut [u64], key: u64) {
+    if let Some(mut i) = set.iter().position(|&s| s & !DIRTY == key) {
+        while i + 1 < set.len() {
+            set[i] = set[i + 1];
             i += 1;
         }
-        false
+        set[i] = 0;
     }
 }
 
@@ -253,9 +278,12 @@ mod tests {
     fn invalidate_removes() {
         let mut c = small();
         c.access(0, true);
-        assert!(c.invalidate(0));
+        c.access(32, false);
+        c.invalidate_range(0, 1);
         assert_eq!(resident(&c, 0), None);
-        assert!(!c.invalidate(0));
+        assert_eq!(resident(&c, 32), Some(false)); // next line untouched
+        c.invalidate_range(0, 32); // absent: no effect
+        assert_eq!(resident(&c, 32), Some(false));
     }
 
     #[test]
@@ -263,7 +291,8 @@ mod tests {
         let mut c = small();
         c.access(0, true);
         c.access(4 * 32, true);
-        assert!(c.invalidate(0));
+        c.invalidate_range(0, 32);
+        assert_eq!(resident(&c, 0), None);
         assert_eq!(c.access(8 * 32, false), MISS); // takes the freed slot
         assert_eq!(resident(&c, 4 * 32), Some(true));
     }
@@ -336,11 +365,12 @@ mod tests {
             }
         }
 
-        fn invalidate(&mut self, addr: u64) -> bool {
+        fn invalidate(&mut self, addr: u64) {
             let (set, tag) = self.locate(addr);
             let ways = &mut self.sets[set];
-            let pos = ways.iter().position(|w| w.0 == tag);
-            pos.map(|p| ways.remove(p)).is_some()
+            if let Some(p) = ways.iter().position(|w| w.0 == tag) {
+                ways.remove(p);
+            }
         }
     }
 
@@ -384,8 +414,14 @@ mod tests {
                     let addr = (r >> 16) % (lines * 32);
                     let what = format!("assoc {assoc}, {nsets} sets, step {step}");
                     if r % 8 == 0 {
-                        let got = flat.invalidate(addr);
-                        assert_eq!(got, reference.invalidate(addr), "{what}");
+                        // 1 to 3 x sets lines from an unaligned start, so
+                        // ranges cross tag-run boundaries.
+                        let n = 1 + (r >> 4) % (3 * nsets as u64);
+                        flat.invalidate_range(addr, n * 32 - addr % 32);
+                        for l in 0..n {
+                            reference.invalidate(addr + l * 32);
+                        }
+                        assert_eq!(contents(&flat), reference.sets, "{what}");
                     } else {
                         let write = r % 8 < 3;
                         let got = flat.access(addr, write);

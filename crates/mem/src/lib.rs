@@ -155,12 +155,14 @@ impl Hierarchy {
     ///
     /// # Panics
     ///
-    /// Panics if either bus-rate term is zero.
+    /// Panics if either bus-rate term is zero, or if L1 and L2 lines differ
+    /// in size: every range path steps at one line size for both levels.
     pub fn new(cfg: MemConfig) -> Self {
         assert!(
             cfg.bus_bytes > 0 && cfg.bus_cycles > 0,
             "bus rate terms must be non-zero"
         );
+        assert_eq!(cfg.l1.line, cfg.l2.line, "L1 and L2 lines must match");
         Hierarchy {
             l1: Cache::new(cfg.l1),
             l2: Cache::new(cfg.l2),
@@ -327,16 +329,8 @@ impl Hierarchy {
     /// writing back (used when a page is invalidated by the protocol: its
     /// cached contents are stale).
     pub fn invalidate_range(&mut self, addr: u64, len: u64) {
-        if len == 0 {
-            return;
-        }
-        let line = self.cfg.l2.line as u64;
-        let first = addr / line;
-        let last = (addr + len - 1) / line;
-        for l in first..=last {
-            self.l1.invalidate(l * line);
-            self.l2.invalidate(l * line);
-        }
+        self.l1.invalidate_range(addr, len);
+        self.l2.invalidate_range(addr, len);
     }
 }
 
@@ -417,6 +411,14 @@ mod tests {
         assert_eq!(h.read(100, 0), 0);
         h.invalidate_range(0, 32);
         assert!(h.read(200, 0) > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "lines must match")]
+    fn mismatched_line_sizes_rejected() {
+        let mut cfg = MemConfig::tiny();
+        cfg.l2.line = 64;
+        let _ = Hierarchy::new(cfg);
     }
 
     #[test]
