@@ -109,8 +109,12 @@ impl Roots {
 }
 
 /// One processor's transpose: `dst` rows `r0..r1` receive `src` columns
-/// `r0..r1` (reads grouped into the contiguous per-source-row segments the
-/// blocked SPLASH-2 transpose uses).
+/// `r0..r1`. The simulated accesses are the blocked SPLASH-2 transpose's:
+/// one coarse read of each source row's contiguous segment, then one
+/// coarse write of each destination row. The values move between the same
+/// two barriers, one tile at a time: up to √m segments' worth of columns
+/// from enough source rows to fill m points, so no buffer is larger than
+/// one row.
 fn transpose_band(
     p: &Proc<'_>,
     src: &SharedVec<f64>,
@@ -123,17 +127,31 @@ fn transpose_band(
     if width == 0 {
         return;
     }
-    let mut bands: Vec<Vec<Cx>> = vec![Vec::with_capacity(m); width];
     for j in 0..m {
-        let seg = read_block(p, src, (j * m + r0) * 2, width * 2);
+        src.touch_range_read(p, (j * m + r0) * 2, width * 2);
         p.compute(width as u64 * COPY);
-        for t in 0..width {
-            bands[t].push(Cx::new(seg[2 * t], seg[2 * t + 1]));
+    }
+    let cols = width.min(m.isqrt());
+    let rows = m / cols;
+    let mut tile = vec![0.0; rows * cols * 2];
+    let mut run = vec![0.0; rows * 2];
+    for c0 in (0..width).step_by(cols) {
+        let cw = cols.min(width - c0);
+        for j0 in (0..m).step_by(rows) {
+            let rh = rows.min(m - j0);
+            for (b, seg) in tile.chunks_exact_mut(cw * 2).take(rh).enumerate() {
+                src.read_range_into(((j0 + b) * m + r0 + c0) * 2, seg);
+            }
+            for t in 0..cw {
+                for (b, pt) in run.chunks_exact_mut(2).take(rh).enumerate() {
+                    pt.copy_from_slice(&tile[(b * cw + t) * 2..][..2]);
+                }
+                dst.write_range_direct(((r0 + c0 + t) * m + j0) * 2, &run[..rh * 2]);
+            }
         }
     }
-    for (t, r) in (r0..r1).enumerate() {
-        let flat: Vec<f64> = bands[t].iter().flat_map(|c| [c.re, c.im]).collect();
-        write_block(p, dst, r * m * 2, &flat);
+    for r in r0..r1 {
+        dst.touch_range_write(p, r * m * 2, m * 2);
     }
 }
 
@@ -296,6 +314,26 @@ mod tests {
             (seq as f64 / par as f64) > 2.0,
             "ideal speedup too low: {seq}/{par}"
         );
+    }
+
+    #[test]
+    fn output_does_not_depend_on_the_processor_count() {
+        // 3 and 5 processors give bands that split into partial tiles.
+        let output = |procs: usize| -> Vec<u64> {
+            let w = Fft::new(256);
+            let r = SimBuilder::new(Protocol::Hlrc).procs(procs).run(&w);
+            assert!(r.verify_error.is_none(), "p{procs}: {:?}", r.verify_error);
+            let guard = w.result.borrow();
+            let out = guard.as_ref().expect("spawned");
+            out.read_range_direct(0, out.len())
+                .iter()
+                .map(|x| x.to_bits())
+                .collect()
+        };
+        let one = output(1);
+        for procs in [2, 3, 4, 5] {
+            assert!(output(procs) == one, "p{procs} differs from p1");
+        }
     }
 
     #[test]

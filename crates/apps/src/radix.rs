@@ -39,6 +39,26 @@ fn key_init(i: usize) -> u32 {
     (x as u32) & ((1 << KEY_BITS) - 1)
 }
 
+/// Stable sort of `keys` by the digit at `shift`, given that digit's
+/// histogram `counts`: a counting sort, O(keys + R). The result is the
+/// digit-major order, and within a digit the input order, that a filter
+/// pass per digit gives.
+fn digit_sort(keys: &[u32], counts: &[u32], shift: u32) -> Vec<u32> {
+    let mut next = vec![0usize; R];
+    let mut start = 0usize;
+    for (slot, &c) in next.iter_mut().zip(counts) {
+        *slot = start;
+        start += c as usize;
+    }
+    let mut sorted = vec![0u32; keys.len()];
+    for &k in keys {
+        let d = ((k >> shift) as usize) & (R - 1);
+        sorted[next[d]] = k;
+        next[d] += 1;
+    }
+    sorted
+}
+
 /// Which permutation-write strategy to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RadixVariant {
@@ -172,14 +192,7 @@ impl Workload for Radix {
                             RadixVariant::Local => {
                                 // 3a: digit-sort my keys into MY buffer
                                 // region (local, coarse, single-writer).
-                                let mut sorted = Vec::with_capacity(mine.len());
-                                for d in 0..R {
-                                    for &k in &mine {
-                                        if ((k >> shift) as usize) & (R - 1) == d {
-                                            sorted.push(k);
-                                        }
-                                    }
-                                }
+                                let sorted = digit_sort(&mine, &counts, shift);
                                 p.compute(mine.len() as u64 * 3 * INT_OP);
                                 write_block(p, &buf, k0, &sorted);
                                 p.barrier(bar);
@@ -307,6 +320,51 @@ mod tests {
             rr.total_cycles,
             ro.total_cycles
         );
+    }
+
+    /// The per-digit filter form `digit_sort` replaces.
+    fn digit_sort_by_filter(keys: &[u32], shift: u32) -> Vec<u32> {
+        let mut sorted = Vec::with_capacity(keys.len());
+        for d in 0..R {
+            for &k in keys {
+                if ((k >> shift) as usize) & (R - 1) == d {
+                    sorted.push(k);
+                }
+            }
+        }
+        sorted
+    }
+
+    #[test]
+    fn digit_sort_matches_the_filter_form() {
+        let mut rng = crate::common::Rng::new(7);
+        let random: Vec<u32> = (0..5000)
+            .map(|_| rng.next_u32() & ((1 << KEY_BITS) - 1))
+            .collect();
+        let cases: [Vec<u32>; 6] = [
+            random,
+            (0..4096).map(key_init).collect(),
+            Vec::new(),
+            vec![0xa5c3],
+            // One shared digit per pass; the other digit shows the order.
+            (0..300).map(|i| 0x3c | ((i * 37 % 256) << 8)).collect(),
+            (0..300).map(|i| 0x3c00 | (i * 37 % 256)).collect(),
+        ];
+        for keys in &cases {
+            for pass in 0..KEY_BITS / DIGIT_BITS {
+                let shift = pass * DIGIT_BITS;
+                let mut counts = vec![0u32; R];
+                for &k in keys {
+                    counts[((k >> shift) as usize) & (R - 1)] += 1;
+                }
+                assert_eq!(
+                    digit_sort(keys, &counts, shift),
+                    digit_sort_by_filter(keys, shift),
+                    "{} keys, shift {shift}",
+                    keys.len()
+                );
+            }
+        }
     }
 
     #[test]

@@ -50,6 +50,53 @@ fn density(v: usize, x: usize, y: usize, z: usize) -> f32 {
     }
 }
 
+/// Fills `volume`, laid out `(z * v + y) * v + x`, with [`density`]. The
+/// field is symmetric under each reflection `x -> v - 1 - x` (and likewise
+/// in y and z), and bit-exactly so: `x - c` and `(v - 1 - x) - c` are
+/// half-integers, so their quotients by `c` are exact negations and `r`
+/// is the same `f64`. So `density` runs on one octant only, and each
+/// plane is mirrored from its first quadrant and written with one copy.
+fn fill_volume(volume: &SharedVec<f32>, v: usize) {
+    let h = v.div_ceil(2);
+    let mut plane = vec![0f32; v * v];
+    for z in 0..h {
+        for y in 0..h {
+            for x in 0..h {
+                let rho = density(v, x, y, z);
+                let (mx, my) = (v - 1 - x, v - 1 - y);
+                plane[y * v + x] = rho;
+                plane[y * v + mx] = rho;
+                plane[my * v + x] = rho;
+                plane[my * v + mx] = rho;
+            }
+        }
+        volume.write_range_direct(z * v * v, &plane);
+        volume.write_range_direct((v - 1 - z) * v * v, &plane);
+    }
+}
+
+/// Predicted ray steps of each `TILE x TILE` tile, in tile order, with
+/// the volume read through `sample`.
+fn tile_work<F>(v: usize, sample: &mut F) -> Vec<u64>
+where
+    F: FnMut(usize, usize, usize) -> f32,
+{
+    let tiles_per_row = v / TILE;
+    (0..tiles_per_row * tiles_per_row)
+        .map(|t| {
+            let tx = (t % tiles_per_row) * TILE;
+            let ty = (t / tiles_per_row) * TILE;
+            let mut w = 0u64;
+            for py in ty..ty + TILE {
+                for px in tx..tx + TILE {
+                    w += cast_ray(v, px, py, sample).1 as u64;
+                }
+            }
+            w
+        })
+        .collect()
+}
+
 /// Composites one ray through the volume via `sample`; returns the pixel
 /// value and the number of voxels actually read (early termination).
 fn cast_ray<F>(v: usize, px: usize, py: usize, sample: &mut F) -> (u32, usize)
@@ -155,13 +202,7 @@ impl Workload for Volrend {
     fn spawn(&self, world: &mut World, nprocs: usize) -> Vec<ThreadBody> {
         let v = self.v;
         let volume = world.alloc_vec::<f32>(v * v * v);
-        for z in 0..v {
-            for y in 0..v {
-                for x in 0..v {
-                    volume.set_direct((z * v + y) * v + x, density(v, x, y, z));
-                }
-            }
-        }
+        fill_volume(&volume, v);
         let image = world.alloc_vec::<u32>(v * v);
         let tiles = (v / TILE) * (v / TILE);
         let q = TaskQueues::alloc(world, nprocs, tiles);
@@ -181,22 +222,7 @@ impl Workload for Volrend {
                 // tile sequence into contiguous, equal-work bands. This
                 // both removes most stealing and keeps each processor's
                 // image writes contiguous (less page-level false sharing).
-                let tiles_per_row = v / TILE;
-                let work: Vec<u64> = (0..tiles)
-                    .map(|t| {
-                        let tx = (t % tiles_per_row) * TILE;
-                        let ty = (t / tiles_per_row) * TILE;
-                        let mut w = 0u64;
-                        for py in ty..ty + TILE {
-                            for px in tx..tx + TILE {
-                                let (_, steps) =
-                                    cast_ray(v, px, py, &mut |x, y, z| density(v, x, y, z));
-                                w += steps as u64;
-                            }
-                        }
-                        w
-                    })
-                    .collect();
+                let work = tile_work(v, &mut |x, y, z| volume.get_direct((z * v + y) * v + x));
                 let total: u64 = work.iter().sum();
                 let mut pid = 0usize;
                 let mut acc = 0u64;
@@ -285,6 +311,37 @@ mod tests {
             centre.1
         );
         assert_eq!(corner.1, v, "corner ray traverses full depth");
+    }
+
+    #[test]
+    fn mirrored_fill_equals_density_everywhere() {
+        for v in [8, 9, 64] {
+            let mut world = World::new(v * v * v * 4);
+            let volume = world.alloc_vec::<f32>(v * v * v);
+            fill_volume(&volume, v);
+            for z in 0..v {
+                for y in 0..v {
+                    for x in 0..v {
+                        let got = volume.get_direct((z * v + y) * v + x);
+                        let want = density(v, x, y, z);
+                        assert_eq!(got.to_bits(), want.to_bits(), "v {v} at ({x},{y},{z})");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tile_work_from_the_volume_equals_density() {
+        for v in [16, 64] {
+            let mut world = World::new(v * v * v * 4);
+            let volume = world.alloc_vec::<f32>(v * v * v);
+            fill_volume(&volume, v);
+            let from_volume = tile_work(v, &mut |x, y, z| volume.get_direct((z * v + y) * v + x));
+            let direct = tile_work(v, &mut |x, y, z| density(v, x, y, z));
+            assert_eq!(from_volume, direct, "v {v}");
+            assert!(from_volume.iter().any(|&w| w < (TILE * TILE * v) as u64));
+        }
     }
 
     #[test]

@@ -93,6 +93,21 @@ impl SharedMem {
         })
     }
 
+    /// Reads `out.len()` consecutive `T`s that start at byte `addr` into
+    /// `out`, with one bounds check for the whole range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is out of bounds.
+    pub fn read_into<T: Scalar>(&self, addr: u64, out: &mut [T]) {
+        let bytes = byte_range::<T>(addr, out.len());
+        self.with(|d| {
+            for (o, chunk) in out.iter_mut().zip(d[bytes].chunks_exact(T::BYTES as usize)) {
+                *o = T::from_le_chunk(chunk);
+            }
+        });
+    }
+
     /// Writes `vals` to consecutive `T`s starting at byte `addr`, with one
     /// bounds check for the whole range.
     ///
@@ -263,6 +278,18 @@ impl<T: Scalar> SharedVec<T> {
         match self.range_addr(i, n) {
             Some(addr) => self.mem.read_range(addr, n),
             None => Vec::new(),
+        }
+    }
+
+    /// Untimed read of the `out.len()` consecutive elements starting at `i`
+    /// into `out`: [`SharedVec::read_range_direct`] without the allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not empty and `i + out.len() > len`.
+    pub fn read_range_into(&self, i: usize, out: &mut [T]) {
+        if let Some(addr) = self.range_addr(i, out.len()) {
+            self.mem.read_into(addr, out);
         }
     }
 
@@ -476,6 +503,10 @@ mod tests {
         let elems: Vec<T> = (0..all).map(|i| by_elem.get_direct(i)).collect();
         assert_eq!(by_range.read_range_direct(0, all), elems);
         assert_eq!(by_range.read_range_direct(1, vals.len()), vals);
+        let mut into = elems.clone();
+        into.reverse();
+        by_range.read_range_into(0, &mut into);
+        assert_eq!(into, elems);
     }
 
     #[test]
@@ -496,6 +527,7 @@ mod tests {
         v.set_direct(3, 9);
         // Even a start past the end is fine when nothing is touched.
         assert!(v.read_range_direct(4, 0).is_empty());
+        v.read_range_into(4, &mut []);
         v.write_range_direct(4, &[]);
         assert_eq!(v.read_range_direct(0, 4), vec![0, 0, 0, 9]);
     }
@@ -506,6 +538,14 @@ mod tests {
         let mut w = World::new(1 << 16);
         let v = w.alloc_vec::<f64>(4);
         let _ = v.read_range_direct(2, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn range_read_into_past_len_panics() {
+        let mut w = World::new(1 << 16);
+        let v = w.alloc_vec::<f64>(4);
+        v.read_range_into(2, &mut [0.0; 3]);
     }
 
     #[test]
