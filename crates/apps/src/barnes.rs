@@ -23,7 +23,7 @@
 
 use std::cell::RefCell;
 
-use ssm_proto::{Proc, SharedVec, ThreadBody, Workload, World};
+use ssm_proto::{async_body, AsyncBody, Cpu, SharedVec, Workload, World};
 
 use crate::common::{block_range, read_block, write_block, FLOP, INT_OP};
 
@@ -202,9 +202,9 @@ struct Tree {
 impl Tree {
     /// Creates a cell `nc` under (`parent_center`, `parent_half`) at
     /// `octant` (timed writes by `p`).
-    fn create_cell(
+    async fn create_cell(
         &self,
-        p: &Proc<'_>,
+        p: &Cpu,
         nc: usize,
         parent_center: &[f64; 3],
         parent_half: f64,
@@ -216,17 +216,17 @@ impl Tree {
             parent_center[1] + if oct & 2 != 0 { h } else { -h },
             parent_center[2] + if oct & 1 != 0 { h } else { -h },
         ];
-        write_block(p, &self.center, nc * 3, &c);
-        self.half.touch_range_write(p, nc, 1);
+        write_block(p, &self.center, nc * 3, &c).await;
+        self.half.touch_write(p, nc, 1).await;
         self.half.set_direct(nc, h);
-        write_block(p, &self.child, nc * 8, &[0i64; 8]);
+        write_block(p, &self.child, nc * 8, &[0i64; 8]).await;
         p.compute(8 * INT_OP);
         (c, h)
     }
 
-    fn read_cell_geom(&self, p: &Proc<'_>, cell: usize) -> ([f64; 3], f64) {
-        let c = read_block(p, &self.center, cell * 3, 3);
-        self.half.touch_range_read(p, cell, 1);
+    async fn read_cell_geom(&self, p: &Cpu, cell: usize) -> ([f64; 3], f64) {
+        let c = read_block(p, &self.center, cell * 3, 3).await;
+        self.half.touch_read(p, cell, 1).await;
         let h = self.half.get_direct(cell);
         ([c[0], c[1], c[2]], h)
     }
@@ -235,9 +235,9 @@ impl Tree {
     /// allocating cells from `pool` (a `(next, end)` cursor). `lock_cells`
     /// selects the Barnes-original per-cell locking discipline.
     #[allow(clippy::too_many_arguments)]
-    fn insert(
+    async fn insert(
         &self,
-        p: &Proc<'_>,
+        p: &Cpu,
         pos: &SharedVec<f64>,
         locks: &[ssm_proto::LockId],
         b: usize,
@@ -249,24 +249,24 @@ impl Tree {
         let mut cur = root;
         loop {
             if lock_cells {
-                p.lock(locks[cur]);
+                p.lock(locks[cur]).await;
             }
-            let (c, h) = self.read_cell_geom(p, cur);
+            let (c, h) = self.read_cell_geom(p, cur).await;
             let oct = octant(&x, &c);
             p.compute(6 * INT_OP);
-            self.child.touch_range_read(p, cur * 8 + oct, 1);
+            self.child.touch_read(p, cur * 8 + oct, 1).await;
             match decode(self.child.get_direct(cur * 8 + oct)) {
                 Slot::Empty => {
-                    self.child.touch_range_write(p, cur * 8 + oct, 1);
+                    self.child.touch_write(p, cur * 8 + oct, 1).await;
                     self.child.set_direct(cur * 8 + oct, encode(Slot::Body(b)));
                     if lock_cells {
-                        p.unlock(locks[cur]);
+                        p.unlock(locks[cur]).await;
                     }
                     return;
                 }
                 Slot::Cell(next) => {
                     if lock_cells {
-                        p.unlock(locks[cur]);
+                        p.unlock(locks[cur]).await;
                     }
                     cur = next;
                 }
@@ -276,15 +276,15 @@ impl Tree {
                     let nc = pool.0;
                     assert!(nc < pool.1, "cell pool exhausted");
                     pool.0 += 1;
-                    let (ncenter, _nh) = self.create_cell(p, nc, &c, h, oct);
-                    let b2pos = read_block(p, pos, b2 * 3, 3);
+                    let (ncenter, _nh) = self.create_cell(p, nc, &c, h, oct).await;
+                    let b2pos = read_block(p, pos, b2 * 3, 3).await;
                     let o2 = octant(&b2pos, &ncenter);
-                    self.child.touch_range_write(p, nc * 8 + o2, 1);
+                    self.child.touch_write(p, nc * 8 + o2, 1).await;
                     self.child.set_direct(nc * 8 + o2, encode(Slot::Body(b2)));
-                    self.child.touch_range_write(p, cur * 8 + oct, 1);
+                    self.child.touch_write(p, cur * 8 + oct, 1).await;
                     self.child.set_direct(cur * 8 + oct, encode(Slot::Cell(nc)));
                     if lock_cells {
-                        p.unlock(locks[cur]);
+                        p.unlock(locks[cur]).await;
                     }
                     cur = nc;
                 }
@@ -292,54 +292,79 @@ impl Tree {
         }
     }
 
-    /// Post-order center-of-mass computation for the subtree at `cell`.
+    /// Post-order center-of-mass computation for the subtree at `cell`,
+    /// depth first with an explicit stack of the cells being summed.
     /// Returns `(mass, weighted position)`.
-    fn compute_com(
+    async fn compute_com(
         &self,
-        p: &Proc<'_>,
+        p: &Cpu,
         pos: &SharedVec<f64>,
         body_mass: f64,
         cell: usize,
     ) -> (f64, [f64; 3]) {
-        let kids = read_block(p, &self.child, cell * 8, 8);
-        let mut mass = 0.0;
-        let mut w = [0.0f64; 3];
-        for &k in &kids {
-            match decode(k) {
-                Slot::Empty => {}
-                Slot::Body(b) => {
-                    let bp = read_block(p, pos, b * 3, 3);
-                    mass += body_mass;
-                    for c in 0..3 {
-                        w[c] += body_mass * bp[c];
+        /// A cell whose children are being summed.
+        struct Frame {
+            cell: usize,
+            kids: Vec<i64>,
+            next: usize,
+            mass: f64,
+            w: [f64; 3],
+        }
+        let frame = async |cell: usize| Frame {
+            cell,
+            kids: read_block(p, &self.child, cell * 8, 8).await,
+            next: 0,
+            mass: 0.0,
+            w: [0.0; 3],
+        };
+        let mut stack = vec![frame(cell).await];
+        loop {
+            let top = stack.last_mut().expect("the root frame is popped last");
+            if let Some(&k) = top.kids.get(top.next) {
+                top.next += 1;
+                match decode(k) {
+                    Slot::Empty => {}
+                    Slot::Body(b) => {
+                        let bp = read_block(p, pos, b * 3, 3).await;
+                        top.mass += body_mass;
+                        for (wc, x) in top.w.iter_mut().zip(&bp) {
+                            *wc += body_mass * x;
+                        }
+                    }
+                    Slot::Cell(sub) => {
+                        // Its `8 * FLOP` is charged once the subtree is done.
+                        stack.push(frame(sub).await);
+                        continue;
                     }
                 }
-                Slot::Cell(sub) => {
-                    let (m, sw) = self.compute_com(p, pos, body_mass, sub);
-                    mass += m;
-                    for c in 0..3 {
-                        w[c] += sw[c];
-                    }
-                }
+                p.compute(8 * FLOP);
+                continue;
+            }
+            let Frame { cell, mass, w, .. } = stack.pop().expect("a frame is on top");
+            let com = if mass > 0.0 {
+                [w[0] / mass, w[1] / mass, w[2] / mass]
+            } else {
+                [0.0; 3]
+            };
+            write_block(p, &self.com, cell * 3, &com).await;
+            self.cmass.touch_write(p, cell, 1).await;
+            self.cmass.set_direct(cell, mass);
+            let Some(parent) = stack.last_mut() else {
+                return (mass, w);
+            };
+            parent.mass += mass;
+            for (pw, x) in parent.w.iter_mut().zip(w) {
+                *pw += x;
             }
             p.compute(8 * FLOP);
         }
-        let com = if mass > 0.0 {
-            [w[0] / mass, w[1] / mass, w[2] / mass]
-        } else {
-            [0.0; 3]
-        };
-        write_block(p, &self.com, cell * 3, &com);
-        self.cmass.touch_range_write(p, cell, 1);
-        self.cmass.set_direct(cell, mass);
-        (mass, w)
     }
 
     /// Barnes-Hut force on the body at `x` (excluding itself), traversing
     /// from `root`. Returns the acceleration and the interaction count.
-    fn force_on(
+    async fn force_on(
         &self,
-        p: &Proc<'_>,
+        p: &Cpu,
         pos: &SharedVec<f64>,
         body_mass: f64,
         me: usize,
@@ -356,18 +381,18 @@ impl Tree {
                     if b == me {
                         continue;
                     }
-                    let bp = read_block(p, pos, b * 3, 3);
+                    let bp = read_block(p, pos, b * 3, 3).await;
                     add_grav(&mut acc, &x, &[bp[0], bp[1], bp[2]], body_mass);
                     interactions += 1;
                 }
                 Slot::Cell(cell) => {
-                    self.cmass.touch_range_read(p, cell, 1);
+                    self.cmass.touch_read(p, cell, 1).await;
                     let m = self.cmass.get_direct(cell);
                     if m <= 0.0 {
                         continue;
                     }
-                    let com = read_block(p, &self.com, cell * 3, 3);
-                    self.half.touch_range_read(p, cell, 1);
+                    let com = read_block(p, &self.com, cell * 3, 3).await;
+                    self.half.touch_read(p, cell, 1).await;
                     let h = self.half.get_direct(cell);
                     let d = [com[0] - x[0], com[1] - x[1], com[2] - x[2]];
                     let dist2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + SOFT;
@@ -376,7 +401,7 @@ impl Tree {
                         add_grav(&mut acc, &x, &[com[0], com[1], com[2]], m);
                         interactions += 1;
                     } else {
-                        let kids = read_block(p, &self.child, cell * 8, 8);
+                        let kids = read_block(p, &self.child, cell * 8, 8).await;
                         for &k in &kids {
                             let s = decode(k);
                             if s != Slot::Empty {
@@ -416,7 +441,7 @@ impl Workload for Barnes {
     }
 
     #[allow(clippy::needless_range_loop)] // indexed loops mirror the SPLASH-2 kernels
-    fn spawn(&self, world: &mut World, nprocs: usize) -> Vec<ThreadBody> {
+    fn spawn_async(&self, world: &mut World, nprocs: usize) -> Option<Vec<AsyncBody>> {
         let n = self.n;
         let cap = self.cap();
         let pos = world.alloc_vec::<f64>(n * 3);
@@ -444,7 +469,7 @@ impl Workload for Barnes {
         let steps = self.steps;
         let variant = self.variant;
         let body_mass = 1.0 / n as f64;
-        (0..nprocs)
+        let bodies = (0..nprocs)
             .map(|pid| {
                 let pos = pos.clone();
                 let vel = vel.clone();
@@ -457,7 +482,8 @@ impl Workload for Barnes {
                     cmass: cmass.clone(),
                 };
                 let cell_locks = cell_locks.clone();
-                let body: ThreadBody = Box::new(move |p: &Proc<'_>| {
+                async_body(move |p| async move {
+                    let p = &p;
                     let np = p.nprocs();
                     let (b0, b1) = block_range(n, np, pid);
                     // Per-processor cell pool; the first 9 global slots
@@ -470,24 +496,24 @@ impl Workload for Barnes {
                         if pid == 0 {
                             // Reset the root (and, for the spatial variant,
                             // the eight top-level octant cells).
-                            write_block(p, &tree.center, 0, &[0.5, 0.5, 0.5]);
-                            tree.half.touch_range_write(p, 0, 1);
+                            write_block(p, &tree.center, 0, &[0.5, 0.5, 0.5]).await;
+                            tree.half.touch_write(p, 0, 1).await;
                             tree.half.set_direct(0, 0.5);
-                            write_block(p, &tree.child, 0, &[0i64; 8]);
+                            write_block(p, &tree.child, 0, &[0i64; 8]).await;
                             if variant == BarnesVariant::Spatial {
                                 for o in 0..8usize {
-                                    tree.create_cell(p, 1 + o, &[0.5, 0.5, 0.5], 0.5, o);
-                                    tree.child.touch_range_write(p, o, 1);
+                                    tree.create_cell(p, 1 + o, &[0.5, 0.5, 0.5], 0.5, o).await;
+                                    tree.child.touch_write(p, o, 1).await;
                                     tree.child.set_direct(o, encode(Slot::Cell(1 + o)));
                                 }
                             }
                         }
-                        p.barrier(bar);
+                        p.barrier(bar).await;
                         match variant {
                             BarnesVariant::Original => {
                                 // Concurrent locked insertion of my bodies.
                                 for b in b0..b1 {
-                                    let bp = read_block(p, &pos, b * 3, 3);
+                                    let bp = read_block(p, &pos, b * 3, 3).await;
                                     tree.insert(
                                         p,
                                         &pos,
@@ -497,14 +523,15 @@ impl Workload for Barnes {
                                         0,
                                         &mut pool,
                                         true,
-                                    );
+                                    )
+                                    .await;
                                 }
                             }
                             BarnesVariant::Spatial => {
                                 // Lock-free build of my octants: read every
                                 // position coarsely, insert the bodies that
                                 // fall in octants assigned to me.
-                                let all = read_block(p, &pos, 0, n * 3);
+                                let all = read_block(p, &pos, 0, n * 3).await;
                                 p.compute(n as u64 * 2 * INT_OP);
                                 for b in 0..n {
                                     let x = [all[b * 3], all[b * 3 + 1], all[b * 3 + 2]];
@@ -519,43 +546,44 @@ impl Workload for Barnes {
                                             1 + o,
                                             &mut pool,
                                             false,
-                                        );
+                                        )
+                                        .await;
                                     }
                                 }
                             }
                         }
-                        p.barrier(bar);
+                        p.barrier(bar).await;
                         // --- Center-of-mass phase: one top-level subtree
                         // per processor (round-robin). ---
                         for o in 0..8usize {
                             if o % np != pid {
                                 continue;
                             }
-                            tree.child.touch_range_read(p, o, 1);
+                            tree.child.touch_read(p, o, 1).await;
                             if let Slot::Cell(c) = decode(tree.child.get_direct(o)) {
-                                tree.compute_com(p, &pos, body_mass, c);
+                                tree.compute_com(p, &pos, body_mass, c).await;
                             }
                         }
-                        p.barrier(bar);
+                        p.barrier(bar).await;
                         if pid == 0 {
                             // Root COM from its children.
-                            let kids = read_block(p, &tree.child, 0, 8);
+                            let kids = read_block(p, &tree.child, 0, 8).await;
                             let mut mass = 0.0;
                             let mut w = [0.0f64; 3];
                             for &k in &kids {
                                 match decode(k) {
                                     Slot::Empty => {}
                                     Slot::Body(b) => {
-                                        let bp = read_block(p, &pos, b * 3, 3);
+                                        let bp = read_block(p, &pos, b * 3, 3).await;
                                         mass += body_mass;
                                         for c in 0..3 {
                                             w[c] += body_mass * bp[c];
                                         }
                                     }
                                     Slot::Cell(sub) => {
-                                        tree.cmass.touch_range_read(p, sub, 1);
+                                        tree.cmass.touch_read(p, sub, 1).await;
                                         let m = tree.cmass.get_direct(sub);
-                                        let sc = read_block(p, &tree.com, sub * 3, 3);
+                                        let sc = read_block(p, &tree.com, sub * 3, 3).await;
                                         mass += m;
                                         for c in 0..3 {
                                             w[c] += m * sc[c];
@@ -569,41 +597,42 @@ impl Workload for Barnes {
                             } else {
                                 [0.0; 3]
                             };
-                            write_block(p, &tree.com, 0, &root_com);
-                            tree.cmass.touch_range_write(p, 0, 1);
+                            write_block(p, &tree.com, 0, &root_com).await;
+                            tree.cmass.touch_write(p, 0, 1).await;
                             tree.cmass.set_direct(0, mass);
                         }
-                        p.barrier(bar);
+                        p.barrier(bar).await;
                         // --- Force phase ---
                         for b in b0..b1 {
-                            let bp = read_block(p, &pos, b * 3, 3);
-                            let (a, inter) =
-                                tree.force_on(p, &pos, body_mass, b, [bp[0], bp[1], bp[2]], 0);
+                            let bp = read_block(p, &pos, b * 3, 3).await;
+                            let (a, inter) = tree
+                                .force_on(p, &pos, body_mass, b, [bp[0], bp[1], bp[2]], 0)
+                                .await;
                             p.compute(inter * 20 * FLOP);
-                            write_block(p, &acc, b * 3, &a);
+                            write_block(p, &acc, b * 3, &a).await;
                         }
-                        p.barrier(bar);
+                        p.barrier(bar).await;
                         // --- Integration (skipped on the last step so the
                         // accelerations correspond to the final positions
                         // for verification) ---
                         if step + 1 < steps {
-                            let f = read_block(p, &acc, b0 * 3, (b1 - b0) * 3);
-                            let mut v = read_block(p, &vel, b0 * 3, (b1 - b0) * 3);
-                            let mut x = read_block(p, &pos, b0 * 3, (b1 - b0) * 3);
+                            let f = read_block(p, &acc, b0 * 3, (b1 - b0) * 3).await;
+                            let mut v = read_block(p, &vel, b0 * 3, (b1 - b0) * 3).await;
+                            let mut x = read_block(p, &pos, b0 * 3, (b1 - b0) * 3).await;
                             for k in 0..(b1 - b0) * 3 {
                                 v[k] += f[k] * DT;
                                 x[k] = (x[k] + v[k] * DT).clamp(0.02, 0.98);
                             }
                             p.compute(((b1 - b0) * 3) as u64 * 4 * FLOP);
-                            write_block(p, &vel, b0 * 3, &v);
-                            write_block(p, &pos, b0 * 3, &x);
+                            write_block(p, &vel, b0 * 3, &v).await;
+                            write_block(p, &pos, b0 * 3, &x).await;
                         }
-                        p.barrier(bar);
+                        p.barrier(bar).await;
                     }
-                });
-                body
+                })
             })
-            .collect()
+            .collect();
+        Some(bodies)
     }
 
     fn verify(&self) -> Result<(), String> {

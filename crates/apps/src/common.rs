@@ -9,7 +9,11 @@
 //! stores and loop overhead surrounding each floating-point operation, so
 //! computation-to-communication ratios stay realistic.
 
-use ssm_proto::{Proc, Scalar, SharedVec};
+use std::future::Future;
+use std::pin::pin;
+use std::task::{Context, Poll, Waker};
+
+use ssm_proto::{Cpu, Scalar, SharedVec};
 
 /// Cycles charged per floating-point operation (with surrounding loads,
 /// stores and address arithmetic at 1 IPC).
@@ -114,16 +118,30 @@ pub fn block_range(n: usize, nprocs: usize, pid: usize) -> (usize, usize) {
 /// Reads `len` consecutive elements starting at `i` with a single simulated
 /// coarse access, returning the values. This is how the suite models the
 /// blocked/staged copies SPLASH-2 applications use.
-pub fn read_block<T: Scalar>(p: &Proc<'_>, v: &SharedVec<T>, i: usize, len: usize) -> Vec<T> {
-    v.touch_range_read(p, i, len);
+pub async fn read_block<T: Scalar>(p: &Cpu, v: &SharedVec<T>, i: usize, len: usize) -> Vec<T> {
+    v.touch_read(p, i, len).await;
     v.read_range_direct(i, len)
 }
 
 /// Writes `vals` to consecutive elements starting at `i` with a single
 /// simulated coarse access.
-pub fn write_block<T: Scalar>(p: &Proc<'_>, v: &SharedVec<T>, i: usize, vals: &[T]) {
-    v.touch_range_write(p, i, vals.len());
+pub async fn write_block<T: Scalar>(p: &Cpu, v: &SharedVec<T>, i: usize, vals: &[T]) {
+    v.touch_write(p, i, vals.len()).await;
     v.write_range_direct(i, vals);
+}
+
+/// The value of a future that never suspends: application code run
+/// outside the simulation, such as a reference computation whose shared
+/// reads are untimed.
+///
+/// # Panics
+///
+/// Panics if the future suspends.
+pub fn ready<T>(f: impl Future<Output = T>) -> T {
+    match pin!(f).poll(&mut Context::from_waker(Waker::noop())) {
+        Poll::Ready(v) => v,
+        Poll::Pending => panic!("an untimed computation suspended"),
+    }
 }
 
 /// A complex number (interleaved re/im storage in shared arrays).

@@ -16,7 +16,7 @@ use std::cell::RefCell;
 use std::f64::consts::PI;
 use std::sync::Arc;
 
-use ssm_proto::{Proc, SharedVec, ThreadBody, Workload, World};
+use ssm_proto::{async_body, AsyncBody, Cpu, SharedVec, Workload, World};
 
 use crate::common::{
     block_range, fft_cycles, fft_in_place, read_block, write_block, Cx, COPY, FLOP,
@@ -115,8 +115,8 @@ impl Roots {
 /// two barriers, one tile at a time: up to √m segments' worth of columns
 /// from enough source rows to fill m points, so no buffer is larger than
 /// one row.
-fn transpose_band(
-    p: &Proc<'_>,
+async fn transpose_band(
+    p: &Cpu,
     src: &SharedVec<f64>,
     dst: &SharedVec<f64>,
     m: usize,
@@ -128,7 +128,7 @@ fn transpose_band(
         return;
     }
     for j in 0..m {
-        src.touch_range_read(p, (j * m + r0) * 2, width * 2);
+        src.touch_read(p, (j * m + r0) * 2, width * 2).await;
         p.compute(width as u64 * COPY);
     }
     let cols = width.min(m.isqrt());
@@ -151,14 +151,14 @@ fn transpose_band(
         }
     }
     for r in r0..r1 {
-        dst.touch_range_write(p, r * m * 2, m * 2);
+        dst.touch_write(p, r * m * 2, m * 2).await;
     }
 }
 
 /// One processor's row-FFT pass over its band, optionally applying the
 /// six-step twiddle factors `W_n^{-j2*k1}` after the transform.
-fn fft_band(
-    p: &Proc<'_>,
+async fn fft_band(
+    p: &Cpu,
     v: &SharedVec<f64>,
     m: usize,
     r0: usize,
@@ -166,7 +166,7 @@ fn fft_band(
     twiddle: Option<&Roots>,
 ) {
     for r in r0..r1 {
-        let seg = read_block(p, v, r * m * 2, m * 2);
+        let seg = read_block(p, v, r * m * 2, m * 2).await;
         let mut row: Vec<Cx> = (0..m)
             .map(|i| Cx::new(seg[2 * i], seg[2 * i + 1]))
             .collect();
@@ -181,7 +181,7 @@ fn fft_band(
             p.compute(m as u64 * 6 * FLOP);
         }
         let flat: Vec<f64> = row.iter().flat_map(|c| [c.re, c.im]).collect();
-        write_block(p, v, r * m * 2, &flat);
+        write_block(p, v, r * m * 2, &flat).await;
     }
 }
 
@@ -195,7 +195,7 @@ impl Workload for Fft {
         self.n * 16 * 2 + 64 * 1024
     }
 
-    fn spawn(&self, world: &mut World, nprocs: usize) -> Vec<ThreadBody> {
+    fn spawn_async(&self, world: &mut World, nprocs: usize) -> Option<Vec<AsyncBody>> {
         assert!(
             nprocs <= self.m,
             "need at least one matrix row per processor"
@@ -211,32 +211,33 @@ impl Workload for Fft {
         }
         *self.result.borrow_mut() = Some(scratch.clone());
         let m = self.m;
-        (0..nprocs)
+        let bodies = (0..nprocs)
             .map(|pid| {
                 let data = data.clone();
                 let scratch = scratch.clone();
                 let roots = Arc::clone(&roots);
-                let body: ThreadBody = Box::new(move |p: &Proc<'_>| {
+                async_body(move |p| async move {
+                    let p = &p;
                     let (r0, r1) = block_range(m, p.nprocs(), pid);
                     // Step 1: transpose data -> scratch.
-                    transpose_band(p, &data, &scratch, m, r0, r1);
-                    p.barrier(bar);
+                    transpose_band(p, &data, &scratch, m, r0, r1).await;
+                    p.barrier(bar).await;
                     // Step 2+3: row FFTs on scratch with twiddles.
-                    fft_band(p, &scratch, m, r0, r1, Some(&roots));
-                    p.barrier(bar);
+                    fft_band(p, &scratch, m, r0, r1, Some(&roots)).await;
+                    p.barrier(bar).await;
                     // Step 4: transpose scratch -> data.
-                    transpose_band(p, &scratch, &data, m, r0, r1);
-                    p.barrier(bar);
+                    transpose_band(p, &scratch, &data, m, r0, r1).await;
+                    p.barrier(bar).await;
                     // Step 5: row FFTs on data.
-                    fft_band(p, &data, m, r0, r1, None);
-                    p.barrier(bar);
+                    fft_band(p, &data, m, r0, r1, None).await;
+                    p.barrier(bar).await;
                     // Step 6: final transpose data -> scratch (natural order).
-                    transpose_band(p, &data, &scratch, m, r0, r1);
-                    p.barrier(bar);
-                });
-                body
+                    transpose_band(p, &data, &scratch, m, r0, r1).await;
+                    p.barrier(bar).await;
+                })
             })
-            .collect()
+            .collect();
+        Some(bodies)
     }
 
     fn verify(&self) -> Result<(), String> {

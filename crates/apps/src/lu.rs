@@ -13,7 +13,7 @@
 
 use std::cell::RefCell;
 
-use ssm_proto::{Proc, SharedVec, ThreadBody, Workload, World};
+use ssm_proto::{async_body, AsyncBody, SharedVec, Workload, World};
 
 use crate::common::{read_block, write_block, FLOP};
 
@@ -144,7 +144,7 @@ impl Workload for Lu {
         self.n * self.n * 8 + 64 * 1024
     }
 
-    fn spawn(&self, world: &mut World, nprocs: usize) -> Vec<ThreadBody> {
+    fn spawn_async(&self, world: &mut World, nprocs: usize) -> Option<Vec<AsyncBody>> {
         let a = world.alloc_vec::<f64>(self.n * self.n);
         let bar = world.alloc_barrier();
         // Block-contiguous initialization.
@@ -166,43 +166,44 @@ impl Workload for Lu {
         let (pr, pc) = proc_grid(nprocs);
         let bsz = b * b;
         let flops_block = (b * b * b) as u64 * FLOP;
-        (0..nprocs)
+        let bodies = (0..nprocs)
             .map(|pid| {
                 let a = a.clone();
-                let body: ThreadBody = Box::new(move |p: &Proc<'_>| {
+                async_body(move |p| async move {
+                    let p = &p;
                     let base_of = |bi: usize, bj: usize| (bi * nb + bj) * bsz;
                     for k in 0..nb {
                         // Phase 1: factor the diagonal block.
                         if owner(k, k, pr, pc) == pid {
-                            let mut d = read_block(p, &a, base_of(k, k), bsz);
+                            let mut d = read_block(p, &a, base_of(k, k), bsz).await;
                             lu0(&mut d, b);
                             p.compute(2 * flops_block / 3);
-                            write_block(p, &a, base_of(k, k), &d);
+                            write_block(p, &a, base_of(k, k), &d).await;
                         }
-                        p.barrier(bar);
+                        p.barrier(bar).await;
                         // Phase 2: perimeter updates.
                         let mut diag: Option<Vec<f64>> = None;
                         for i in k + 1..nb {
                             if owner(i, k, pr, pc) == pid {
                                 if diag.is_none() {
-                                    diag = Some(read_block(p, &a, base_of(k, k), bsz));
+                                    diag = Some(read_block(p, &a, base_of(k, k), bsz).await);
                                 }
-                                let mut x = read_block(p, &a, base_of(i, k), bsz);
+                                let mut x = read_block(p, &a, base_of(i, k), bsz).await;
                                 bdiv(&mut x, diag.as_ref().expect("diag loaded"), b);
                                 p.compute(flops_block);
-                                write_block(p, &a, base_of(i, k), &x);
+                                write_block(p, &a, base_of(i, k), &x).await;
                             }
                             if owner(k, i, pr, pc) == pid {
                                 if diag.is_none() {
-                                    diag = Some(read_block(p, &a, base_of(k, k), bsz));
+                                    diag = Some(read_block(p, &a, base_of(k, k), bsz).await);
                                 }
-                                let mut x = read_block(p, &a, base_of(k, i), bsz);
+                                let mut x = read_block(p, &a, base_of(k, i), bsz).await;
                                 bmodd(&mut x, diag.as_ref().expect("diag loaded"), b);
                                 p.compute(flops_block);
-                                write_block(p, &a, base_of(k, i), &x);
+                                write_block(p, &a, base_of(k, i), &x).await;
                             }
                         }
-                        p.barrier(bar);
+                        p.barrier(bar).await;
                         // Phase 3: interior updates.
                         let mut lcache: Option<(usize, Vec<f64>)> = None;
                         for i in k + 1..nb {
@@ -212,21 +213,21 @@ impl Workload for Lu {
                                 }
                                 // Cache the row's L block across j.
                                 if lcache.as_ref().map(|(li, _)| *li) != Some(i) {
-                                    lcache = Some((i, read_block(p, &a, base_of(i, k), bsz)));
+                                    lcache = Some((i, read_block(p, &a, base_of(i, k), bsz).await));
                                 }
-                                let u = read_block(p, &a, base_of(k, j), bsz);
-                                let mut x = read_block(p, &a, base_of(i, j), bsz);
+                                let u = read_block(p, &a, base_of(k, j), bsz).await;
+                                let mut x = read_block(p, &a, base_of(i, j), bsz).await;
                                 bmod(&mut x, &lcache.as_ref().expect("L cached").1, &u, b);
                                 p.compute(2 * flops_block);
-                                write_block(p, &a, base_of(i, j), &x);
+                                write_block(p, &a, base_of(i, j), &x).await;
                             }
                         }
-                        p.barrier(bar);
+                        p.barrier(bar).await;
                     }
-                });
-                body
+                })
             })
-            .collect()
+            .collect();
+        Some(bodies)
     }
 
     fn verify(&self) -> Result<(), String> {

@@ -18,7 +18,7 @@
 
 use std::cell::RefCell;
 
-use ssm_proto::{Proc, SharedVec, ThreadBody, Workload, World};
+use ssm_proto::{async_body, AsyncBody, SharedVec, Workload, World};
 
 use crate::common::{block_range, read_block, FLOP, INT_OP};
 
@@ -199,7 +199,7 @@ impl Workload for Ocean {
         self.total() * self.total() * 8 + 64 * 1024
     }
 
-    fn spawn(&self, world: &mut World, nprocs: usize) -> Vec<ThreadBody> {
+    fn spawn_async(&self, world: &mut World, nprocs: usize) -> Option<Vec<AsyncBody>> {
         let total = self.total();
         let grid = world.alloc_vec::<f64>(total * total);
         let bar = world.alloc_barrier();
@@ -218,11 +218,12 @@ impl Workload for Ocean {
         let iters = self.iters;
         let variant = self.variant;
         let (pr, pc) = proc_grid(nprocs);
-        (0..nprocs)
+        let bodies = (0..nprocs)
             .map(|pid| {
                 let grid = grid.clone();
                 let layout = layout.clone();
-                let body: ThreadBody = Box::new(move |p: &Proc<'_>| {
+                async_body(move |p| async move {
+                    let p = &p;
                     // My owned span of the FULL grid (boundary cells
                     // included; they are never updated). In the blocked
                     // layout this is exactly my contiguous block.
@@ -243,7 +244,7 @@ impl Workload for Ocean {
                     let w = c1 - c0;
                     if h == 0 || w == 0 {
                         for _ in 0..iters * 2 {
-                            p.barrier(bar);
+                            p.barrier(bar).await;
                         }
                         return;
                     }
@@ -257,7 +258,7 @@ impl Workload for Ocean {
                             match variant {
                                 OceanVariant::Contiguous => {
                                     let base = layout.index(r0, c0);
-                                    let blk = read_block(p, &grid, base, h * w);
+                                    let blk = read_block(p, &grid, base, h * w).await;
                                     for r in 0..h {
                                         for c in 0..w {
                                             local[(r + 1) * lw + c + 1] = blk[r * w + c];
@@ -266,7 +267,7 @@ impl Workload for Ocean {
                                 }
                                 OceanVariant::Rowwise => {
                                     let base = layout.index(r0, 0);
-                                    let blk = read_block(p, &grid, base, h * total);
+                                    let blk = read_block(p, &grid, base, h * total).await;
                                     for r in 0..h {
                                         for c in 0..w {
                                             local[(r + 1) * lw + c + 1] = blk[r * total + c];
@@ -278,7 +279,7 @@ impl Workload for Ocean {
                             // contiguous runs in the underlying layout
                             // (coarse reads).
                             let row_halo =
-                                |p: &Proc<'_>, local: &mut Vec<f64>, dst_r: usize, src_i: usize| {
+                                async |local: &mut Vec<f64>, dst_r: usize, src_i: usize| {
                                     let mut j = c0;
                                     while j < c1 {
                                         let start_idx = layout.index(src_i, j);
@@ -288,7 +289,7 @@ impl Workload for Ocean {
                                         {
                                             len += 1;
                                         }
-                                        let seg = read_block(p, &grid, start_idx, len);
+                                        let seg = read_block(p, &grid, start_idx, len).await;
                                         for (t, v) in seg.into_iter().enumerate() {
                                             local[dst_r * lw + (j - c0) + 1 + t] = v;
                                         }
@@ -296,10 +297,10 @@ impl Workload for Ocean {
                                     }
                                 };
                             if r0 > 0 {
-                                row_halo(p, &mut local, 0, r0 - 1);
+                                row_halo(&mut local, 0, r0 - 1).await;
                             }
                             if r1 < total {
-                                row_halo(p, &mut local, h + 1, r1);
+                                row_halo(&mut local, h + 1, r1).await;
                             }
                             // Halo: west & east neighbour columns — one
                             // word per row (the fine-grained accesses the
@@ -307,14 +308,14 @@ impl Workload for Ocean {
                             if c0 > 0 {
                                 for r in 0..h {
                                     let idx = layout.index(r0 + r, c0 - 1);
-                                    grid.touch_range_read(p, idx, 1);
+                                    grid.touch_read(p, idx, 1).await;
                                     local[(r + 1) * lw] = grid.get_direct(idx);
                                 }
                             }
                             if c1 < total {
                                 for r in 0..h {
                                     let idx = layout.index(r0 + r, c1);
-                                    grid.touch_range_read(p, idx, 1);
+                                    grid.touch_read(p, idx, 1).await;
                                     local[(r + 1) * lw + w + 1] = grid.get_direct(idx);
                                 }
                             }
@@ -345,16 +346,16 @@ impl Workload for Ocean {
                             // alternate; there is no contiguous run to
                             // batch).
                             for (idx, v) in updates {
-                                grid.touch_range_write(p, idx, 1);
+                                grid.touch_write(p, idx, 1).await;
                                 grid.set_direct(idx, v);
                             }
-                            p.barrier(bar);
+                            p.barrier(bar).await;
                         }
                     }
-                });
-                body
+                })
             })
-            .collect()
+            .collect();
+        Some(bodies)
     }
 
     fn verify(&self) -> Result<(), String> {

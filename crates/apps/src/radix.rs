@@ -19,7 +19,7 @@
 
 use std::cell::RefCell;
 
-use ssm_proto::{Proc, SharedVec, ThreadBody, Workload, World};
+use ssm_proto::{async_body, AsyncBody, SharedVec, Workload, World};
 
 use crate::common::{block_range, read_block, write_block, INT_OP};
 
@@ -121,7 +121,7 @@ impl Workload for Radix {
         self.n * 12 + 64 * R * 4 + 192 * 1024
     }
 
-    fn spawn(&self, world: &mut World, nprocs: usize) -> Vec<ThreadBody> {
+    fn spawn_async(&self, world: &mut World, nprocs: usize) -> Option<Vec<AsyncBody>> {
         let src = world.alloc_vec::<u32>(self.n);
         let dst = world.alloc_vec::<u32>(self.n);
         let buf = world.alloc_vec::<u32>(self.n);
@@ -133,13 +133,14 @@ impl Workload for Radix {
         *self.state.borrow_mut() = Some(src.clone());
         let n = self.n;
         let variant = self.variant;
-        (0..nprocs)
+        let bodies = (0..nprocs)
             .map(|pid| {
                 let src = src.clone();
                 let dst = dst.clone();
                 let buf = buf.clone();
                 let hist = hist.clone();
-                let body: ThreadBody = Box::new(move |p: &Proc<'_>| {
+                async_body(move |p| async move {
+                    let p = &p;
                     let np = p.nprocs();
                     let (k0, k1) = block_range(n, np, pid);
                     let mut arrays = [&src, &dst];
@@ -148,18 +149,18 @@ impl Workload for Radix {
                         let shift = pass * DIGIT_BITS;
                         let (from, to) = (arrays[0], arrays[1]);
                         // Phase 1: local histogram of my segment.
-                        let mine = read_block(p, from, k0, k1 - k0);
+                        let mine = read_block(p, from, k0, k1 - k0).await;
                         let mut counts = vec![0u32; R];
                         for &k in &mine {
                             counts[((k >> shift) as usize) & (R - 1)] += 1;
                         }
                         p.compute(mine.len() as u64 * INT_OP);
-                        write_block(p, &hist, pid * R, &counts);
-                        p.barrier(bar);
+                        write_block(p, &hist, pid * R, &counts).await;
+                        p.barrier(bar).await;
                         // Phase 2: read all histograms, compute my bases.
                         let mut all = Vec::with_capacity(np);
                         for q in 0..np {
-                            all.push(read_block(p, &hist, q * R, R));
+                            all.push(read_block(p, &hist, q * R, R).await);
                         }
                         p.compute((np * R) as u64 * INT_OP);
                         let mut base = vec![0u32; R];
@@ -174,7 +175,7 @@ impl Workload for Radix {
                             }
                             base[d] = mine_base;
                         }
-                        p.barrier(bar);
+                        p.barrier(bar).await;
                         // Phase 3: permutation.
                         match variant {
                             RadixVariant::Original => {
@@ -185,7 +186,7 @@ impl Workload for Radix {
                                     let d = ((k >> shift) as usize) & (R - 1);
                                     let pos = next[d] as usize;
                                     next[d] += 1;
-                                    to.set(p, pos, k);
+                                    to.write(p, pos, k).await;
                                     p.compute(2 * INT_OP);
                                 }
                             }
@@ -194,8 +195,8 @@ impl Workload for Radix {
                                 // region (local, coarse, single-writer).
                                 let sorted = digit_sort(&mine, &counts, shift);
                                 p.compute(mine.len() as u64 * 3 * INT_OP);
-                                write_block(p, &buf, k0, &sorted);
-                                p.barrier(bar);
+                                write_block(p, &buf, k0, &sorted).await;
+                                p.barrier(bar).await;
                                 // 3b: gather my destination range with
                                 // contiguous remote reads. Bucket (q, d)
                                 // lives at q's segment start plus the
@@ -225,23 +226,23 @@ impl Workload for Radix {
                                         let hi = (g + len).min(k1);
                                         if lo < hi {
                                             let off = bucket_at[q][d] + (lo - g);
-                                            let vals = read_block(p, &buf, off, hi - lo);
+                                            let vals = read_block(p, &buf, off, hi - lo).await;
                                             out.extend_from_slice(&vals);
                                         }
                                         g += len;
                                     }
                                 }
                                 p.compute(out.len() as u64 * INT_OP);
-                                write_block(p, to, k0, &out);
+                                write_block(p, to, k0, &out).await;
                             }
                         }
-                        p.barrier(bar);
+                        p.barrier(bar).await;
                         arrays.swap(0, 1);
                     }
-                });
-                body
+                })
             })
-            .collect()
+            .collect();
+        Some(bodies)
     }
 
     fn verify(&self) -> Result<(), String> {

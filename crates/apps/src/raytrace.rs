@@ -15,9 +15,9 @@
 
 use std::cell::RefCell;
 
-use ssm_proto::{Proc, SharedVec, ThreadBody, Workload, World};
+use ssm_proto::{async_body, AsyncBody, SharedVec, Workload, World};
 
-use crate::common::{read_block, FLOP, INT_OP};
+use crate::common::{read_block, ready, FLOP, INT_OP};
 use crate::taskq::TaskQueues;
 
 /// Grid resolution per axis of the acceleration structure.
@@ -109,7 +109,7 @@ fn build_grid(scene: &[Sphere]) -> (Vec<u32>, Vec<u32>) {
 /// The pure shading function used by both the simulated render and the
 /// reference: traces the pixel ray through the grid (via the provided
 /// *accessors*, which either charge simulated time or read directly).
-fn trace_pixel<FStart, FItem, FSphere>(
+async fn trace_pixel<FStart, FItem, FSphere>(
     px: usize,
     py: usize,
     res: usize,
@@ -119,9 +119,9 @@ fn trace_pixel<FStart, FItem, FSphere>(
     get_sphere: &mut FSphere,
 ) -> u32
 where
-    FStart: FnMut(usize) -> u32,
-    FItem: FnMut(usize) -> u32,
-    FSphere: FnMut(usize) -> Sphere,
+    FStart: AsyncFnMut(usize) -> u32,
+    FItem: AsyncFnMut(usize) -> u32,
+    FSphere: AsyncFnMut(usize) -> Sphere,
 {
     let _ = scene_len;
     let o = [
@@ -135,11 +135,11 @@ where
     let mut best: Option<(f64, Sphere)> = None;
     for cz in 0..GRID {
         let ci = cell_index((cx, cy, cz));
-        let s0 = get_start(ci) as usize;
-        let s1 = get_start(ci + 1) as usize;
+        let s0 = get_start(ci).await as usize;
+        let s1 = get_start(ci + 1).await as usize;
         for k in s0..s1 {
-            let si = get_item(k) as usize;
-            let s = get_sphere(si);
+            let si = get_item(k).await as usize;
+            let s = get_sphere(si).await;
             if let Some(t) = hit_sphere(o, d, &s) {
                 if best.map(|(bt, _)| t < bt).unwrap_or(true) {
                     best = Some((t, s));
@@ -182,11 +182,11 @@ where
             break;
         }
         let ci = cell_index(cell_of(pos));
-        let s0 = get_start(ci) as usize;
-        let s1 = get_start(ci + 1) as usize;
+        let s0 = get_start(ci).await as usize;
+        let s1 = get_start(ci + 1).await as usize;
         for k in s0..s1 {
-            let si = get_item(k) as usize;
-            let sp = get_sphere(si);
+            let si = get_item(k).await as usize;
+            let sp = get_sphere(si).await;
             if hit_sphere(so, l, &sp).is_some() {
                 shadow = true;
                 break 'outer;
@@ -236,15 +236,15 @@ impl Raytrace {
         let mut img = vec![0u32; self.res * self.res];
         for py in 0..self.res {
             for px in 0..self.res {
-                img[py * self.res + px] = trace_pixel(
+                img[py * self.res + px] = ready(trace_pixel(
                     px,
                     py,
                     self.res,
                     scene.len(),
-                    &mut |i| starts[i],
-                    &mut |i| items[i],
-                    &mut |i| scene[i],
-                );
+                    &mut async |i| starts[i],
+                    &mut async |i| items[i],
+                    &mut async |i| scene[i],
+                ));
             }
         }
         img
@@ -260,7 +260,7 @@ impl Workload for Raytrace {
         self.res * self.res * 4 + self.ns * 64 + (GRID * GRID * GRID + 1) * 40 + (1 << 21)
     }
 
-    fn spawn(&self, world: &mut World, nprocs: usize) -> Vec<ThreadBody> {
+    fn spawn_async(&self, world: &mut World, nprocs: usize) -> Option<Vec<AsyncBody>> {
         let scene = make_scene(self.ns);
         let (starts, items) = build_grid(&scene);
         // Shared scene arrays (read-only during the run).
@@ -290,16 +290,17 @@ impl Workload for Raytrace {
         *self.image.borrow_mut() = Some(image.clone());
         let res = self.res;
         let ns = self.ns;
-        (0..nprocs)
+        let bodies = (0..nprocs)
             .map(|_| {
                 let v_starts = v_starts.clone();
                 let v_items = v_items.clone();
                 let v_sph = v_sph.clone();
                 let image = image.clone();
                 let q = q.clone();
-                let body: ThreadBody = Box::new(move |p: &Proc<'_>| {
+                async_body(move |p| async move {
+                    let p = &p;
                     let tiles_per_row = res / TILE;
-                    while let Some((tile, _stolen)) = q.pop(p) {
+                    while let Some((tile, _stolen)) = q.pop(p).await {
                         let tx = (tile as usize % tiles_per_row) * TILE;
                         let ty = (tile as usize / tiles_per_row) * TILE;
                         for py in ty..ty + TILE {
@@ -309,18 +310,18 @@ impl Workload for Raytrace {
                                     py,
                                     res,
                                     ns,
-                                    &mut |i| {
-                                        v_starts.touch_range_read(p, i, 1);
+                                    &mut async |i| {
+                                        v_starts.touch_read(p, i, 1).await;
                                         p.compute(2 * INT_OP);
                                         v_starts.get_direct(i)
                                     },
-                                    &mut |i| {
-                                        v_items.touch_range_read(p, i, 1);
+                                    &mut async |i| {
+                                        v_items.touch_read(p, i, 1).await;
                                         p.compute(INT_OP);
                                         v_items.get_direct(i)
                                     },
-                                    &mut |i| {
-                                        let f = read_block(p, &v_sph, i * 5, 5);
+                                    &mut async |i| {
+                                        let f = read_block(p, &v_sph, i * 5, 5).await;
                                         p.compute(15 * FLOP);
                                         Sphere {
                                             c: [f[0], f[1], f[2]],
@@ -328,16 +329,17 @@ impl Workload for Raytrace {
                                             shade: f[4],
                                         }
                                     },
-                                );
+                                )
+                                .await;
                                 p.compute(30 * FLOP);
-                                image.set(p, py * res + px, v);
+                                image.write(p, py * res + px, v).await;
                             }
                         }
                     }
-                });
-                body
+                })
             })
-            .collect()
+            .collect();
+        Some(bodies)
     }
 
     fn verify(&self) -> Result<(), String> {

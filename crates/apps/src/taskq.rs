@@ -10,7 +10,7 @@
 //! the paper discusses for Volrend ("task stealing … is now very expensive
 //! due to synchronization and protocol activity").
 
-use ssm_proto::{LockId, Proc, SharedVec, World};
+use ssm_proto::{Cpu, LockId, SharedVec, World};
 
 use crate::common::INT_OP;
 
@@ -56,29 +56,29 @@ impl TaskQueues {
     /// then stealing from the busiest end (tail) of the other queues in
     /// round-robin order. Returns `(task, stolen)` or `None` when every
     /// queue was observed empty.
-    pub fn pop(&self, p: &Proc<'_>) -> Option<(u32, bool)> {
+    pub async fn pop(&self, p: &Cpu) -> Option<(u32, bool)> {
         let me = p.pid();
         for k in 0..self.nprocs {
             let victim = (me + k) % self.nprocs;
             let base = victim * self.stride;
-            p.lock(self.locks[victim]);
+            p.lock(self.locks[victim]).await;
             // Head and tail live together: one fine-grained read.
-            self.store.touch_range_read(p, base, 2);
+            self.store.touch_read(p, base, 2).await;
             let head = self.store.get_direct(base) as usize;
             let tail = self.store.get_direct(base + 1) as usize;
             let got = if head < tail {
                 if victim == me {
                     // Own queue: take from the head.
-                    self.store.touch_range_read(p, base + HDR + head, 1);
+                    self.store.touch_read(p, base + HDR + head, 1).await;
                     let t = self.store.get_direct(base + HDR + head);
-                    self.store.touch_range_write(p, base, 1);
+                    self.store.touch_write(p, base, 1).await;
                     self.store.set_direct(base, head as u32 + 1);
                     Some((t, false))
                 } else {
                     // Steal from the tail.
-                    self.store.touch_range_read(p, base + HDR + tail - 1, 1);
+                    self.store.touch_read(p, base + HDR + tail - 1, 1).await;
                     let t = self.store.get_direct(base + HDR + tail - 1);
-                    self.store.touch_range_write(p, base + 1, 1);
+                    self.store.touch_write(p, base + 1, 1).await;
                     self.store.set_direct(base + 1, tail as u32 - 1);
                     Some((t, true))
                 }
@@ -86,7 +86,7 @@ impl TaskQueues {
                 None
             };
             p.compute(4 * INT_OP);
-            p.unlock(self.locks[victim]);
+            p.unlock(self.locks[victim]).await;
             if got.is_some() {
                 return got;
             }
@@ -99,7 +99,7 @@ impl TaskQueues {
 mod tests {
     use super::*;
     use ssm_core::{Protocol, SimBuilder};
-    use ssm_proto::{ThreadBody, Workload};
+    use ssm_proto::{async_body, AsyncBody, Workload};
     use std::cell::RefCell;
     use std::collections::HashSet;
 
@@ -117,7 +117,7 @@ mod tests {
         fn mem_bytes(&self) -> usize {
             1 << 20
         }
-        fn spawn(&self, world: &mut World, nprocs: usize) -> Vec<ThreadBody> {
+        fn spawn_async(&self, world: &mut World, nprocs: usize) -> Option<Vec<AsyncBody>> {
             let q = TaskQueues::alloc(world, nprocs, self.tasks_per_proc * nprocs);
             let total = self.tasks_per_proc * nprocs;
             let done = world.alloc_vec::<u32>(total);
@@ -126,19 +126,19 @@ mod tests {
                 q.seed(0, t as u32);
             }
             *self.done.borrow_mut() = Some(done.clone());
-            (0..nprocs)
+            let bodies = (0..nprocs)
                 .map(|_| {
                     let q = q.clone();
                     let done = done.clone();
-                    let body: ThreadBody = Box::new(move |p: &Proc<'_>| {
-                        while let Some((t, _stolen)) = q.pop(p) {
+                    async_body(move |p| async move {
+                        while let Some((t, _stolen)) = q.pop(&p).await {
                             p.compute(500);
-                            done.set(p, t as usize, 1);
+                            done.write(&p, t as usize, 1).await;
                         }
-                    });
-                    body
+                    })
                 })
-                .collect()
+                .collect();
+            Some(bodies)
         }
         fn verify(&self) -> Result<(), String> {
             let guard = self.done.borrow();

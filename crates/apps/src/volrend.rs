@@ -21,9 +21,9 @@
 
 use std::cell::RefCell;
 
-use ssm_proto::{Proc, SharedVec, ThreadBody, Workload, World};
+use ssm_proto::{async_body, AsyncBody, SharedVec, Workload, World};
 
-use crate::common::{write_block, FLOP, INT_OP};
+use crate::common::{ready, write_block, FLOP, INT_OP};
 use crate::taskq::TaskQueues;
 
 /// Tile edge in pixels.
@@ -89,7 +89,7 @@ where
             let mut w = 0u64;
             for py in ty..ty + TILE {
                 for px in tx..tx + TILE {
-                    w += cast_ray(v, px, py, sample).1 as u64;
+                    w += ready(cast_ray(v, px, py, &mut async |x, y, z| sample(x, y, z))).1 as u64;
                 }
             }
             w
@@ -99,15 +99,15 @@ where
 
 /// Composites one ray through the volume via `sample`; returns the pixel
 /// value and the number of voxels actually read (early termination).
-fn cast_ray<F>(v: usize, px: usize, py: usize, sample: &mut F) -> (u32, usize)
+async fn cast_ray<F>(v: usize, px: usize, py: usize, sample: &mut F) -> (u32, usize)
 where
-    F: FnMut(usize, usize, usize) -> f32,
+    F: AsyncFnMut(usize, usize, usize) -> f32,
 {
     let mut opacity = 0.0f64;
     let mut color = 0.0f64;
     let mut steps = 0;
     for z in 0..v {
-        let rho = sample(px, py, z) as f64;
+        let rho = sample(px, py, z).await as f64;
         steps += 1;
         if rho > 0.0 {
             let alpha = (rho * 0.75).min(1.0);
@@ -178,7 +178,9 @@ impl Volrend {
         let mut img = vec![0u32; v * v];
         for py in 0..v {
             for px in 0..v {
-                let (val, _) = cast_ray(v, px, py, &mut |x, y, z| density(v, x, y, z));
+                let (val, _) = ready(cast_ray(v, px, py, &mut async |x, y, z| {
+                    density(v, x, y, z)
+                }));
                 img[py * v + px] = val;
             }
         }
@@ -199,7 +201,7 @@ impl Workload for Volrend {
     }
 
     #[allow(clippy::needless_range_loop)] // indexed loops mirror the SPLASH-2 kernels
-    fn spawn(&self, world: &mut World, nprocs: usize) -> Vec<ThreadBody> {
+    fn spawn_async(&self, world: &mut World, nprocs: usize) -> Option<Vec<AsyncBody>> {
         let v = self.v;
         let volume = world.alloc_vec::<f32>(v * v * v);
         fill_volume(&volume, v);
@@ -237,43 +239,45 @@ impl Workload for Volrend {
         }
         *self.image.borrow_mut() = Some(image.clone());
         let variant = self.variant;
-        (0..nprocs)
+        let bodies = (0..nprocs)
             .map(|_| {
                 let volume = volume.clone();
                 let image = image.clone();
                 let q = q.clone();
-                let body: ThreadBody = Box::new(move |p: &Proc<'_>| {
+                async_body(move |p| async move {
+                    let p = &p;
                     let tiles_per_row = v / TILE;
-                    while let Some((tile, _stolen)) = q.pop(p) {
+                    while let Some((tile, _stolen)) = q.pop(p).await {
                         let tx = (tile as usize % tiles_per_row) * TILE;
                         let ty = (tile as usize / tiles_per_row) * TILE;
                         for py in ty..ty + TILE {
                             let mut row = [0u32; TILE];
                             for (i, px) in (tx..tx + TILE).enumerate() {
-                                let (val, steps) = cast_ray(v, px, py, &mut |x, y, z| {
+                                let (val, steps) = cast_ray(v, px, py, &mut async |x, y, z| {
                                     let idx = (z * v + y) * v + x;
-                                    volume.touch_range_read(p, idx, 1);
+                                    volume.touch_read(p, idx, 1).await;
                                     volume.get_direct(idx)
-                                });
+                                })
+                                .await;
                                 p.compute(steps as u64 * (6 * FLOP + 2 * INT_OP));
                                 row[i] = val;
                             }
                             match variant {
                                 VolrendVariant::Original => {
                                     for (i, &val) in row.iter().enumerate() {
-                                        image.set(p, py * v + tx + i, val);
+                                        image.write(p, py * v + tx + i, val).await;
                                     }
                                 }
                                 VolrendVariant::Restructured => {
-                                    write_block(p, &image, py * v + tx, &row);
+                                    write_block(p, &image, py * v + tx, &row).await;
                                 }
                             }
                         }
                     }
-                });
-                body
+                })
             })
-            .collect()
+            .collect();
+        Some(bodies)
     }
 
     fn verify(&self) -> Result<(), String> {
@@ -302,8 +306,9 @@ mod tests {
     #[test]
     fn volume_has_structure_and_early_termination() {
         let v = 16;
-        let centre = cast_ray(v, v / 2, v / 2, &mut |x, y, z| density(v, x, y, z));
-        let corner = cast_ray(v, 0, 0, &mut |x, y, z| density(v, x, y, z));
+        let mut sample = async |x, y, z| density(v, x, y, z);
+        let centre = ready(cast_ray(v, v / 2, v / 2, &mut sample));
+        let corner = ready(cast_ray(v, 0, 0, &mut sample));
         assert!(centre.0 > corner.0, "centre brighter than corner");
         assert!(
             centre.1 < v,

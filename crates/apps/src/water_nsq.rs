@@ -21,7 +21,7 @@
 
 use std::cell::RefCell;
 
-use ssm_proto::{Proc, SharedVec, ThreadBody, Workload, World};
+use ssm_proto::{async_body, AsyncBody, SharedVec, Workload, World};
 
 use crate::common::{block_range, read_block, write_block, FLOP};
 
@@ -125,7 +125,7 @@ impl Workload for WaterNsq {
     }
 
     #[allow(clippy::needless_range_loop)] // indexed loops mirror the SPLASH-2 kernels
-    fn spawn(&self, world: &mut World, nprocs: usize) -> Vec<ThreadBody> {
+    fn spawn_async(&self, world: &mut World, nprocs: usize) -> Option<Vec<AsyncBody>> {
         let n = self.n;
         let pos = world.alloc_vec::<f64>(n * 3);
         let vel = world.alloc_vec::<f64>(n * 3);
@@ -139,23 +139,24 @@ impl Workload for WaterNsq {
         }
         *self.state.borrow_mut() = Some(pos.clone());
         let steps = self.steps;
-        (0..nprocs)
+        let bodies = (0..nprocs)
             .map(|pid| {
                 let pos = pos.clone();
                 let vel = vel.clone();
                 let force = force.clone();
                 let locks = locks.clone();
-                let body: ThreadBody = Box::new(move |p: &Proc<'_>| {
+                async_body(move |p| async move {
+                    let p = &p;
                     let (m0, m1) = block_range(n, p.nprocs(), pid);
                     for _ in 0..steps {
                         // Phase 1: zero my forces.
-                        write_block(p, &force, m0 * 3, &vec![0.0; (m1 - m0) * 3]);
-                        p.barrier(bar);
+                        write_block(p, &force, m0 * 3, &vec![0.0; (m1 - m0) * 3]).await;
+                        p.barrier(bar).await;
                         // Phase 2: pair forces. Read all positions coarsely
                         // (read-mostly), accumulate my own contributions
                         // privately, push contributions to others under
                         // their molecule lock.
-                        let all_pos = read_block(p, &pos, 0, n * 3);
+                        let all_pos = read_block(p, &pos, 0, n * 3).await;
                         let mut partial = vec![0.0f64; n * 3];
                         let mut touched = vec![false; n];
                         for i in m0..m1 {
@@ -183,8 +184,8 @@ impl Workload for WaterNsq {
                             if !touched[j] {
                                 continue;
                             }
-                            p.lock(locks[j]);
-                            let cur = read_block(p, &force, j * 3, 3);
+                            p.lock(locks[j]).await;
+                            let cur = read_block(p, &force, j * 3, 3).await;
                             write_block(
                                 p,
                                 &force,
@@ -194,27 +195,28 @@ impl Workload for WaterNsq {
                                     cur[1] + partial[j * 3 + 1],
                                     cur[2] + partial[j * 3 + 2],
                                 ],
-                            );
-                            p.unlock(locks[j]);
+                            )
+                            .await;
+                            p.unlock(locks[j]).await;
                         }
-                        p.barrier(bar);
+                        p.barrier(bar).await;
                         // Phase 3: integrate my molecules.
-                        let f = read_block(p, &force, m0 * 3, (m1 - m0) * 3);
-                        let mut v = read_block(p, &vel, m0 * 3, (m1 - m0) * 3);
-                        let mut x = read_block(p, &pos, m0 * 3, (m1 - m0) * 3);
+                        let f = read_block(p, &force, m0 * 3, (m1 - m0) * 3).await;
+                        let mut v = read_block(p, &vel, m0 * 3, (m1 - m0) * 3).await;
+                        let mut x = read_block(p, &pos, m0 * 3, (m1 - m0) * 3).await;
                         for k in 0..(m1 - m0) * 3 {
                             v[k] += f[k] * DT;
                             x[k] += v[k] * DT;
                         }
                         p.compute(((m1 - m0) * 3) as u64 * 4 * FLOP);
-                        write_block(p, &vel, m0 * 3, &v);
-                        write_block(p, &pos, m0 * 3, &x);
-                        p.barrier(bar);
+                        write_block(p, &vel, m0 * 3, &v).await;
+                        write_block(p, &pos, m0 * 3, &x).await;
+                        p.barrier(bar).await;
                     }
-                });
-                body
+                })
             })
-            .collect()
+            .collect();
+        Some(bodies)
     }
 
     #[allow(clippy::needless_range_loop)] // k indexes both got and want

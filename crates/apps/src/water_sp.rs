@@ -20,7 +20,7 @@
 
 use std::cell::RefCell;
 
-use ssm_proto::{Proc, SharedVec, ThreadBody, Workload, World};
+use ssm_proto::{async_body, AsyncBody, SharedVec, Workload, World};
 
 use crate::common::{block_range, read_block, write_block, FLOP};
 
@@ -130,7 +130,7 @@ impl Workload for WaterSp {
     }
 
     #[allow(clippy::needless_range_loop)] // indexed loops mirror the SPLASH-2 kernels
-    fn spawn(&self, world: &mut World, nprocs: usize) -> Vec<ThreadBody> {
+    fn spawn_async(&self, world: &mut World, nprocs: usize) -> Option<Vec<AsyncBody>> {
         let n = self.n;
         let ncells = CELLS * CELLS * CELLS;
         let pos = world.alloc_vec::<f64>(n * 3);
@@ -151,19 +151,20 @@ impl Workload for WaterSp {
         }
         *self.state.borrow_mut() = Some(pos.clone());
         let steps = self.steps;
-        (0..nprocs)
+        let bodies = (0..nprocs)
             .map(|pid| {
                 let pos = pos.clone();
                 let vel = vel.clone();
                 let occupancy = occupancy.clone();
                 let cell_locks = cell_locks.clone();
-                let body: ThreadBody = Box::new(move |p: &Proc<'_>| {
+                async_body(move |p| async move {
+                    let p = &p;
                     // Slab ownership: contiguous range of cell indices.
                     let (c0, c1) = block_range(ncells, p.nprocs(), pid);
                     for _ in 0..steps {
                         // Phase 1: read all positions (read-mostly sharing)
                         // and pick my molecules by current cell.
-                        let all_pos = read_block(p, &pos, 0, n * 3);
+                        let all_pos = read_block(p, &pos, 0, n * 3).await;
                         let mine: Vec<usize> = (0..n)
                             .filter(|&i| {
                                 let x = [all_pos[i * 3], all_pos[i * 3 + 1], all_pos[i * 3 + 2]];
@@ -199,39 +200,39 @@ impl Workload for WaterSp {
                         // Same per-interaction cost rationale as Water-Nsquared: a real
                         // water-water interaction is hundreds of flops.
                         p.compute(interactions * 600 * FLOP);
-                        p.barrier(bar);
+                        p.barrier(bar).await;
                         // Phase 3: integrate my molecules; update cell
                         // occupancy under locks on boundary crossings.
                         for (t, &i) in mine.iter().enumerate() {
-                            let mut v = read_block(p, &vel, i * 3, 3);
-                            let mut x = read_block(p, &pos, i * 3, 3);
+                            let mut v = read_block(p, &vel, i * 3, 3).await;
+                            let mut x = read_block(p, &pos, i * 3, 3).await;
                             let before = cell_of([x[0], x[1], x[2]]);
                             for c in 0..3 {
                                 v[c] += forces[t][c] * DT;
                                 x[c] += v[c] * DT;
                             }
                             p.compute(12 * FLOP);
-                            write_block(p, &vel, i * 3, &v);
-                            write_block(p, &pos, i * 3, &x);
+                            write_block(p, &vel, i * 3, &v).await;
+                            write_block(p, &pos, i * 3, &x).await;
                             let after = cell_of([x[0], x[1], x[2]]);
                             if before != after {
                                 let (lo, hi) = (before.min(after), before.max(after));
-                                p.lock(cell_locks[lo]);
-                                p.lock(cell_locks[hi]);
-                                let b = occupancy.get(p, before);
-                                occupancy.set(p, before, b.saturating_sub(1));
-                                let a = occupancy.get(p, after);
-                                occupancy.set(p, after, a + 1);
-                                p.unlock(cell_locks[hi]);
-                                p.unlock(cell_locks[lo]);
+                                p.lock(cell_locks[lo]).await;
+                                p.lock(cell_locks[hi]).await;
+                                let b = occupancy.read(p, before).await;
+                                occupancy.write(p, before, b.saturating_sub(1)).await;
+                                let a = occupancy.read(p, after).await;
+                                occupancy.write(p, after, a + 1).await;
+                                p.unlock(cell_locks[hi]).await;
+                                p.unlock(cell_locks[lo]).await;
                             }
                         }
-                        p.barrier(bar);
+                        p.barrier(bar).await;
                     }
-                });
-                body
+                })
             })
-            .collect()
+            .collect();
+        Some(bodies)
     }
 
     #[allow(clippy::needless_range_loop)] // k indexes both got and want

@@ -1,10 +1,28 @@
 //! The execution-driven simulation loop.
 //!
 //! The driver owns the [`Machine`], the protocol and the application
-//! threads, and advances them in simulated-time order: at every step it
+//! bodies, and advances them in simulated-time order: at every step it
 //! resumes the *ready* processor with the smallest clock, hands the
 //! operation it yields to the protocol, and attributes the elapsed window
 //! to the right time bucket.
+//!
+//! # Two executors
+//!
+//! A workload's bodies run one of two ways, chosen by what it provides
+//! (no option selects it):
+//!
+//! * **inline**, for async bodies ([`Workload::spawn_async`], the whole
+//!   catalog): the live feed polls processor `p`'s future with a no-op
+//!   waker whenever the driver wants `p`'s next batch. `Pending`
+//!   means the body sealed a batch, at the cap or at a sync operation;
+//!   `Ready` means it returned. Everything runs on the driver's thread:
+//!   no OS thread per processor and no handoff syscall.
+//! * **on threads**, for sync bodies ([`Workload::spawn`] alone): the
+//!   live feed resumes each body's OS thread over the engine's baton.
+//!
+//! Both feed the same loop, so a run's record, engine counters included,
+//! is the same either way; only `threads_spawned`/`threads_reused` (zero
+//! inline) and host time differ.
 //!
 //! # Window accounting
 //!
@@ -20,22 +38,22 @@
 //!
 //! # Batched handoffs
 //!
-//! Threads run against a [`Proc`] that hands every operation up to the
-//! next `Lock` or `Barrier` to the driver in one baton exchange, up to
-//! [`BATCH_CAP`] operations (one when batching is off). The driver queues
-//! each batch per processor and replays it **one operation per scheduling
-//! step**: a step either pops the next queued operation or — only when
-//! the queue is empty — resumes the thread for more. The operation stream
-//! each processor feeds the protocol, and the order the scheduler
-//! interleaves the processors, are therefore exactly those of an
-//! unbatched run, and every simulated result of a data-race-free workload
+//! Bodies run against a handle ([`Cpu`] or [`Proc`]) that hands every
+//! operation up to the next `Lock` or `Barrier` to the driver as one
+//! batch, up to [`BATCH_CAP`] operations (one when batching is off). The
+//! driver queues each batch per processor and replays it **one operation
+//! per scheduling step**: a step either pops the next queued operation or
+//! — only when the queue is empty — resumes the body for more. The
+//! operation stream each processor feeds the protocol, and the order the
+//! scheduler interleaves the processors, are therefore exactly those of
+//! an unbatched run, and every simulated result of a data-race-free workload
 //! is byte-identical; only the handoff counters differ (see
 //! [`ssm_proto::vm`]).
 //!
 //! # Capture and replay
 //!
 //! The loop takes its batches from a feed. A live run's feed resumes the
-//! application threads, and [`run_captured`] also records what they hand
+//! application bodies, and [`run_captured`] also records what they hand
 //! over into a [`ReplayLog`]. [`run_replayed`] feeds the same loop from
 //! such a log, under another protocol or other layer costs, with no
 //! threads and no world; it stops at the first lock grant the log did not
@@ -43,12 +61,15 @@
 //! (`handoffs`, `ops_batched`, the flush causes) come out exactly as in a
 //! live run.
 
+use std::any::Any;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::task::{Context, Poll, Waker};
 
 use ssm_engine::{Cycles, Resumed, ThreadId, ThreadPool, WorkerSet};
 use ssm_proto::{
-    Flush, LockId, Machine, Op, Proc, Protocol as ProtocolTrait, Workload, World, WorldShape,
-    BATCH_CAP,
+    Batch, BodyFuture, Cpu, Flush, LockId, Machine, Op, Proc, Protocol as ProtocolTrait, Workload,
+    World, WorldShape, BATCH_CAP,
 };
 use ssm_stats::Bucket;
 
@@ -59,7 +80,8 @@ use crate::result::RunResult;
 /// trade OS context switches and thread spawns for bookkeeping.
 #[derive(Debug, Clone, Default)]
 pub struct EngineOptions {
-    /// Recycle OS threads from this set instead of spawning per run.
+    /// Recycle OS threads from this set instead of spawning per run (sync
+    /// thread bodies only; async bodies use no thread).
     pub workers: Option<WorkerSet>,
     /// Hand every operation up to the next `Lock`/`Barrier` over in one
     /// baton exchange (see [`ssm_proto::vm`] module docs); off, each
@@ -117,10 +139,10 @@ pub fn run_simulation(
 ///
 /// # Panics
 ///
-/// * if the workload does not return exactly `nprocs` thread bodies,
+/// * if the workload does not return exactly `nprocs` bodies,
 /// * on deadlock (every unfinished processor blocked — e.g. a barrier that
 ///   not all processors reach),
-/// * if an application thread panics.
+/// * if an application body panics; the message names its processor.
 pub fn run_simulation_with(
     protocol: &mut dyn ProtocolTrait,
     workload: &dyn Workload,
@@ -190,6 +212,8 @@ pub fn run_replayed(
 }
 
 /// A live run, recording it when `capture` is set and a log can be opened.
+/// Async bodies run inline on this thread; thread bodies run on the
+/// engine's threads.
 fn run_live(
     protocol: &mut dyn ProtocolTrait,
     workload: &dyn Workload,
@@ -200,12 +224,39 @@ fn run_live(
 ) -> (RunResult, Option<ReplayLog>) {
     assert_eq!(machine.nprocs(), nprocs, "machine size must match nprocs");
     let mut world = World::new(workload.mem_bytes());
-    let bodies = workload.spawn(&mut world, nprocs);
-    assert_eq!(
-        bodies.len(),
-        nprocs,
-        "workload must produce one thread body per processor"
-    );
+    let one_each = |n: usize, kind: &str| {
+        assert_eq!(n, nprocs, "workload must produce one {kind} per processor");
+    };
+    let cap = if opts.batching.0 { BATCH_CAP } else { 1 };
+    let bodies = match workload.spawn_async(&mut world, nprocs) {
+        Some(bodies) => {
+            one_each(bodies.len(), "async body");
+            let tasks = bodies.into_iter().enumerate().map(|(pid, body)| {
+                let cpu = Cpu::new(pid, nprocs, cap);
+                Task {
+                    body: Some(body(cpu.clone())),
+                    cpu,
+                }
+            });
+            Bodies::Inline(tasks.collect())
+        }
+        None => {
+            let bodies = workload.spawn(&mut world, nprocs);
+            one_each(bodies.len(), "thread body");
+            let mut pool = match &opts.workers {
+                Some(ws) => ThreadPool::with_workers(ws.clone()),
+                None => ThreadPool::new(),
+            };
+            for (pid, body) in bodies.into_iter().enumerate() {
+                pool.spawn(move |y| {
+                    let proc = Proc::new(y, pid, nprocs, cap);
+                    body(&proc);
+                    proc.finish();
+                });
+            }
+            Bodies::Threads(pool)
+        }
+    };
     let shape = WorldShape {
         heap_bytes: world.used().max(1),
         nlocks: world.lock_count() as usize,
@@ -213,21 +264,8 @@ fn run_live(
     };
     protocol.init(&machine, &shape);
 
-    let mut pool: ThreadPool<(Vec<Op>, Flush)> = match &opts.workers {
-        Some(ws) => ThreadPool::with_workers(ws.clone()),
-        None => ThreadPool::new(),
-    };
-    let cap = if opts.batching.0 { BATCH_CAP } else { 1 };
-    for (pid, body) in bodies.into_iter().enumerate() {
-        pool.spawn(move |y| {
-            let proc = Proc::new(y, pid, nprocs, cap);
-            body(&proc);
-            proc.finish();
-        });
-    }
-
     let mut feed = Live {
-        pool,
+        bodies,
         recorder: capture
             .then(|| Recorder::new(nprocs, shape, opts.batching).ok())
             .flatten(),
@@ -237,7 +275,10 @@ fn run_live(
         unreachable!("a live feed never stops a run");
     }
     let verify_error = workload.verify().err();
-    let (spawned, reused) = feed.pool.thread_stats();
+    let (spawned, reused) = match &feed.bodies {
+        Bodies::Threads(pool) => pool.thread_stats(),
+        Bodies::Inline(_) => (0, 0),
+    };
     let log = feed
         .recorder
         .and_then(|r| r.finish(name.clone(), verify_error.clone()));
@@ -258,31 +299,77 @@ struct Abandon;
 /// Where the driver loop's batches come from.
 trait Feed {
     /// Appends processor `p`'s next batch to `queue` and returns why it
-    /// ended, or `None` once `p`'s thread has finished.
+    /// ended, or `None` once `p`'s body has finished.
     fn next_batch(&mut self, p: usize, queue: &mut VecDeque<Op>) -> Result<Option<Flush>, Abandon>;
 
     /// `lock` was just granted to `p`.
     fn granted(&mut self, lock: LockId, p: usize) -> Result<(), Abandon>;
 }
 
-/// The application threads, behind the baton; optionally recorded.
+/// The application bodies, run live; optionally recorded.
 struct Live {
-    pool: ThreadPool<(Vec<Op>, Flush)>,
+    bodies: Bodies,
     recorder: Option<Recorder>,
+}
+
+/// How a live run's bodies execute.
+enum Bodies {
+    /// Sync bodies, each on its own thread behind the baton.
+    Threads(ThreadPool<Batch>),
+    /// Async bodies, polled in place on the driver's thread: a body runs
+    /// only while the driver asks it for its next batch, so one thread
+    /// runs every processor and the simulator in turn.
+    Inline(Vec<Task>),
+}
+
+/// One async body and its processor's handle.
+struct Task {
+    cpu: Cpu,
+    /// `None` once the body has returned.
+    body: Option<BodyFuture>,
+}
+
+impl Task {
+    /// Processor `p`'s next batch, polling its body if it has none
+    /// sealed; `None` once the body returned and its tail was handed over.
+    fn next_batch(&mut self, p: usize) -> Option<Batch> {
+        if let Some(batch) = self.cpu.take_batch() {
+            // A body that sealed two batches at one await point hands the
+            // second over without being polled.
+            return Some(batch);
+        }
+        let body = self.body.as_mut()?;
+        let mut cx = Context::from_waker(Waker::noop());
+        match catch_unwind(AssertUnwindSafe(|| body.as_mut().poll(&mut cx))) {
+            Ok(Poll::Pending) => Some(self.cpu.take_batch().unwrap_or_else(|| {
+                panic!("P{p}'s body awaited something other than its processor's operations")
+            })),
+            Ok(Poll::Ready(())) => {
+                self.body = None;
+                self.cpu.finish();
+                self.cpu.take_batch()
+            }
+            Err(e) => panic!("simulated processor P{p} panicked: {}", panic_text(&*e)),
+        }
+    }
 }
 
 impl Feed for Live {
     fn next_batch(&mut self, p: usize, queue: &mut VecDeque<Op>) -> Result<Option<Flush>, Abandon> {
-        Ok(match self.pool.resume(ThreadId(p)) {
-            Resumed::Finished => None,
-            Resumed::Op((ops, flush)) => {
-                if let Some(r) = &mut self.recorder {
-                    r.batch(p, &ops, flush);
-                }
-                queue.extend(ops);
-                Some(flush)
+        let batch = match &mut self.bodies {
+            Bodies::Threads(pool) => match pool.resume(ThreadId(p)) {
+                Resumed::Finished => None,
+                Resumed::Op(batch) => Some(batch),
+            },
+            Bodies::Inline(tasks) => tasks[p].next_batch(p),
+        };
+        Ok(batch.map(|(ops, flush)| {
+            if let Some(r) = &mut self.recorder {
+                r.batch(p, &ops, flush);
             }
-        })
+            queue.extend(ops);
+            flush
+        }))
     }
 
     fn granted(&mut self, lock: LockId, p: usize) -> Result<(), Abandon> {
@@ -290,6 +377,17 @@ impl Feed for Live {
             r.grant(lock, p);
         }
         Ok(())
+    }
+}
+
+/// The message of a panic payload.
+fn panic_text(payload: &(dyn Any + Send)) -> &str {
+    if let Some(s) = payload.downcast_ref::<String>() {
+        s
+    } else if let Some(s) = payload.downcast_ref::<&str>() {
+        s
+    } else {
+        "<non-string panic payload>"
     }
 }
 

@@ -157,8 +157,9 @@ impl SimBuilder {
     }
 
     /// Leases application threads from a shared [`ssm_engine::WorkerSet`]
-    /// so consecutive runs recycle parked OS threads instead of spawning
-    /// (host-side only; results are unaffected).
+    /// so consecutive runs of a sync workload recycle parked OS threads
+    /// instead of spawning (host-side only; results are unaffected). Async
+    /// bodies, the whole catalog's, use no thread.
     pub fn workers(mut self, workers: ssm_engine::WorkerSet) -> Self {
         self.workers = Some(workers);
         self
@@ -177,7 +178,7 @@ impl SimBuilder {
     ///
     /// # Panics
     ///
-    /// Panics on simulation deadlock or an application-thread panic (see
+    /// Panics on simulation deadlock or an application-body panic (see
     /// [`driver::run_simulation`]).
     pub fn run(&self, workload: &dyn Workload) -> RunResult {
         let (machine, mut protocol, opts) = self.parts();
@@ -192,7 +193,7 @@ impl SimBuilder {
     }
 
     /// Runs this configuration from `log` instead of from the
-    /// application's threads; `None` when the log cannot stand for this
+    /// application's bodies; `None` when the log cannot stand for this
     /// run (see [`driver::run_replayed`]).
     pub fn replay(&self, log: &ReplayLog) -> Option<RunResult> {
         let (machine, mut protocol, opts) = self.parts();

@@ -34,6 +34,15 @@
 //! Threads that return normally report [`Resumed::Finished`]; a panic inside
 //! application code is captured and re-thrown in the simulator with the
 //! thread's message, so test failures surface in the right place.
+//!
+//! # Which bodies run here
+//!
+//! Only sync thread bodies (`ssm_proto::ThreadBody`): workloads that
+//! implement `Workload::spawn` alone, such as the example and test
+//! workloads, and the thread form that perfbench's traced pass asks the
+//! catalog applications for. The catalog's own async bodies run inline
+//! on the driver's thread (`ssm_core::driver`), with no thread from this
+//! pool and no baton handoff.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};

@@ -31,8 +31,8 @@ pub use machine::{Machine, SendFrom, TraceEvent};
 pub use protocol::{Ideal, Protocol, WorldShape};
 pub use shmem::{BarrierId, LockId, Scalar, SharedMem, SharedVec, World};
 pub use sync::{BarrierTable, LockTable, SyncManager};
-pub use vm::{Flush, Op, Proc, BATCH_CAP};
-pub use workload::{ThreadBody, Workload};
+pub use vm::{Batch, Cpu, Flush, Handoff, Op, Proc, BATCH_CAP};
+pub use workload::{async_body, AsyncBody, BodyFuture, ThreadBody, Workload};
 
 /// Page size of the shared virtual memory system (bytes).
 pub const PAGE_SIZE: u64 = 4096;

@@ -2,12 +2,13 @@
 //!
 //! The simulator is *timing-directed*: coherence protocols track page/block
 //! metadata and charge time, while application **data** lives exactly once,
-//! in a [`SharedMem`] byte store shared by all application threads. This is
-//! sound because the engine's baton guarantees that at most one application
-//! thread executes at any instant (see `ssm-engine::threads`), so plain
-//! unsynchronized access can never race. The baton is passed over channels,
-//! and a channel `send` happens-before its matching `recv`, so each thread
-//! sees every write the previous baton holder made.
+//! in a [`SharedMem`] byte store shared by all application bodies. Async
+//! bodies all run on the driver's thread, one at a time. Sync thread
+//! bodies run on OS threads, and the engine's baton guarantees that at
+//! most one of them executes at any instant (see `ssm-engine::threads`),
+//! so plain unsynchronized access can never race. The baton is passed over
+//! channels, and a channel `send` happens-before its matching `recv`, so
+//! each thread sees every write the previous baton holder made.
 //!
 //! This module is the workspace's one `unsafe` island (see DESIGN.md §11).
 //! Debug builds check the baton on every access with an `entrants`
@@ -18,7 +19,7 @@ use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crate::vm::Proc;
+use crate::vm::{Cpu, Handoff, Proc};
 use crate::PAGE_SIZE;
 
 /// Identifies a DSM lock. Allocated by [`World::alloc_lock`].
@@ -318,6 +319,34 @@ impl<T: Scalar> SharedVec<T> {
     pub fn touch_range_write(&self, p: &Proc, i: usize, n: usize) {
         if let Some(addr) = self.range_addr(i, n) {
             p.touch_write(addr, (n as u64) * T::BYTES);
+        }
+    }
+
+    /// Simulated read of element `i` by an async body's processor `p`.
+    pub async fn read(&self, p: &Cpu, i: usize) -> T {
+        p.touch_read(self.addr_of(i), T::BYTES).await;
+        T::load(&self.mem, self.addr_of(i))
+    }
+
+    /// Simulated write of element `i` by an async body's processor `p`.
+    pub async fn write(&self, p: &Cpu, i: usize, v: T) {
+        p.touch_write(self.addr_of(i), T::BYTES).await;
+        v.store(&self.mem, self.addr_of(i));
+    }
+
+    /// [`SharedVec::touch_range_read`] for an async body's processor `p`.
+    pub fn touch_read(&self, p: &Cpu, i: usize, n: usize) -> Handoff {
+        match self.range_addr(i, n) {
+            Some(addr) => p.touch_read(addr, (n as u64) * T::BYTES),
+            None => Handoff::default(),
+        }
+    }
+
+    /// [`SharedVec::touch_range_write`] for an async body's processor `p`.
+    pub fn touch_write(&self, p: &Cpu, i: usize, n: usize) -> Handoff {
+        match self.range_addr(i, n) {
+            Some(addr) => p.touch_write(addr, (n as u64) * T::BYTES),
+            None => Handoff::default(),
         }
     }
 

@@ -1,49 +1,63 @@
 //! The programming-model API that application code runs against.
 //!
-//! Applications are ordinary Rust functions that receive a [`Proc`] — the
-//! handle for "this simulated processor". Every shared-memory access, lock,
-//! barrier and block of computation goes through it; each call may hand the
-//! baton to the simulator (see `ssm-engine::threads`).
+//! Applications are ordinary Rust code that receives a handle for "this
+//! simulated processor". Every shared-memory access, lock, barrier and
+//! block of computation goes through it. There are two handles, over one
+//! batching core:
+//!
+//! * [`Cpu`], for **async bodies** ([`crate::AsyncBody`], the catalog
+//!   applications' form). Each operation returns a [`Handoff`] that the
+//!   body awaits; a body suspends only where a batch is handed over. The
+//!   simulation driver (`ssm_core::driver`) polls these bodies on its own
+//!   thread, so they need no OS thread and no baton.
+//! * [`Proc`], for **sync bodies** ([`crate::ThreadBody`]). Each body runs
+//!   on an OS thread of the engine's thread pool, and a handover blocks
+//!   the thread on the baton (see `ssm-engine::threads`).
+//!   [`Proc::block_on`] runs an async body on such a thread, which is how
+//!   [`crate::Workload::spawn`] derives a sync form of an async workload.
 //!
 //! `compute` calls are *accumulated* locally and flushed on the next real
 //! operation, so tight loops that interleave arithmetic with shared reads
-//! cost only one baton handover per shared access.
+//! issue one `Compute` operation per run of arithmetic.
 //!
-//! A `Proc` *buffers* every operation that does not block — `Compute`
+//! A handle *buffers* every operation that does not block — `Compute`
 //! blocks, reads, writes and lock releases — and hands the run to the
-//! simulator as one batch, in one [`ssm_engine::Yielder::yield_op`]
-//! exchange that carries the operations and the [`Flush`] cause. A batch
-//! is handed over when:
+//! simulator as one batch, with the [`Flush`] cause. A batch is handed
+//! over when:
 //!
-//! * a **sync** operation is issued (`Lock`, `Barrier`): the thread must
-//!   block until the simulator grants it ([`Flush::Sync`]);
-//! * the batch reaches the `Proc`'s cap ([`Flush::Cap`]): [`BATCH_CAP`]
+//! * a **sync** operation is issued (`Lock`, `Barrier`): the body must
+//!   wait until the simulator grants it ([`Flush::Sync`]);
+//! * the batch reaches the handle's cap ([`Flush::Cap`]): [`BATCH_CAP`]
 //!   operations when batching, 1 when it is off, so that every operation
 //!   is a handoff of its own;
-//! * the thread body returns ([`Flush::End`]).
+//! * the body returns ([`Flush::End`]).
 //!
-//! So the number of handoffs depends on the operation stream alone.
+//! So the number of handoffs depends on the operation stream alone, and is
+//! the same under both executors. The cap is why an async body awaits every
+//! shared access, not only its sync operations: a body that could not
+//! suspend at the cap would buffer everything up to its next `Lock` or
+//! `Barrier` (over half a million operations in Radix at bench scale).
 //!
 //! # Workloads must be data-race-free
 //!
 //! The driver replays a batch one operation per scheduling step, in issue
 //! order, so the operation stream each processor feeds the protocol is
-//! that of an unbatched run. What batching moves is *host* time: a thread
+//! that of an unbatched run. What batching moves is *host* time: a body
 //! reads and writes the shared store while it builds its batch, before
 //! the simulator has replayed what other processors did earlier in
 //! simulated time. In a data-race-free program this changes no value
 //! read: every conflicting access by another processor is ordered by a
-//! `Lock`/`Unlock` or `Barrier` chain, and the thread cannot pass a `Lock`
+//! `Lock`/`Unlock` or `Barrier` chain, and the body cannot pass a `Lock`
 //! or `Barrier` until the simulator grants it. A [`crate::Workload`] with
 //! a data race may read different values, and so issue different
-//! operations, batched and unbatched. With a cap of 1 a thread cannot pass
+//! operations, batched and unbatched. With a cap of 1 a body cannot pass
 //! any operation before the driver replays it, so the unbatched run is the
 //! reference. Until the workspace has a race checker, run a new workload
 //! both ways (`--no-batching` in the sweep CLI, `batching(false)` on the
 //! simulation builder) and compare the output.
 //!
 //! Capture and replay (see `ssm_core::replay`) makes the requirement hold
-//! across protocols too. A sweep runs an application's threads once per
+//! across protocols too. A sweep runs an application's bodies once per
 //! (scale, processor count, batching setting) and replays the recorded
 //! operation streams under every other protocol and cost preset whose
 //! lock grants come in the same order. For a data-race-free workload
@@ -54,12 +68,18 @@
 //! still compares two executions.
 
 use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
+use std::future::Future;
+use std::pin::Pin;
+use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 
 use ssm_engine::Yielder;
 
 use crate::shmem::{BarrierId, LockId};
+use crate::workload::AsyncBody;
 
-/// An operation yielded by an application thread to the simulator.
+/// An operation an application body hands to the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// The processor computes for `c` cycles (1-IPC model: `c` instructions).
@@ -77,7 +97,7 @@ pub enum Op {
 }
 
 /// Most operations a batch may hold before it is handed over anyway —
-/// bounds both the driver's queue memory and how far a thread can run
+/// bounds both the driver's queue memory and how far a body can run
 /// ahead of simulated time.
 pub const BATCH_CAP: usize = 256;
 
@@ -86,131 +106,308 @@ pub const BATCH_CAP: usize = 256;
 pub enum Flush {
     /// A sync operation (`Lock`/`Barrier`) ended the batch.
     Sync,
-    /// The batch reached the `Proc`'s cap.
+    /// The batch reached the handle's cap.
     Cap,
-    /// The thread body returned.
+    /// The body returned.
     End,
 }
 
-/// The per-processor handle passed to application code.
-pub struct Proc<'a> {
-    y: &'a Yielder<(Vec<Op>, Flush)>,
+/// A sealed batch and why it was sealed.
+pub type Batch = (Vec<Op>, Flush);
+
+/// The batching core both handles share: deferred computation, the open
+/// batch, and the batches sealed but not yet handed over (at most two: a
+/// compute flush can fill one batch just before a sync operation seals
+/// the next).
+struct Batcher {
     pid: usize,
     nprocs: usize,
-    pending: Cell<u64>,
-    /// The operations buffered since the last handoff.
-    batch: RefCell<Vec<Op>>,
-    /// How many operations a batch holds before it is handed over.
     cap: usize,
+    pending: Cell<u64>,
+    batch: RefCell<Vec<Op>>,
+    sealed: RefCell<VecDeque<Batch>>,
 }
 
-impl<'a> Proc<'a> {
-    /// Wraps a yielder; used by the simulation driver when spawning
-    /// application threads. Batches are handed over at `cap` operations
-    /// (see module docs): [`BATCH_CAP`] batches, 1 hands over every
+impl Batcher {
+    /// Seals the open batch.
+    fn seal(&self, why: Flush) {
+        let ops = self.batch.take();
+        self.sealed.borrow_mut().push_back((ops, why));
+    }
+
+    /// Buffers a non-blocking `op`, sealing the batch at the cap; true
+    /// when it sealed.
+    fn push(&self, op: Op) -> bool {
+        let full = {
+            let mut ops = self.batch.borrow_mut();
+            ops.push(op);
+            ops.len() >= self.cap
+        };
+        if full {
+            self.seal(Flush::Cap);
+        }
+        full
+    }
+
+    /// Moves deferred computation into the batch; true when it sealed.
+    fn flush(&self) -> bool {
+        let c = self.pending.replace(0);
+        c > 0 && self.push(Op::Compute(c))
+    }
+
+    /// Buffers `op` after any deferred computation; true when a batch was
+    /// sealed.
+    fn issue(&self, op: Op) -> bool {
+        let flushed = self.flush();
+        self.push(op) | flushed
+    }
+
+    /// Buffers a read or write of `bytes` bytes; a zero-byte access
+    /// issues nothing.
+    fn access(&self, op: Op, bytes: u64) -> bool {
+        bytes > 0 && self.issue(op)
+    }
+
+    /// Ends the batch with the blocking `op`.
+    fn sync(&self, op: Op) {
+        self.flush();
+        self.batch.borrow_mut().push(op);
+        self.seal(Flush::Sync);
+    }
+
+    /// Seals whatever remains buffered when the body returns.
+    fn finish(&self) {
+        self.flush();
+        if !self.batch.borrow().is_empty() {
+            self.seal(Flush::End);
+        }
+    }
+}
+
+/// The awaitable handle an async body runs against: processor `pid` of
+/// `nprocs`. Cloning shares the handle.
+///
+/// Every operation buffers at once and returns a [`Handoff`]; awaiting it
+/// suspends the body when the operation sealed a batch, at the cap or at
+/// a sync operation, and is free otherwise. An executor resumes the body
+/// once the simulator wants its next batch (after granting a `Lock` or
+/// releasing a `Barrier`), so a body never runs past an operation the
+/// simulator has not granted.
+///
+/// # Example
+///
+/// ```rust
+/// use ssm_proto::{Cpu, LockId, Op};
+/// let p = Cpu::new(0, 1, 256);
+/// p.compute(10);
+/// let _ = p.touch_read(0, 8); // buffered: nothing handed over yet
+/// let _ = p.lock(LockId(0)); // a sync operation seals the batch
+/// let (ops, _) = p.take_batch().expect("sealed");
+/// assert_eq!(ops[0], Op::Compute(10));
+/// assert_eq!(ops.len(), 3);
+/// ```
+#[derive(Clone)]
+pub struct Cpu(Rc<Batcher>);
+
+/// The future every [`Cpu`] operation returns: pending once if the
+/// operation sealed a batch, so the executor can hand it over. The
+/// default is ready at once (an operation that issued nothing).
+#[must_use = "an operation is handed over in order only when awaited"]
+#[derive(Debug, Default)]
+pub struct Handoff(bool);
+
+impl Future for Handoff {
+    type Output = ();
+
+    fn poll(mut self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<()> {
+        if std::mem::take(&mut self.0) {
+            Poll::Pending
+        } else {
+            Poll::Ready(())
+        }
+    }
+}
+
+impl Cpu {
+    /// A handle for processor `pid` of `nprocs` whose batches hold up to
+    /// `cap` operations: [`BATCH_CAP`] batches, 1 hands over every
     /// operation alone. Simulated results of a data-race-free workload do
-    /// not depend on `cap`; only the number of baton handoffs does.
+    /// not depend on `cap`; only the number of handoffs does.
     ///
     /// # Panics
     ///
     /// Panics if `cap` is 0.
-    pub fn new(y: &'a Yielder<(Vec<Op>, Flush)>, pid: usize, nprocs: usize, cap: usize) -> Self {
+    pub fn new(pid: usize, nprocs: usize, cap: usize) -> Self {
         assert!(cap > 0, "a batch must hold at least one operation");
-        Proc {
-            y,
+        Cpu(Rc::new(Batcher {
             pid,
             nprocs,
+            cap,
             pending: Cell::new(0),
             batch: RefCell::new(Vec::new()),
-            cap,
+            sealed: RefCell::new(VecDeque::new()),
+        }))
+    }
+
+    /// This processor's id, `0..nprocs`.
+    pub fn pid(&self) -> usize {
+        self.0.pid
+    }
+
+    /// Number of processors in the run.
+    pub fn nprocs(&self) -> usize {
+        self.0.nprocs
+    }
+
+    /// Charges `cycles` of computation (deferred until the next operation).
+    pub fn compute(&self, cycles: u64) {
+        self.0.pending.set(self.0.pending.get() + cycles);
+    }
+
+    /// Simulated shared-memory read of `[addr, addr+bytes)`; a zero-byte
+    /// read issues nothing.
+    pub fn touch_read(&self, addr: u64, bytes: u64) -> Handoff {
+        Handoff(self.0.access(Op::Read { addr, bytes }, bytes))
+    }
+
+    /// Simulated shared-memory write of `[addr, addr+bytes)`; a zero-byte
+    /// write issues nothing.
+    pub fn touch_write(&self, addr: u64, bytes: u64) -> Handoff {
+        Handoff(self.0.access(Op::Write { addr, bytes }, bytes))
+    }
+
+    /// Acquires `lock`: the body resumes once the simulator grants it.
+    pub fn lock(&self, lock: LockId) -> Handoff {
+        self.0.sync(Op::Lock(lock));
+        Handoff(true)
+    }
+
+    /// Releases `lock`. Non-blocking, so it joins the batch: the driver
+    /// still replays it in issue order, before any waiter is granted the
+    /// lock.
+    pub fn unlock(&self, lock: LockId) -> Handoff {
+        Handoff(self.0.issue(Op::Unlock(lock)))
+    }
+
+    /// Enters `barrier`: the body resumes once all processors arrived.
+    pub fn barrier(&self, barrier: BarrierId) -> Handoff {
+        self.0.sync(Op::Barrier(barrier));
+        Handoff(true)
+    }
+
+    /// For executors: the oldest sealed batch not yet handed over.
+    pub fn take_batch(&self) -> Option<Batch> {
+        self.0.sealed.borrow_mut().pop_front()
+    }
+
+    /// For executors: seals what remains buffered once the body returned
+    /// (an [`Flush::End`] batch, if anything remains).
+    pub fn finish(&self) {
+        self.0.finish();
+    }
+}
+
+impl std::fmt::Debug for Cpu {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Cpu")
+            .field("pid", &self.0.pid)
+            .field("nprocs", &self.0.nprocs)
+            .field("pending_compute", &self.0.pending.get())
+            .finish()
+    }
+}
+
+/// The handle a sync thread body runs against: a [`Cpu`] whose sealed
+/// batches go straight over the engine's baton, blocking the thread until
+/// the simulator resumes it.
+pub struct Proc<'a> {
+    y: &'a Yielder<Batch>,
+    cpu: Cpu,
+}
+
+impl<'a> Proc<'a> {
+    /// Wraps a yielder; used by the simulation driver when spawning
+    /// application threads. Batches are handed over at `cap` operations,
+    /// as [`Cpu::new`] describes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cap` is 0.
+    pub fn new(y: &'a Yielder<Batch>, pid: usize, nprocs: usize, cap: usize) -> Self {
+        Proc {
+            y,
+            cpu: Cpu::new(pid, nprocs, cap),
+        }
+    }
+
+    /// Hands every sealed batch over, one baton exchange each.
+    fn hand_over(&self) {
+        while let Some(batch) = self.cpu.take_batch() {
+            self.y.yield_op(batch);
         }
     }
 
     /// This processor's id, `0..nprocs`.
     pub fn pid(&self) -> usize {
-        self.pid
+        self.cpu.pid()
     }
 
     /// Number of processors in the run.
     pub fn nprocs(&self) -> usize {
-        self.nprocs
+        self.cpu.nprocs()
     }
 
     /// Charges `cycles` of computation (deferred until the next operation).
     pub fn compute(&self, cycles: u64) {
-        self.pending.set(self.pending.get() + cycles);
+        self.cpu.compute(cycles);
     }
 
     /// Flushes deferred computation into the current batch; called
-    /// automatically before any other operation and by the driver when the
-    /// thread body returns.
+    /// automatically before any other operation.
     pub fn flush(&self) {
-        let c = self.pending.replace(0);
-        if c > 0 {
-            self.issue(Op::Compute(c));
-        }
+        self.cpu.0.flush();
+        self.hand_over();
     }
 
-    /// Buffers a non-blocking `op`, handing the batch over if it reached
-    /// the cap.
-    fn issue(&self, op: Op) {
-        let mut ops = self.batch.borrow_mut();
-        ops.push(op);
-        if ops.len() >= self.cap {
-            let batch = std::mem::take(&mut *ops);
-            drop(ops);
-            self.y.yield_op((batch, Flush::Cap));
-        }
-    }
-
-    /// Issues a blocking `op`: it ends the current batch and hands the
-    /// whole run over; the thread blocks until the simulator has replayed
-    /// every buffered operation and granted `op`.
-    fn sync(&self, op: Op) {
-        self.flush();
-        let mut batch = self.batch.take();
-        batch.push(op);
-        self.y.yield_op((batch, Flush::Sync));
-    }
-
-    /// Simulated shared-memory read of `[addr, addr+bytes)`.
+    /// Simulated shared-memory read of `[addr, addr+bytes)`; a zero-byte
+    /// read issues nothing.
     pub fn touch_read(&self, addr: u64, bytes: u64) {
-        self.flush();
-        self.issue(Op::Read { addr, bytes });
+        self.cpu.0.access(Op::Read { addr, bytes }, bytes);
+        self.hand_over();
     }
 
-    /// Simulated shared-memory write of `[addr, addr+bytes)`.
+    /// Simulated shared-memory write of `[addr, addr+bytes)`; a zero-byte
+    /// write issues nothing.
     pub fn touch_write(&self, addr: u64, bytes: u64) {
-        self.flush();
-        self.issue(Op::Write { addr, bytes });
+        self.cpu.0.access(Op::Write { addr, bytes }, bytes);
+        self.hand_over();
     }
 
     /// Acquires `lock` (blocks in simulated time until granted).
     pub fn lock(&self, lock: LockId) {
-        self.sync(Op::Lock(lock));
+        self.cpu.0.sync(Op::Lock(lock));
+        self.hand_over();
     }
 
     /// Releases `lock`. Non-blocking, so it joins the batch: the driver
     /// still replays it in issue order, before any waiter is granted the
     /// lock.
     pub fn unlock(&self, lock: LockId) {
-        self.flush();
-        self.issue(Op::Unlock(lock));
+        self.cpu.0.issue(Op::Unlock(lock));
+        self.hand_over();
     }
 
     /// Enters `barrier`; returns when all processors have arrived.
     pub fn barrier(&self, barrier: BarrierId) {
-        self.sync(Op::Barrier(barrier));
+        self.cpu.0.sync(Op::Barrier(barrier));
+        self.hand_over();
     }
 
     /// Hands over whatever remains buffered; called by the driver when the
     /// thread body returns.
     pub fn finish(&self) {
-        self.flush();
-        let batch = self.batch.take();
-        if !batch.is_empty() {
-            self.y.yield_op((batch, Flush::End));
-        }
+        self.cpu.finish();
+        self.hand_over();
     }
 
     /// Convenience: run `f` under `lock`.
@@ -220,14 +417,34 @@ impl<'a> Proc<'a> {
         self.unlock(lock);
         r
     }
+
+    /// Runs the async `body` on this thread against this processor's
+    /// handle: each time the body suspends, its sealed batches go over the
+    /// baton, and the body resumes when the simulator resumes the thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the body suspends on anything but its processor's
+    /// operations.
+    pub fn block_on(&self, body: AsyncBody) {
+        let mut task = body(self.cpu.clone());
+        let mut cx = Context::from_waker(Waker::noop());
+        while task.as_mut().poll(&mut cx).is_pending() {
+            assert!(
+                !self.cpu.0.sealed.borrow().is_empty(),
+                "an async body awaits only its processor's operations"
+            );
+            self.hand_over();
+        }
+    }
 }
 
 impl std::fmt::Debug for Proc<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Proc")
-            .field("pid", &self.pid)
-            .field("nprocs", &self.nprocs)
-            .field("pending_compute", &self.pending.get())
+            .field("pid", &self.cpu.0.pid)
+            .field("nprocs", &self.cpu.0.nprocs)
+            .field("pending_compute", &self.cpu.0.pending.get())
             .finish()
     }
 }
@@ -361,6 +578,88 @@ mod tests {
         });
         let read = Op::Read { addr: 0, bytes: 4 };
         assert_eq!(pool.resume(t), batch(&[read; BATCH_CAP], Flush::Cap));
+        assert_eq!(pool.resume(t), batch(&[read], Flush::End));
+        assert_eq!(pool.resume(t), Resumed::Finished);
+    }
+
+    /// Polls `h` once: whether the body would suspend there.
+    fn suspends(mut h: Handoff) -> bool {
+        Pin::new(&mut h)
+            .poll(&mut Context::from_waker(Waker::noop()))
+            .is_pending()
+    }
+
+    #[test]
+    fn cpu_seals_the_batches_a_proc_hands_over() {
+        let p = Cpu::new(0, 1, 2);
+        p.compute(5);
+        // [Compute] is one short of the cap; the read fills it.
+        assert!(suspends(p.touch_read(0, 4)));
+        let read = Op::Read { addr: 0, bytes: 4 };
+        assert_eq!(
+            p.take_batch(),
+            Some((vec![Op::Compute(5), read], Flush::Cap))
+        );
+        assert!(!suspends(p.touch_write(8, 4)));
+        p.compute(1);
+        // The compute flush fills one batch and the lock seals the next:
+        // one await point, two batches.
+        assert!(suspends(p.lock(LockId(3))));
+        let write = Op::Write { addr: 8, bytes: 4 };
+        assert_eq!(
+            p.take_batch(),
+            Some((vec![write, Op::Compute(1)], Flush::Cap))
+        );
+        assert_eq!(
+            p.take_batch(),
+            Some((vec![Op::Lock(LockId(3))], Flush::Sync))
+        );
+        assert_eq!(p.take_batch(), None);
+        assert!(!suspends(p.unlock(LockId(3))));
+        p.finish();
+        let unlock = Op::Unlock(LockId(3));
+        assert_eq!(p.take_batch(), Some((vec![unlock], Flush::End)));
+    }
+
+    #[test]
+    fn zero_byte_accesses_issue_nothing() {
+        let p = Cpu::new(0, 1, 1);
+        p.compute(7);
+        assert!(!suspends(p.touch_read(0, 0)));
+        assert!(!suspends(p.touch_write(64, 0)));
+        assert_eq!(
+            p.take_batch(),
+            None,
+            "nothing issued, compute still deferred"
+        );
+        p.finish();
+        assert_eq!(p.take_batch(), Some((vec![Op::Compute(7)], Flush::Cap)));
+
+        let mut pool = Pool::new();
+        let t = pool.spawn(|y| {
+            let p = Proc::new(y, 0, 1, 1);
+            p.touch_read(0, 0);
+            p.touch_write(0, 0);
+            p.finish();
+        });
+        assert_eq!(pool.resume(t), Resumed::Finished);
+    }
+
+    #[test]
+    fn block_on_hands_an_async_body_over_the_baton() {
+        let mut pool = Pool::new();
+        let t = pool.spawn(|y| {
+            let p = Proc::new(y, 1, 2, BATCH_CAP);
+            p.block_on(crate::async_body(|c| async move {
+                c.compute(3);
+                c.barrier(BarrierId(0)).await;
+                c.touch_read(16, 8).await;
+            }));
+            p.finish();
+        });
+        let run = [Op::Compute(3), Op::Barrier(BarrierId(0))];
+        assert_eq!(pool.resume(t), batch(&run, Flush::Sync));
+        let read = Op::Read { addr: 16, bytes: 8 };
         assert_eq!(pool.resume(t), batch(&[read], Flush::End));
         assert_eq!(pool.resume(t), Resumed::Finished);
     }

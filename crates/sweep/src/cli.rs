@@ -8,9 +8,9 @@
 //! * `--jobs N` — host worker threads (default: available parallelism);
 //! * `--no-cache` — ignore the result cache and write nothing under
 //!   `--results` (neither `sweep_cache.jsonl` nor `bench_summary.json`);
-//! * `--no-batching` — one baton handoff per simulated operation: the
-//!   same batching path with a cap of one operation, so a thread never
-//!   runs past an operation the driver has not replayed (results are
+//! * `--no-batching` — one handoff per simulated operation: the same
+//!   batching path with a cap of one operation, so a body never runs
+//!   past an operation the driver has not replayed (results are
 //!   byte-identical; only the host-side handoff counters and wall time
 //!   change, and every operation counts as a one-op batch);
 //! * `--timeout SECS` — per-cell wall-time limit (default: none);
@@ -55,7 +55,7 @@ pub struct SweepCli {
     pub jobs: usize,
     /// Skip the on-disk cache and the summary: write nothing to disk.
     pub no_cache: bool,
-    /// Disable batched baton handoffs (diagnostic; results identical).
+    /// Disable batched handoffs (diagnostic; results identical).
     pub no_batching: bool,
     /// Per-cell wall-time limit.
     pub timeout: Option<Duration>,

@@ -1,9 +1,9 @@
 //! The parallel sweep executor.
 //!
-//! Cells are embarrassingly parallel: each simulation is single-threaded
-//! under the engine's baton, shares no mutable state with its neighbours,
-//! and is deterministic. The executor therefore fans unique, uncached
-//! cells out over a work-stealing pool of OS threads (std only), with:
+//! Cells are embarrassingly parallel: each simulation runs on one thread,
+//! shares no mutable state with its neighbours, and is deterministic. The
+//! executor therefore fans unique, uncached cells out over a
+//! work-stealing pool of OS threads (std only), with:
 //!
 //! * **panic capture** — a diverging application/configuration reports as
 //!   a failed cell instead of killing the sweep (the global panic hook is
@@ -25,7 +25,7 @@
 //!   procs, batching) feed the driver the same operation streams, so the
 //!   first cell of a key runs live and records them, and the key's later
 //!   cells replay the record under their own protocol and costs, without
-//!   application threads (DESIGN.md §14). Cells are dealt to the deques
+//!   running the application (DESIGN.md §14). Cells are dealt to the deques
 //!   by key, so a key's cells follow each other on one worker;
 //! * **progress** — a live stderr line (done/total, cache hits, failures,
 //!   ETA), and a completion line that counts replayed cells and aborted
@@ -77,6 +77,8 @@ pub struct CellOutcome {
     pub hash: String,
     /// Whether the result came from the on-disk cache.
     pub cached: bool,
+    /// Whether the cell was replayed from an earlier cell's capture.
+    pub replayed: bool,
     /// The outcome.
     pub status: CellStatus,
 }
@@ -216,21 +218,16 @@ impl SweepRun {
 /// Builds and runs the simulation for one cell. Panics propagate to the
 /// caller (the executor turns them into failed cells).
 pub fn execute(cell: &Cell) -> Result<CellRecord, String> {
-    execute_with(cell, None, true)
+    execute_with(cell, true)
 }
 
-/// [`execute`] with the sweep's engine knobs: an optional shared
-/// [`WorkerSet`] to recycle OS threads across cells, and the batching
-/// toggle. Neither affects simulated results. The cell always runs live.
-pub fn execute_with(
-    cell: &Cell,
-    workers: Option<&WorkerSet>,
-    batching: bool,
-) -> Result<CellRecord, String> {
-    execute_planned(cell, workers, batching, Plan::Live).map(|(rec, _)| rec)
+/// [`execute`] with the sweep's batching toggle, which does not affect
+/// simulated results. The cell always runs live.
+pub fn execute_with(cell: &Cell, batching: bool) -> Result<CellRecord, String> {
+    execute_planned(cell, batching, Plan::Live).map(|(rec, _)| rec)
 }
 
-/// The cells whose application threads issue the same operation streams:
+/// The cells whose application bodies issue the same operation streams:
 /// one application at one scale, processor count and batching setting.
 /// The protocol, the layer costs, the SC block, the home policy and the
 /// fault plan reach only the protocol and the machine; application code
@@ -261,12 +258,7 @@ enum Ran {
 
 /// Runs `cell` as `plan` says: a replay that diverges reruns live on a
 /// fresh machine.
-fn execute_planned(
-    cell: &Cell,
-    workers: Option<&WorkerSet>,
-    batching: bool,
-    plan: Plan,
-) -> Result<(CellRecord, Ran), String> {
+fn execute_planned(cell: &Cell, batching: bool, plan: Plan) -> Result<(CellRecord, Ran), String> {
     let spec =
         catalog::by_name(&cell.app).ok_or_else(|| format!("unknown application {:?}", cell.app))?;
     let started = Instant::now();
@@ -275,9 +267,6 @@ fn execute_planned(
         .sc_block(cell.sc_block.unwrap_or(spec.sc_block))
         .home_policy(cell.homes)
         .batching(batching);
-    if let Some(ws) = workers {
-        builder = builder.workers(ws.clone());
-    }
     if cell.protocol != Protocol::Ideal {
         builder = builder.comm(cell.comm.params()).proto(cell.proto.costs());
     }
@@ -356,8 +345,8 @@ static ACTIVE_CELLS: AtomicUsize = AtomicUsize::new(0);
 
 /// Installs (once per process) a panic hook that suppresses the default
 /// backtrace spew for panics on sweep-owned threads — the pooled
-/// `ssm-worker-N` threads that run both the per-cell guard jobs and the
-/// engine's application threads — while cells are in flight. The panic
+/// `ssm-worker-N` threads that run the per-cell guard jobs, and with them
+/// the catalog's inline bodies — while cells are in flight. The panic
 /// still unwinds and is reported as a failed cell; every other thread
 /// keeps the previous hook's behavior.
 fn install_panic_filter() {
@@ -395,10 +384,9 @@ fn execute_with_limits(
     cli: &SweepCli,
 ) -> (CellStatus, Option<Ran>) {
     let c = cell.clone();
-    let ws = workers.clone();
     let batching = !cli.no_batching;
     match run_guarded(workers, cli.timeout, move || {
-        execute_planned(&c, Some(&ws), batching, plan)
+        execute_planned(&c, batching, plan)
     }) {
         Ok((rec, ran)) => (CellStatus::Done(rec), Some(ran)),
         Err(status) => (status, None),
@@ -411,10 +399,8 @@ fn execute_with_limits(
 ///
 /// The result is delivered by the worker's *completion* closure, which
 /// runs only after the worker has re-registered itself as idle — so by
-/// the time this returns, the guard's worker (and, once the simulation's
-/// own `ThreadPool` has dropped, its application workers) are parked and
-/// ready for the next cell. That ordering is what makes "zero fresh
-/// spawns on the second cell" deterministic.
+/// the time this returns, the guard's worker is parked and ready for the
+/// next cell.
 ///
 /// Returns the work's output, or the failed or timed-out status.
 // The error is never `Done`, the large variant.
@@ -561,6 +547,7 @@ pub(crate) fn run_local(cells: &[Cell], cli: &SweepCli) -> SweepRun {
     };
 
     let mut statuses: Vec<Option<CellStatus>> = vec![None; unique.len()];
+    let mut replayed_flags: Vec<bool> = vec![false; unique.len()];
     let mut cached_flags: Vec<bool> = vec![false; unique.len()];
     let mut misses: Vec<usize> = Vec::new();
     let mut cached = 0usize;
@@ -622,12 +609,12 @@ pub(crate) fn run_local(cells: &[Cell], cli: &SweepCli) -> SweepRun {
     // State shared by the workers: per-cell status slots, the open cache,
     // and progress accounting. One lock, taken once per finished cell.
     type SharedState<'a> = (
-        &'a mut Vec<Option<CellStatus>>,
+        (&'a mut Vec<Option<CellStatus>>, &'a mut Vec<bool>),
         Option<ResultStore>,
         Progress,
     );
     let shared_results: Mutex<SharedState> = Mutex::new((
-        &mut statuses,
+        (&mut statuses, &mut replayed_flags),
         store,
         Progress {
             total: unique.len(),
@@ -646,9 +633,9 @@ pub(crate) fn run_local(cells: &[Cell], cli: &SweepCli) -> SweepRun {
     let key_logs = &key_logs;
     let shared = &shared_results;
 
-    // One worker set per sweep: both the per-cell guard jobs and every
-    // simulation's application threads lease OS threads from it, so cell
-    // N+1 recycles cell N's threads instead of spawning.
+    // One worker set per sweep for the per-cell guard jobs, so cell N+1
+    // recycles cell N's thread instead of spawning. The catalog's bodies
+    // run inline on the guard thread and need no thread of their own.
     let workers = WorkerSet::new();
     let workers_ref = &workers;
 
@@ -672,7 +659,7 @@ pub(crate) fn run_local(cells: &[Cell], cli: &SweepCli) -> SweepRun {
                 let aborted = matches!(ran, Some(Ran::Aborted));
                 key_logs.lock().expect("key logs")[key_of[i]].finish(capturing, ran);
                 let mut guard = shared.lock().expect("results");
-                let (results, store, progress) = &mut *guard;
+                let ((results, replays), store, progress) = &mut *guard;
                 if let CellStatus::Done(rec) = &status {
                     if let Some(s) = store.as_mut() {
                         if let Err(e) = s.append(rec.clone()) {
@@ -687,6 +674,7 @@ pub(crate) fn run_local(cells: &[Cell], cli: &SweepCli) -> SweepRun {
                     progress.abandoned += 1;
                 }
                 results[i] = Some(status);
+                replays[i] = replayed;
                 progress.done += 1;
                 progress.executed += 1;
                 progress.replayed += usize::from(replayed);
@@ -701,13 +689,16 @@ pub(crate) fn run_local(cells: &[Cell], cli: &SweepCli) -> SweepRun {
     let outcomes: Vec<CellOutcome> = unique
         .iter()
         .zip(statuses.iter_mut())
-        .zip(cached_flags.iter())
-        .map(|(((cell, hash), status), &was_cached)| CellOutcome {
-            cell: cell.clone(),
-            hash: hash.clone(),
-            cached: was_cached,
-            status: status.take().expect("every cell resolved"),
-        })
+        .zip(cached_flags.iter().zip(&replayed_flags))
+        .map(
+            |(((cell, hash), status), (&cached, &replayed))| CellOutcome {
+                cell: cell.clone(),
+                hash: hash.clone(),
+                cached,
+                replayed,
+                status: status.take().expect("every cell resolved"),
+            },
+        )
         .collect();
 
     let run = SweepRun {
@@ -796,6 +787,76 @@ mod tests {
         match run_guarded::<()>(&workers, None, || Err("soft failure".to_string())) {
             Err(CellStatus::Failed(msg)) => assert_eq!(msg, "soft failure"),
             other => panic!("expected Failed, got {other:?}"),
+        }
+    }
+
+    /// Processor 1's body panics, or never reaches the barrier; the
+    /// others wait at it.
+    struct Broken {
+        panics: bool,
+    }
+
+    impl ssm_proto::Workload for Broken {
+        fn name(&self) -> String {
+            "broken".into()
+        }
+        fn mem_bytes(&self) -> usize {
+            1 << 16
+        }
+        fn spawn_async(
+            &self,
+            world: &mut ssm_proto::World,
+            nprocs: usize,
+        ) -> Option<Vec<ssm_proto::AsyncBody>> {
+            let bar = world.alloc_barrier();
+            let panics = self.panics;
+            let bodies = (0..nprocs)
+                .map(|pid| {
+                    ssm_proto::async_body(move |p| async move {
+                        p.compute(10);
+                        if pid == 1 {
+                            assert!(!panics, "body gave up");
+                            return;
+                        }
+                        p.barrier(bar).await;
+                    })
+                })
+                .collect();
+            Some(bodies)
+        }
+    }
+
+    #[test]
+    fn inline_body_failures_fail_only_their_cell() {
+        install_panic_filter();
+        let workers = WorkerSet::new();
+        let failure = |panics| {
+            let out = run_guarded(&workers, None, move || {
+                let r = SimBuilder::new(Protocol::Hlrc)
+                    .procs(3)
+                    .run(&Broken { panics });
+                Ok(r.total_cycles)
+            });
+            match out {
+                Err(CellStatus::Failed(msg)) => msg,
+                other => panic!("expected Failed, got {other:?}"),
+            }
+        };
+        let msg = failure(true);
+        assert!(msg.contains("P1") && msg.contains("body gave up"), "{msg}");
+        let msg = failure(false);
+        assert!(msg.contains("simulation deadlock"), "{msg}");
+        assert!(msg.contains("P0@") && msg.contains("P2@"), "{msg}");
+        assert!(!msg.contains("P1@"), "P1 finished: {msg}");
+        // The same worker set runs the next cell normally.
+        let cell = Cell::new("FFT", Protocol::Hlrc, LayerConfig::base(), 2, Scale::Test);
+        let want = execute(&cell).expect("FFT runs");
+        match run_guarded(&workers, None, move || execute(&cell)) {
+            Ok(rec) => {
+                assert!(rec.verified);
+                assert_eq!(rec.canonical(), want.canonical());
+            }
+            Err(other) => panic!("expected Done, got {other:?}"),
         }
     }
 

@@ -39,19 +39,15 @@ fn done(run: &SweepRun, i: usize) -> &CellRecord {
     }
 }
 
-fn replayed(rec: &CellRecord) -> bool {
-    rec.threads_spawned + rec.threads_reused == 0
-}
-
 /// Requires every record of `run` to equal a live run of its cell, and
 /// returns how many were replayed.
 fn assert_all_live_identical(run: &SweepRun, batching: bool) -> usize {
     let mut replays = 0;
     for (i, o) in run.outcomes.iter().enumerate() {
         let rec = done(run, i);
-        let live = execute_with(&o.cell, None, batching).expect("live run");
+        let live = execute_with(&o.cell, batching).expect("live run");
         assert_eq!(rec.canonical(), live.canonical(), "{}", o.cell.label());
-        replays += usize::from(replayed(rec));
+        replays += usize::from(o.replayed);
     }
     replays
 }
