@@ -133,52 +133,6 @@ impl Barnes {
         self.n
     }
 
-    /// Prints per-body force-error diagnostics (debugging aid).
-    #[doc(hidden)]
-    pub fn debug_errors(&self) {
-        let guard = self.state.borrow();
-        let h = guard.as_ref().expect("spawned");
-        let n = self.n;
-        let body_mass = 1.0 / n as f64;
-        let mut rows: Vec<(f64, f64, usize)> = Vec::new();
-        for i in 0..n {
-            let x = [
-                h.pos.get_direct(i * 3),
-                h.pos.get_direct(i * 3 + 1),
-                h.pos.get_direct(i * 3 + 2),
-            ];
-            let mut direct = [0.0f64; 3];
-            for j in 0..n {
-                if j == i {
-                    continue;
-                }
-                let y = [
-                    h.pos.get_direct(j * 3),
-                    h.pos.get_direct(j * 3 + 1),
-                    h.pos.get_direct(j * 3 + 2),
-                ];
-                add_grav(&mut direct, &x, &y, body_mass);
-            }
-            let got = [
-                h.acc.get_direct(i * 3),
-                h.acc.get_direct(i * 3 + 1),
-                h.acc.get_direct(i * 3 + 2),
-            ];
-            let dn = (direct[0].powi(2) + direct[1].powi(2) + direct[2].powi(2)).sqrt();
-            let en = ((got[0] - direct[0]).powi(2)
-                + (got[1] - direct[1]).powi(2)
-                + (got[2] - direct[2]).powi(2))
-            .sqrt();
-            rows.push((en / dn.max(1e-9), dn, i));
-        }
-        rows.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
-        let mean_f: f64 = rows.iter().map(|r| r.1).sum::<f64>() / n as f64;
-        println!("mean |direct| = {mean_f:.4}");
-        for r in rows.iter().take(5) {
-            println!("body {}: rel={:.4} |direct|={:.4}", r.2, r.0, r.1);
-        }
-    }
-
     /// Tree-cell capacity. Each processor allocates from its own `cap / np`
     /// slice, and Barnes-Spatial builds at most 8 top-level octants, so a
     /// slice must hold a whole octant's subtree. At 8 cells per body that

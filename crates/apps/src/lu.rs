@@ -56,11 +56,6 @@ impl Lu {
         }
     }
 
-    /// Matrix dimension.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
     fn block_base(&self, bi: usize, bj: usize) -> usize {
         (bi * self.nb + bj) * self.b * self.b
     }

@@ -11,14 +11,17 @@
 //! A workload's bodies run one of two ways, chosen by what it provides
 //! (no option selects it):
 //!
-//! * **inline**, for async bodies ([`Workload::spawn_async`], the whole
-//!   catalog): the live feed polls processor `p`'s future with a no-op
-//!   waker whenever the driver wants `p`'s next batch. `Pending`
-//!   means the body sealed a batch, at the cap or at a sync operation;
-//!   `Ready` means it returned. Everything runs on the driver's thread:
-//!   no OS thread per processor and no handoff syscall.
-//! * **on threads**, for sync bodies ([`Workload::spawn`] alone): the
-//!   live feed resumes each body's OS thread over the engine's baton.
+//! * **inline**, for async bodies ([`Workload::spawn_async`], every
+//!   workload in the workspace): the live feed polls processor `p`'s
+//!   future with a no-op waker whenever the driver wants `p`'s next
+//!   batch. `Pending` means the body sealed a batch, at the cap or at a
+//!   sync operation; `Ready` means it returned. Everything runs on the
+//!   driver's thread: no OS thread per processor and no handoff syscall.
+//! * **on threads**, for thread bodies (a workload whose `spawn_async` is
+//!   `None` and that overrides [`Workload::spawn`], such as a wrapper that
+//!   times another workload's bodies): the live feed resumes each body's
+//!   OS thread over the engine's baton. [`Workload::spawn`]'s default
+//!   runs the async bodies there through [`Proc::block_on`].
 //!
 //! Both feed the same loop, so a run's record, engine counters included,
 //! is the same either way; only `threads_spawned`/`threads_reused` (zero
@@ -38,7 +41,7 @@
 //!
 //! # Batched handoffs
 //!
-//! Bodies run against a handle ([`Cpu`] or [`Proc`]) that hands every
+//! Bodies run against a [`Cpu`] handle that hands every
 //! operation up to the next `Lock` or `Barrier` to the driver as one
 //! batch, up to [`BATCH_CAP`] operations (one when batching is off). The
 //! driver queues each batch per processor and replays it **one operation
@@ -80,8 +83,8 @@ use crate::result::RunResult;
 /// trade OS context switches and thread spawns for bookkeeping.
 #[derive(Debug, Clone, Default)]
 pub struct EngineOptions {
-    /// Recycle OS threads from this set instead of spawning per run (sync
-    /// thread bodies only; async bodies use no thread).
+    /// Recycle OS threads from this set instead of spawning per run
+    /// (thread bodies only; inline async bodies use no thread).
     pub workers: Option<WorkerSet>,
     /// Hand every operation up to the next `Lock`/`Barrier` over in one
     /// baton exchange (see [`ssm_proto::vm`] module docs); off, each

@@ -12,23 +12,22 @@
 //!
 //! ```rust
 //! use ssm_core::{LayerConfig, Protocol, SimBuilder};
-//! use ssm_proto::{Proc, ThreadBody, Workload, World};
+//! use ssm_proto::{async_body, AsyncBody, Workload, World};
 //!
 //! // A toy workload: every processor increments its own counter slot.
 //! struct Count;
 //! impl Workload for Count {
 //!     fn name(&self) -> String { "count".into() }
 //!     fn mem_bytes(&self) -> usize { 1 << 16 }
-//!     fn spawn(&self, world: &mut World, nprocs: usize) -> Vec<ThreadBody> {
+//!     fn spawn_async(&self, world: &mut World, nprocs: usize) -> Option<Vec<AsyncBody>> {
 //!         let v = world.alloc_vec::<u64>(nprocs * 512);
-//!         (0..nprocs).map(|pid| {
+//!         Some((0..nprocs).map(|pid| {
 //!             let v = v.clone();
-//!             let b: ThreadBody = Box::new(move |p: &Proc<'_>| {
+//!             async_body(move |p| async move {
 //!                 p.compute(100);
-//!                 v.set(p, pid * 512, pid as u64);
-//!             });
-//!             b
-//!         }).collect()
+//!                 v.write(&p, pid * 512, pid as u64).await;
+//!             })
+//!         }).collect())
 //!     }
 //! }
 //!
@@ -74,7 +73,6 @@ pub struct SimBuilder {
     homes: HomePolicy,
     trace: bool,
     faults: FaultSpec,
-    workers: Option<ssm_engine::WorkerSet>,
     batching: bool,
 }
 
@@ -91,7 +89,6 @@ impl SimBuilder {
             homes: HomePolicy::RoundRobin,
             trace: false,
             faults: FaultSpec::none(),
-            workers: None,
             batching: true,
         }
     }
@@ -156,15 +153,6 @@ impl SimBuilder {
         self
     }
 
-    /// Leases application threads from a shared [`ssm_engine::WorkerSet`]
-    /// so consecutive runs of a sync workload recycle parked OS threads
-    /// instead of spawning (host-side only; results are unaffected). Async
-    /// bodies, the whole catalog's, use no thread.
-    pub fn workers(mut self, workers: ssm_engine::WorkerSet) -> Self {
-        self.workers = Some(workers);
-        self
-    }
-
     /// Toggles batched baton handoffs (default on). Simulated results of a
     /// data-race-free workload are byte-identical either way; off is useful
     /// for measuring the handoff reduction, for A/B tests, and for checking
@@ -218,7 +206,7 @@ impl SimBuilder {
             ));
         }
         let opts = EngineOptions {
-            workers: self.workers.clone(),
+            workers: None,
             batching: driver::Batching(self.batching),
         };
         let protocol: Box<dyn ProtocolTrait> = match self.protocol {
@@ -245,7 +233,7 @@ pub fn sequential_baseline(workload: &dyn Workload) -> RunResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssm_proto::{Proc, ThreadBody, World};
+    use ssm_proto::{async_body, AsyncBody, World};
     use ssm_stats::Bucket;
     use std::cell::RefCell;
 
@@ -272,32 +260,30 @@ mod tests {
         fn mem_bytes(&self) -> usize {
             1 << 20
         }
-        fn spawn(&self, world: &mut World, nprocs: usize) -> Vec<ThreadBody> {
+        fn spawn_async(&self, world: &mut World, nprocs: usize) -> Option<Vec<AsyncBody>> {
             // One page-sized stride per processor so slots live on distinct
             // pages, plus a result slot at the end.
             let v = world.alloc_vec::<u64>(nprocs * 512 + 1);
             let bar = world.alloc_barrier();
             *self.handle.borrow_mut() = Some(v.clone());
-            (0..nprocs)
-                .map(|pid| {
-                    let v = v.clone();
-                    let b: ThreadBody = Box::new(move |p: &Proc<'_>| {
-                        p.compute(1000);
-                        v.set(p, pid * 512, pid as u64 + 1);
-                        p.barrier(bar);
-                        if pid == 0 {
-                            let mut sum = 0;
-                            for q in 0..p.nprocs() {
-                                sum += v.get(p, q * 512);
-                                p.compute(4);
-                            }
-                            v.set(p, p.nprocs() * 512, sum);
+            let bodies = (0..nprocs).map(|pid| {
+                let v = v.clone();
+                async_body(move |p| async move {
+                    p.compute(1000);
+                    v.write(&p, pid * 512, pid as u64 + 1).await;
+                    p.barrier(bar).await;
+                    if pid == 0 {
+                        let mut sum = 0;
+                        for q in 0..p.nprocs() {
+                            sum += v.read(&p, q * 512).await;
+                            p.compute(4);
                         }
-                        p.barrier(bar);
-                    });
-                    b
+                        v.write(&p, p.nprocs() * 512, sum).await;
+                    }
+                    p.barrier(bar).await;
                 })
-                .collect()
+            });
+            Some(bodies.collect())
         }
         fn verify(&self) -> Result<(), String> {
             let h = self.handle.borrow();
@@ -427,14 +413,11 @@ mod tests {
             fn mem_bytes(&self) -> usize {
                 4096
             }
-            fn spawn(&self, _world: &mut World, nprocs: usize) -> Vec<ThreadBody> {
+            fn spawn_async(&self, _world: &mut World, nprocs: usize) -> Option<Vec<AsyncBody>> {
                 let per = self.0 / nprocs as u64;
-                (0..nprocs)
-                    .map(|_| {
-                        let b: ThreadBody = Box::new(move |p: &Proc<'_>| p.compute(per));
-                        b
-                    })
-                    .collect()
+                let bodies =
+                    (0..nprocs).map(|_| async_body(move |p| async move { p.compute(per) }));
+                Some(bodies.collect())
             }
         }
         let seq = sequential_baseline(&Busy(64_000)).total_cycles;
@@ -457,18 +440,16 @@ mod tests {
             fn mem_bytes(&self) -> usize {
                 4096
             }
-            fn spawn(&self, world: &mut World, nprocs: usize) -> Vec<ThreadBody> {
+            fn spawn_async(&self, world: &mut World, nprocs: usize) -> Option<Vec<AsyncBody>> {
                 let l = world.alloc_lock();
-                (0..nprocs)
-                    .map(|_| {
-                        let b: ThreadBody = Box::new(move |p: &Proc<'_>| {
-                            p.lock(l);
-                            p.compute(50_000);
-                            p.unlock(l);
-                        });
-                        b
+                let bodies = (0..nprocs).map(|_| {
+                    async_body(move |p| async move {
+                        p.lock(l).await;
+                        p.compute(50_000);
+                        p.unlock(l).await;
                     })
-                    .collect()
+                });
+                Some(bodies.collect())
             }
         }
         let r = SimBuilder::new(Protocol::Hlrc).procs(2).run(&Contend);
@@ -490,18 +471,16 @@ mod tests {
             fn mem_bytes(&self) -> usize {
                 4096
             }
-            fn spawn(&self, world: &mut World, nprocs: usize) -> Vec<ThreadBody> {
+            fn spawn_async(&self, world: &mut World, nprocs: usize) -> Option<Vec<AsyncBody>> {
                 let bar = world.alloc_barrier();
-                (0..nprocs)
-                    .map(|pid| {
-                        let b: ThreadBody = Box::new(move |p: &Proc<'_>| {
-                            if pid == 0 {
-                                p.barrier(bar); // only P0 arrives
-                            }
-                        });
-                        b
+                let bodies = (0..nprocs).map(|pid| {
+                    async_body(move |p| async move {
+                        if pid == 0 {
+                            p.barrier(bar).await; // only P0 arrives
+                        }
                     })
-                    .collect()
+                });
+                Some(bodies.collect())
             }
         }
         let _ = SimBuilder::new(Protocol::Ideal).procs(2).run(&Broken);

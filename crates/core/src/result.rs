@@ -1,6 +1,6 @@
 //! The outcome of one simulated run.
 
-use ssm_stats::{Breakdown, Bucket, Counters, ProtoActivity};
+use ssm_stats::{Breakdown, Counters, ProtoActivity};
 
 /// Everything measured during one run of one workload under one protocol
 /// and one layer configuration.
@@ -49,12 +49,6 @@ impl RunResult {
         sequential_cycles as f64 / self.total_cycles as f64
     }
 
-    /// Fraction of average processor time spent in protocol activity
-    /// (Table 4's "Total" column).
-    pub fn protocol_fraction(&self) -> f64 {
-        self.avg_breakdown().fraction(Bucket::Protocol)
-    }
-
     /// Asserts the workload verified; returns `self` for chaining.
     ///
     /// # Panics
@@ -75,6 +69,7 @@ impl RunResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssm_stats::Bucket;
 
     fn result() -> RunResult {
         let mut b = Breakdown::new();
@@ -102,9 +97,10 @@ mod tests {
     }
 
     #[test]
-    fn protocol_fraction_from_average() {
+    fn protocol_share_of_the_average_breakdown() {
         let r = result();
-        assert!((r.protocol_fraction() - 0.4).abs() < 1e-12);
+        let share = r.avg_breakdown().fraction(Bucket::Protocol);
+        assert!((share - 0.4).abs() < 1e-12);
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Driver edge cases: wrong thread counts, single-processor worlds,
+//! Driver edge cases: wrong body counts, single-processor worlds,
 //! trivial workloads, and machine-size mismatches.
 
 use ssm_core::{run_simulation, Protocol, SimBuilder};
 use ssm_mem::MemConfig;
 use ssm_net::CommParams;
-use ssm_proto::{Ideal, Machine, Proc, ProtoCosts, ThreadBody, Workload, World};
+use ssm_proto::{async_body, AsyncBody, Ideal, Machine, ProtoCosts, Workload, World};
 
 struct WrongCount;
 impl Workload for WrongCount {
@@ -14,13 +14,13 @@ impl Workload for WrongCount {
     fn mem_bytes(&self) -> usize {
         4096
     }
-    fn spawn(&self, _w: &mut World, _nprocs: usize) -> Vec<ThreadBody> {
-        vec![Box::new(|_p: &Proc<'_>| {})] // always one body
+    fn spawn_async(&self, _w: &mut World, _nprocs: usize) -> Option<Vec<AsyncBody>> {
+        Some(vec![async_body(|_p| async {})]) // always one body
     }
 }
 
 #[test]
-#[should_panic(expected = "one thread body per processor")]
+#[should_panic(expected = "one async body per processor")]
 fn wrong_body_count_is_rejected() {
     let _ = SimBuilder::new(Protocol::Ideal).procs(3).run(&WrongCount);
 }
@@ -33,10 +33,8 @@ impl Workload for Empty {
     fn mem_bytes(&self) -> usize {
         4096
     }
-    fn spawn(&self, _w: &mut World, nprocs: usize) -> Vec<ThreadBody> {
-        (0..nprocs)
-            .map(|_| Box::new(|_p: &Proc<'_>| {}) as ThreadBody)
-            .collect()
+    fn spawn_async(&self, _w: &mut World, nprocs: usize) -> Option<Vec<AsyncBody>> {
+        Some((0..nprocs).map(|_| async_body(|_p| async {})).collect())
     }
 }
 
@@ -77,17 +75,17 @@ fn single_processor_lock_and_barrier_are_cheap_on_ideal() {
         fn mem_bytes(&self) -> usize {
             4096
         }
-        fn spawn(&self, w: &mut World, nprocs: usize) -> Vec<ThreadBody> {
+        fn spawn_async(&self, w: &mut World, nprocs: usize) -> Option<Vec<AsyncBody>> {
             assert_eq!(nprocs, 1);
             let l = w.alloc_lock();
             let b = w.alloc_barrier();
-            vec![Box::new(move |p: &Proc<'_>| {
+            Some(vec![async_body(move |p| async move {
                 for _ in 0..100 {
-                    p.lock(l);
-                    p.unlock(l);
-                    p.barrier(b);
+                    p.lock(l).await;
+                    p.unlock(l).await;
+                    p.barrier(b).await;
                 }
-            })]
+            })])
         }
     }
     let r = SimBuilder::new(Protocol::Ideal).procs(1).run(&OneProcSync);
@@ -106,14 +104,9 @@ fn huge_compute_blocks_do_not_overflow_accounting() {
         fn mem_bytes(&self) -> usize {
             4096
         }
-        fn spawn(&self, _w: &mut World, nprocs: usize) -> Vec<ThreadBody> {
-            (0..nprocs)
-                .map(|_| {
-                    Box::new(|p: &Proc<'_>| {
-                        p.compute(1 << 40);
-                    }) as ThreadBody
-                })
-                .collect()
+        fn spawn_async(&self, _w: &mut World, nprocs: usize) -> Option<Vec<AsyncBody>> {
+            let body = || async_body(|p| async move { p.compute(1 << 40) });
+            Some((0..nprocs).map(|_| body()).collect())
         }
     }
     let r = SimBuilder::new(Protocol::Hlrc).procs(2).run(&Big);

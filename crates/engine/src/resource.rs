@@ -64,11 +64,6 @@ impl Resource {
         (start, self.busy_until)
     }
 
-    /// First cycle at which the resource is free.
-    pub fn free_at(&self) -> Cycles {
-        self.busy_until
-    }
-
     /// Total occupied cycles so far.
     pub fn busy_cycles(&self) -> Cycles {
         self.busy_cycles
@@ -87,7 +82,7 @@ impl Resource {
 /// ```rust
 /// use ssm_engine::Pipe;
 /// // 0.5 bytes/cycle: a 4096-byte page occupies the bus for 8192 cycles.
-/// let mut io_bus = Pipe::per_two_cycles(1);
+/// let mut io_bus = Pipe::new(1, 2);
 /// assert_eq!(io_bus.transfer(0, 4096), 8192);
 /// // Back-to-back transfers queue.
 /// assert_eq!(io_bus.transfer(0, 32), 8192 + 64);
@@ -116,16 +111,6 @@ impl Pipe {
             bytes_moved: 0,
             busy_cycles: 0,
         }
-    }
-
-    /// Convenience: `bytes` per single cycle.
-    pub fn per_cycle(bytes: u64) -> Self {
-        Pipe::new(bytes, 1)
-    }
-
-    /// Convenience: `bytes` per two cycles (used for 0.5 bytes/cycle).
-    pub fn per_two_cycles(bytes: u64) -> Self {
-        Pipe::new(bytes, 2)
     }
 
     /// A pipe with infinite bandwidth: transfers complete instantly and
@@ -187,7 +172,7 @@ mod tests {
         let mut r = Resource::new();
         r.acquire(0, 10);
         assert_eq!(r.acquire(3, 0), 10);
-        assert_eq!(r.free_at(), 10);
+        assert_eq!(r.acquire(0, 0), 10);
     }
 
     #[test]
@@ -210,7 +195,7 @@ mod tests {
 
     #[test]
     fn pipe_contention() {
-        let mut p = Pipe::per_cycle(2); // memory-bus-like: 2 B/cycle
+        let mut p = Pipe::new(2, 1); // memory-bus-like: 2 B/cycle
         assert_eq!(p.transfer(0, 32), 16);
         assert_eq!(p.transfer(10, 32), 32);
         assert_eq!(p.bytes_moved(), 64);

@@ -26,7 +26,8 @@
 //! Each handoff costs two OS context switches, which dominates host time
 //! for fine-grained programs. The engine hands over one message type `R`
 //! per exchange and leaves its meaning to the caller: `ssm-proto`'s `Proc`
-//! sends a whole batch of operations in one message, which `ssm-core`'s
+//! (the thread adapter for async bodies) sends a whole batch of operations
+//! in one message, which `ssm-core`'s
 //! driver replays one operation per scheduling step. Threads are leased
 //! from a [`WorkerSet`] (`ThreadPool::with_workers`), so consecutive
 //! simulations reuse parked OS threads instead of spawning fresh ones.
@@ -37,12 +38,12 @@
 //!
 //! # Which bodies run here
 //!
-//! Only sync thread bodies (`ssm_proto::ThreadBody`): workloads that
-//! implement `Workload::spawn` alone, such as the example and test
-//! workloads, and the thread form that perfbench's traced pass asks the
-//! catalog applications for. The catalog's own async bodies run inline
-//! on the driver's thread (`ssm_core::driver`), with no thread from this
-//! pool and no baton handoff.
+//! Only thread bodies (`ssm_proto::ThreadBody`), which `Workload::spawn`
+//! derives from a workload's async bodies with `Proc::block_on`: the
+//! thread form that perfbench's traced pass and the executor-agreement
+//! tests ask for. A plain run polls the async bodies inline on the
+//! driver's thread (`ssm_core::driver`), with no thread from this pool
+//! and no baton handoff.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};

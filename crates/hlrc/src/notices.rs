@@ -81,11 +81,6 @@ impl NoticeBoard {
         }
         (pages.into_iter().collect(), raw)
     }
-
-    /// Number of intervals recorded by `node`.
-    pub fn interval_count(&self, node: usize) -> usize {
-        self.intervals[node].len()
-    }
 }
 
 #[cfg(test)]
@@ -96,8 +91,10 @@ mod tests {
     fn empty_intervals_are_skipped() {
         let mut b = NoticeBoard::new(2);
         b.record_interval(0, vec![]);
-        assert_eq!(b.interval_count(0), 0);
         assert_eq!(b.vt(0), vec![0, 0]);
+        // The next interval is node 0's first.
+        b.record_interval(0, vec![3]);
+        assert_eq!(b.collect(1, &[1, 0]), (vec![3], 1));
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //!
 //! The simulator is *timing-directed*: coherence protocols track page/block
 //! metadata and charge time, while application **data** lives exactly once,
-//! in a [`SharedMem`] byte store shared by all application bodies. Async
-//! bodies all run on the driver's thread, one at a time. Sync thread
-//! bodies run on OS threads, and the engine's baton guarantees that at
-//! most one of them executes at any instant (see `ssm-engine::threads`),
-//! so plain unsynchronized access can never race. The baton is passed over
-//! channels, and a channel `send` happens-before its matching `recv`, so
-//! each thread sees every write the previous baton holder made.
+//! in a [`SharedMem`] byte store shared by all application bodies. The
+//! driver polls the bodies on its own thread, one at a time. Bodies run on
+//! OS threads by the thread adapter ([`crate::Proc`]) take turns on the
+//! engine's baton, which guarantees that at most one of them executes at
+//! any instant (see `ssm-engine::threads`), so plain unsynchronized access
+//! can never race. The baton is passed over channels, and a channel `send`
+//! happens-before its matching `recv`, so each thread sees every write the
+//! previous baton holder made.
 //!
 //! This module is the workspace's one `unsafe` island (see DESIGN.md §11).
 //! Debug builds check the baton on every access with an `entrants`
@@ -19,7 +20,7 @@ use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crate::vm::{Cpu, Handoff, Proc};
+use crate::vm::{Cpu, Handoff};
 use crate::PAGE_SIZE;
 
 /// Identifies a DSM lock. Allocated by [`World::alloc_lock`].
@@ -203,8 +204,10 @@ impl_scalar!(u8, i32, u32, i64, u64, f32, f64);
 ///
 /// Cloning is cheap (the handle is an `Arc` + offset). Two access families:
 ///
-/// * [`SharedVec::get`] / [`SharedVec::set`] — *simulated*: they charge the
-///   coherence protocol and memory hierarchy via the calling [`Proc`];
+/// * [`SharedVec::read`] / [`SharedVec::write`] (and the range forms
+///   [`SharedVec::touch_read`] / [`SharedVec::touch_write`]) — *simulated*:
+///   they charge the coherence protocol and memory hierarchy via the
+///   calling processor's [`Cpu`];
 /// * [`SharedVec::get_direct`] / [`SharedVec::set_direct`] — *untimed*:
 ///   used for initialization before the run and verification after it,
 ///   mirroring the untimed setup phases of the paper's methodology.
@@ -245,18 +248,6 @@ impl<T: Scalar> SharedVec<T> {
     pub fn addr_of(&self, i: usize) -> u64 {
         assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
         self.addr + (i as u64) * T::BYTES
-    }
-
-    /// Simulated read of element `i` by processor `p`.
-    pub fn get(&self, p: &Proc, i: usize) -> T {
-        p.touch_read(self.addr_of(i), T::BYTES);
-        T::load(&self.mem, self.addr_of(i))
-    }
-
-    /// Simulated write of element `i` by processor `p`.
-    pub fn set(&self, p: &Proc, i: usize, v: T) {
-        p.touch_write(self.addr_of(i), T::BYTES);
-        v.store(&self.mem, self.addr_of(i));
     }
 
     /// Untimed read (initialization / verification only).
@@ -306,35 +297,21 @@ impl<T: Scalar> SharedVec<T> {
         }
     }
 
-    /// Simulated read of `n` consecutive elements starting at `i`, touching
-    /// the whole range once (coarse-grained access) and returning element
-    /// values via the untimed path.
-    pub fn touch_range_read(&self, p: &Proc, i: usize, n: usize) {
-        if let Some(addr) = self.range_addr(i, n) {
-            p.touch_read(addr, (n as u64) * T::BYTES);
-        }
-    }
-
-    /// Simulated write marking for `n` consecutive elements starting at `i`.
-    pub fn touch_range_write(&self, p: &Proc, i: usize, n: usize) {
-        if let Some(addr) = self.range_addr(i, n) {
-            p.touch_write(addr, (n as u64) * T::BYTES);
-        }
-    }
-
-    /// Simulated read of element `i` by an async body's processor `p`.
+    /// Simulated read of element `i` by processor `p`.
     pub async fn read(&self, p: &Cpu, i: usize) -> T {
         p.touch_read(self.addr_of(i), T::BYTES).await;
         T::load(&self.mem, self.addr_of(i))
     }
 
-    /// Simulated write of element `i` by an async body's processor `p`.
+    /// Simulated write of element `i` by processor `p`.
     pub async fn write(&self, p: &Cpu, i: usize, v: T) {
         p.touch_write(self.addr_of(i), T::BYTES).await;
         v.store(&self.mem, self.addr_of(i));
     }
 
-    /// [`SharedVec::touch_range_read`] for an async body's processor `p`.
+    /// Simulated read of the `n` consecutive elements starting at `i` by
+    /// processor `p`: one operation over the whole range (coarse-grained
+    /// access). The body then reads the values through the untimed path.
     pub fn touch_read(&self, p: &Cpu, i: usize, n: usize) -> Handoff {
         match self.range_addr(i, n) {
             Some(addr) => p.touch_read(addr, (n as u64) * T::BYTES),
@@ -342,7 +319,8 @@ impl<T: Scalar> SharedVec<T> {
         }
     }
 
-    /// [`SharedVec::touch_range_write`] for an async body's processor `p`.
+    /// Simulated write of the `n` consecutive elements starting at `i` by
+    /// processor `p`, as [`SharedVec::touch_read`] reads them.
     pub fn touch_write(&self, p: &Cpu, i: usize, n: usize) -> Handoff {
         match self.range_addr(i, n) {
             Some(addr) => p.touch_write(addr, (n as u64) * T::BYTES),

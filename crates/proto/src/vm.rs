@@ -1,26 +1,24 @@
 //! The programming-model API that application code runs against.
 //!
-//! Applications are ordinary Rust code that receives a handle for "this
-//! simulated processor". Every shared-memory access, lock, barrier and
-//! block of computation goes through it. There are two handles, over one
-//! batching core:
+//! Applications are ordinary Rust code: async bodies ([`crate::AsyncBody`])
+//! over [`Cpu`], the handle for "this simulated processor". Every
+//! shared-memory access, lock, barrier and block of computation goes
+//! through it. Each operation returns a [`Handoff`] that the body awaits;
+//! a body suspends only where a batch is handed over. The simulation
+//! driver (`ssm_core::driver`) polls these bodies on its own thread, so
+//! they need no OS thread and no baton.
 //!
-//! * [`Cpu`], for **async bodies** ([`crate::AsyncBody`], the catalog
-//!   applications' form). Each operation returns a [`Handoff`] that the
-//!   body awaits; a body suspends only where a batch is handed over. The
-//!   simulation driver (`ssm_core::driver`) polls these bodies on its own
-//!   thread, so they need no OS thread and no baton.
-//! * [`Proc`], for **sync bodies** ([`crate::ThreadBody`]). Each body runs
-//!   on an OS thread of the engine's thread pool, and a handover blocks
-//!   the thread on the baton (see `ssm-engine::threads`).
-//!   [`Proc::block_on`] runs an async body on such a thread, which is how
-//!   [`crate::Workload::spawn`] derives a sync form of an async workload.
+//! [`Proc`] is the thread adapter: [`Proc::block_on`] runs an async body
+//! on an OS thread of the engine's thread pool and hands each batch the
+//! body seals over the baton (see `ssm-engine::threads`).
+//! [`crate::Workload::spawn`]'s default uses it to derive thread bodies
+//! from a workload's async ones.
 //!
 //! `compute` calls are *accumulated* locally and flushed on the next real
 //! operation, so tight loops that interleave arithmetic with shared reads
 //! issue one `Compute` operation per run of arithmetic.
 //!
-//! A handle *buffers* every operation that does not block — `Compute`
+//! A [`Cpu`] *buffers* every operation that does not block — `Compute`
 //! blocks, reads, writes and lock releases — and hands the run to the
 //! simulator as one batch, with the [`Flush`] cause. A batch is handed
 //! over when:
@@ -115,7 +113,7 @@ pub enum Flush {
 /// A sealed batch and why it was sealed.
 pub type Batch = (Vec<Op>, Flush);
 
-/// The batching core both handles share: deferred computation, the open
+/// The batching core behind a [`Cpu`]: deferred computation, the open
 /// batch, and the batches sealed but not yet handed over (at most two: a
 /// compute flush can fill one batch just before a sync operation seals
 /// the next).
@@ -317,9 +315,9 @@ impl std::fmt::Debug for Cpu {
     }
 }
 
-/// The handle a sync thread body runs against: a [`Cpu`] whose sealed
-/// batches go straight over the engine's baton, blocking the thread until
-/// the simulator resumes it.
+/// The thread adapter: runs an async body on an OS thread of the engine's
+/// pool, handing each batch its [`Cpu`] seals straight over the baton and
+/// blocking the thread until the simulator resumes it.
 pub struct Proc<'a> {
     y: &'a Yielder<Batch>,
     cpu: Cpu,
@@ -347,75 +345,11 @@ impl<'a> Proc<'a> {
         }
     }
 
-    /// This processor's id, `0..nprocs`.
-    pub fn pid(&self) -> usize {
-        self.cpu.pid()
-    }
-
-    /// Number of processors in the run.
-    pub fn nprocs(&self) -> usize {
-        self.cpu.nprocs()
-    }
-
-    /// Charges `cycles` of computation (deferred until the next operation).
-    pub fn compute(&self, cycles: u64) {
-        self.cpu.compute(cycles);
-    }
-
-    /// Flushes deferred computation into the current batch; called
-    /// automatically before any other operation.
-    pub fn flush(&self) {
-        self.cpu.0.flush();
-        self.hand_over();
-    }
-
-    /// Simulated shared-memory read of `[addr, addr+bytes)`; a zero-byte
-    /// read issues nothing.
-    pub fn touch_read(&self, addr: u64, bytes: u64) {
-        self.cpu.0.access(Op::Read { addr, bytes }, bytes);
-        self.hand_over();
-    }
-
-    /// Simulated shared-memory write of `[addr, addr+bytes)`; a zero-byte
-    /// write issues nothing.
-    pub fn touch_write(&self, addr: u64, bytes: u64) {
-        self.cpu.0.access(Op::Write { addr, bytes }, bytes);
-        self.hand_over();
-    }
-
-    /// Acquires `lock` (blocks in simulated time until granted).
-    pub fn lock(&self, lock: LockId) {
-        self.cpu.0.sync(Op::Lock(lock));
-        self.hand_over();
-    }
-
-    /// Releases `lock`. Non-blocking, so it joins the batch: the driver
-    /// still replays it in issue order, before any waiter is granted the
-    /// lock.
-    pub fn unlock(&self, lock: LockId) {
-        self.cpu.0.issue(Op::Unlock(lock));
-        self.hand_over();
-    }
-
-    /// Enters `barrier`; returns when all processors have arrived.
-    pub fn barrier(&self, barrier: BarrierId) {
-        self.cpu.0.sync(Op::Barrier(barrier));
-        self.hand_over();
-    }
-
     /// Hands over whatever remains buffered; called by the driver when the
     /// thread body returns.
     pub fn finish(&self) {
         self.cpu.finish();
         self.hand_over();
-    }
-
-    /// Convenience: run `f` under `lock`.
-    pub fn with_lock<R>(&self, lock: LockId, f: impl FnOnce() -> R) -> R {
-        self.lock(lock);
-        let r = f();
-        self.unlock(lock);
-        r
     }
 
     /// Runs the async `body` on this thread against this processor's
@@ -441,11 +375,7 @@ impl<'a> Proc<'a> {
 
 impl std::fmt::Debug for Proc<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Proc")
-            .field("pid", &self.cpu.0.pid)
-            .field("nprocs", &self.cpu.0.nprocs)
-            .field("pending_compute", &self.cpu.0.pending.get())
-            .finish()
+        f.debug_struct("Proc").field("cpu", &self.cpu).finish()
     }
 }
 
@@ -454,73 +384,83 @@ mod tests {
     use super::*;
     use ssm_engine::{Resumed, ThreadPool};
 
-    type Pool = ThreadPool<(Vec<Op>, Flush)>;
+    /// Polls `body` on processor 0 of 1 with batches of `cap` until it
+    /// returns, as the driver's inline feed does, and returns every batch
+    /// it handed over, in order.
+    fn run<F: Future<Output = ()>>(cap: usize, body: impl FnOnce(Cpu) -> F) -> Vec<Batch> {
+        let p = Cpu::new(0, 1, cap);
+        let mut task = std::pin::pin!(body(p.clone()));
+        let mut cx = Context::from_waker(Waker::noop());
+        let mut out = Vec::new();
+        while task.as_mut().poll(&mut cx).is_pending() {
+            let before = out.len();
+            out.extend(std::iter::from_fn(|| p.take_batch()));
+            assert!(out.len() > before, "suspended without sealing a batch");
+        }
+        p.finish();
+        out.extend(std::iter::from_fn(|| p.take_batch()));
+        out
+    }
 
-    fn batch(ops: &[Op], why: Flush) -> Resumed<(Vec<Op>, Flush)> {
-        Resumed::Op((ops.to_vec(), why))
+    fn batch(ops: &[Op], why: Flush) -> Batch {
+        (ops.to_vec(), why)
     }
 
     #[test]
     fn compute_batches_until_flush() {
-        let mut pool = Pool::new();
-        let t = pool.spawn(|y| {
-            let p = Proc::new(y, 0, 1, 1);
+        let got = run(1, |p| async move {
             p.compute(10);
             p.compute(5);
-            p.touch_read(0, 4); // flush(15) then read
+            p.touch_read(0, 4).await; // flush(15) then read
             p.compute(3);
-            p.flush();
         });
-        assert_eq!(pool.resume(t), batch(&[Op::Compute(15)], Flush::Cap));
         let read = Op::Read { addr: 0, bytes: 4 };
-        assert_eq!(pool.resume(t), batch(&[read], Flush::Cap));
-        assert_eq!(pool.resume(t), batch(&[Op::Compute(3)], Flush::Cap));
-        assert_eq!(pool.resume(t), Resumed::Finished);
+        let want = [
+            batch(&[Op::Compute(15)], Flush::Cap),
+            batch(&[read], Flush::Cap),
+            batch(&[Op::Compute(3)], Flush::Cap),
+        ];
+        assert_eq!(got, want);
     }
 
     #[test]
     fn lock_ops_in_order() {
-        let mut pool = Pool::new();
-        let t = pool.spawn(|y| {
-            let p = Proc::new(y, 2, 4, 1);
-            assert_eq!(p.pid(), 2);
-            assert_eq!(p.nprocs(), 4);
-            p.with_lock(LockId(7), || p.compute(1));
-            p.barrier(BarrierId(1));
-            p.finish(); // nothing left buffered: no END batch
+        let p = Cpu::new(2, 4, 1);
+        assert_eq!((p.pid(), p.nprocs()), (2, 4));
+        let got = run(1, |p| async move {
+            p.lock(LockId(7)).await;
+            p.compute(1);
+            p.unlock(LockId(7)).await;
+            p.barrier(BarrierId(1)).await;
+            // nothing left buffered: no END batch
         });
-        assert_eq!(pool.resume(t), batch(&[Op::Lock(LockId(7))], Flush::Sync));
-        assert_eq!(pool.resume(t), batch(&[Op::Compute(1)], Flush::Cap));
-        assert_eq!(pool.resume(t), batch(&[Op::Unlock(LockId(7))], Flush::Cap));
-        let b = Op::Barrier(BarrierId(1));
-        assert_eq!(pool.resume(t), batch(&[b], Flush::Sync));
-        assert_eq!(pool.resume(t), Resumed::Finished);
+        let want = [
+            batch(&[Op::Lock(LockId(7))], Flush::Sync),
+            batch(&[Op::Compute(1)], Flush::Cap),
+            batch(&[Op::Unlock(LockId(7))], Flush::Cap),
+            batch(&[Op::Barrier(BarrierId(1))], Flush::Sync),
+        ];
+        assert_eq!(got, want);
     }
 
     #[test]
     fn zero_compute_is_elided() {
-        let mut pool = Pool::new();
-        let t = pool.spawn(|y| {
-            let p = Proc::new(y, 0, 1, 1);
+        let got = run(1, |p| async move {
             p.compute(0);
-            p.touch_write(8, 8);
+            p.touch_write(8, 8).await;
         });
         let write = Op::Write { addr: 8, bytes: 8 };
-        assert_eq!(pool.resume(t), batch(&[write], Flush::Cap));
-        assert_eq!(pool.resume(t), Resumed::Finished);
+        assert_eq!(got, [batch(&[write], Flush::Cap)]);
     }
 
     #[test]
-    fn batched_proc_buffers_cold_accesses_until_lock() {
-        let mut pool = Pool::new();
-        let t = pool.spawn(|y| {
-            let p = Proc::new(y, 0, 1, BATCH_CAP);
+    fn batched_cpu_buffers_cold_accesses_until_lock() {
+        let got = run(BATCH_CAP, |p| async move {
             p.compute(10);
-            p.touch_read(0, 4); // never touched before: still buffered
-            p.touch_write(8192, 4); // another page: still buffered
-            p.touch_read(1 << 20, 64);
-            p.lock(LockId(0)); // sync: seals the whole run
-            p.finish();
+            p.touch_read(0, 4).await; // never touched before: still buffered
+            p.touch_write(8192, 4).await; // another page: still buffered
+            p.touch_read(1 << 20, 64).await;
+            p.lock(LockId(0)).await; // sync: seals the whole run
         });
         let run = [
             Op::Compute(10),
@@ -535,51 +475,45 @@ mod tests {
             },
             Op::Lock(LockId(0)),
         ];
-        assert_eq!(pool.resume(t), batch(&run, Flush::Sync));
-        assert_eq!(pool.resume(t), Resumed::Finished);
+        assert_eq!(got, [batch(&run, Flush::Sync)]);
     }
 
     #[test]
     fn sync_ops_seal_and_unlock_batches() {
-        let mut pool = Pool::new();
-        let t = pool.spawn(|y| {
-            let p = Proc::new(y, 0, 1, BATCH_CAP);
+        let got = run(BATCH_CAP, |p| async move {
             p.compute(5);
-            p.lock(LockId(1)); // sync: seals [Compute, Lock]
+            p.lock(LockId(1)).await; // sync: seals [Compute, Lock]
             p.compute(7);
-            p.unlock(LockId(1)); // non-blocking: buffered
-            p.barrier(BarrierId(0)); // sync: seals [Compute, Unlock, Barrier]
-            p.compute(1);
-            p.finish(); // END flush of the tail
+            p.unlock(LockId(1)).await; // non-blocking: buffered
+            p.barrier(BarrierId(0)).await; // sync: seals [Compute, Unlock, Barrier]
+            p.compute(1); // END flush of the tail
         });
-        assert_eq!(
-            pool.resume(t),
-            batch(&[Op::Compute(5), Op::Lock(LockId(1))], Flush::Sync)
-        );
         let run = [
             Op::Compute(7),
             Op::Unlock(LockId(1)),
             Op::Barrier(BarrierId(0)),
         ];
-        assert_eq!(pool.resume(t), batch(&run, Flush::Sync));
-        assert_eq!(pool.resume(t), batch(&[Op::Compute(1)], Flush::End));
-        assert_eq!(pool.resume(t), Resumed::Finished);
+        let want = [
+            batch(&[Op::Compute(5), Op::Lock(LockId(1))], Flush::Sync),
+            batch(&run, Flush::Sync),
+            batch(&[Op::Compute(1)], Flush::End),
+        ];
+        assert_eq!(got, want);
     }
 
     #[test]
     fn cap_flushes_long_runs() {
-        let mut pool = Pool::new();
-        let t = pool.spawn(|y| {
-            let p = Proc::new(y, 0, 1, BATCH_CAP);
+        let got = run(BATCH_CAP, |p| async move {
             for _ in 0..BATCH_CAP + 1 {
-                p.touch_read(0, 4);
+                p.touch_read(0, 4).await;
             }
-            p.finish();
         });
         let read = Op::Read { addr: 0, bytes: 4 };
-        assert_eq!(pool.resume(t), batch(&[read; BATCH_CAP], Flush::Cap));
-        assert_eq!(pool.resume(t), batch(&[read], Flush::End));
-        assert_eq!(pool.resume(t), Resumed::Finished);
+        let want = [
+            batch(&[read; BATCH_CAP], Flush::Cap),
+            batch(&[read], Flush::End),
+        ];
+        assert_eq!(got, want);
     }
 
     /// Polls `h` once: whether the body would suspend there.
@@ -590,7 +524,7 @@ mod tests {
     }
 
     #[test]
-    fn cpu_seals_the_batches_a_proc_hands_over() {
+    fn one_await_point_can_seal_two_batches() {
         let p = Cpu::new(0, 1, 2);
         p.compute(5);
         // [Compute] is one short of the cap; the read fills it.
@@ -635,19 +569,16 @@ mod tests {
         p.finish();
         assert_eq!(p.take_batch(), Some((vec![Op::Compute(7)], Flush::Cap)));
 
-        let mut pool = Pool::new();
-        let t = pool.spawn(|y| {
-            let p = Proc::new(y, 0, 1, 1);
-            p.touch_read(0, 0);
-            p.touch_write(0, 0);
-            p.finish();
+        let got = run(1, |p| async move {
+            p.touch_read(0, 0).await;
+            p.touch_write(0, 0).await;
         });
-        assert_eq!(pool.resume(t), Resumed::Finished);
+        assert_eq!(got, []);
     }
 
     #[test]
     fn block_on_hands_an_async_body_over_the_baton() {
-        let mut pool = Pool::new();
+        let mut pool = ThreadPool::<Batch>::new();
         let t = pool.spawn(|y| {
             let p = Proc::new(y, 1, 2, BATCH_CAP);
             p.block_on(crate::async_body(|c| async move {
@@ -658,19 +589,14 @@ mod tests {
             p.finish();
         });
         let run = [Op::Compute(3), Op::Barrier(BarrierId(0))];
-        assert_eq!(pool.resume(t), batch(&run, Flush::Sync));
+        assert_eq!(pool.resume(t), Resumed::Op(batch(&run, Flush::Sync)));
         let read = Op::Read { addr: 16, bytes: 8 };
-        assert_eq!(pool.resume(t), batch(&[read], Flush::End));
+        assert_eq!(pool.resume(t), Resumed::Op(batch(&[read], Flush::End)));
         assert_eq!(pool.resume(t), Resumed::Finished);
     }
 
     #[test]
     fn empty_finish_yields_nothing() {
-        let mut pool = Pool::new();
-        let t = pool.spawn(|y| {
-            let p = Proc::new(y, 0, 1, BATCH_CAP);
-            p.finish();
-        });
-        assert_eq!(pool.resume(t), Resumed::Finished);
+        assert_eq!(run(BATCH_CAP, |_| async {}), []);
     }
 }

@@ -1,7 +1,6 @@
 //! The application-layer interface: a [`Workload`] allocates its shared
-//! data in a [`World`] and produces one body per simulated processor,
-//! either async ([`AsyncBody`], which the driver polls in place) or sync
-//! ([`ThreadBody`], which runs on an OS thread behind the baton).
+//! data in a [`World`] and produces one async body ([`AsyncBody`]) per
+//! simulated processor, which the driver polls in place.
 //!
 //! Initialization (filling input arrays) and verification happen through
 //! the *untimed* accessors, mirroring the paper's methodology where data
@@ -13,7 +12,9 @@ use std::pin::Pin;
 use crate::shmem::World;
 use crate::vm::{Cpu, Proc};
 
-/// One thread body: the program processor `pid` runs, on an OS thread.
+/// One thread body: the program processor `pid` runs on an OS thread
+/// behind the baton. [`Workload::spawn`]'s default builds one from each
+/// async body with [`Proc::block_on`].
 pub type ThreadBody = Box<dyn FnOnce(&Proc<'_>) + Send + 'static>;
 
 /// A running async body.
@@ -58,20 +59,15 @@ pub trait Workload {
     /// Bytes of shared store the workload needs.
     fn mem_bytes(&self) -> usize;
 
-    /// Allocates shared data inside `world`, initializes inputs (untimed),
-    /// and returns exactly `nprocs` thread bodies.
-    ///
-    /// Implementations may stash handles (e.g. in a `RefCell`) so
-    /// [`Workload::verify`] can inspect results after the run.
-    ///
-    /// A workload implements this or [`Workload::spawn_async`]. The
-    /// default derives thread bodies from `spawn_async`'s: each runs its
-    /// async body with [`Proc::block_on`], so both forms run the same
-    /// application code.
+    /// [`Workload::spawn_async`]'s bodies as thread bodies: each runs its
+    /// async body with [`Proc::block_on`], so both run the same
+    /// application code. The driver calls `spawn` only when `spawn_async`
+    /// returns `None`, that is for a wrapper that overrides `spawn` to run
+    /// another workload's bodies on OS threads (and perhaps time them).
     ///
     /// # Panics
     ///
-    /// The default panics if the workload implements neither method.
+    /// The default panics if `spawn_async` returns `None`.
     fn spawn(&self, world: &mut World, nprocs: usize) -> Vec<ThreadBody> {
         self.spawn_async(world, nprocs)
             .expect("a workload implements spawn or spawn_async")
@@ -83,10 +79,15 @@ pub trait Workload {
             .collect()
     }
 
-    /// Like [`Workload::spawn`], but returns async bodies, which the
-    /// driver polls on its own thread: no OS thread per processor and no
-    /// baton handoff. `None` (the default) means the workload has only
-    /// thread bodies; it must then leave `world` untouched.
+    /// Allocates shared data inside `world`, initializes inputs (untimed),
+    /// and returns exactly `nprocs` async bodies, which the driver polls on
+    /// its own thread: no OS thread per processor and no baton handoff.
+    ///
+    /// Implementations may stash handles (e.g. in a `RefCell`) so
+    /// [`Workload::verify`] can inspect results after the run.
+    ///
+    /// `None` (the default) means the workload overrides
+    /// [`Workload::spawn`] instead; it must then leave `world` untouched.
     fn spawn_async(&self, world: &mut World, nprocs: usize) -> Option<Vec<AsyncBody>> {
         let _ = (world, nprocs);
         None
@@ -116,17 +117,13 @@ mod tests {
         fn mem_bytes(&self) -> usize {
             4096
         }
-        fn spawn(&self, world: &mut World, nprocs: usize) -> Vec<ThreadBody> {
+        fn spawn_async(&self, world: &mut World, nprocs: usize) -> Option<Vec<AsyncBody>> {
             let v = world.alloc_vec::<u64>(nprocs);
-            (0..nprocs)
-                .map(|pid| {
-                    let v = v.clone();
-                    let body: ThreadBody = Box::new(move |p: &Proc<'_>| {
-                        v.set(p, pid, pid as u64);
-                    });
-                    body
-                })
-                .collect()
+            let bodies = (0..nprocs).map(|pid| {
+                let v = v.clone();
+                async_body(move |p| async move { v.write(&p, pid, pid as u64).await })
+            });
+            Some(bodies.collect())
         }
     }
 

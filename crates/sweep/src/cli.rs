@@ -109,7 +109,8 @@ impl SweepCli {
                     cli.procs = args
                         .next()
                         .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--procs needs a number"));
+                        .filter(|&n: &usize| n > 0)
+                        .unwrap_or_else(|| die("--procs needs a positive number"));
                 }
                 "--scale" => {
                     let v = args

@@ -7,7 +7,7 @@ use std::cell::RefCell;
 
 use ssm_apps::catalog::{self, suite, Scale};
 use ssm_core::{LayerConfig, Protocol, RunResult, SimBuilder};
-use ssm_proto::{Proc, SharedVec, ThreadBody, Workload, World};
+use ssm_proto::{async_body, AsyncBody, SharedVec, Workload, World};
 use ssm_sweep::{execute_with, Cell, CellRecord, CellStatus, Sweep, SweepCli, SweepRun};
 
 const PROCS: usize = 4;
@@ -153,30 +153,29 @@ impl Workload for TaskQueue {
         1 << 16
     }
 
-    fn spawn(&self, world: &mut World, nprocs: usize) -> Vec<ThreadBody> {
+    fn spawn_async(&self, world: &mut World, nprocs: usize) -> Option<Vec<AsyncBody>> {
         // [next task, owner of task 0, owner of task 1, ...]
         let v = world.alloc_vec::<u64>(self.tasks + 1);
         let lock = world.alloc_lock();
         *self.owners.borrow_mut() = Some(v.clone());
         let tasks = self.tasks as u64;
-        (0..nprocs)
-            .map(|pid| {
-                let v = v.clone();
-                let body: ThreadBody = Box::new(move |p: &Proc<'_>| loop {
-                    let t = p.with_lock(lock, || {
-                        let t = v.get(p, 0);
-                        v.set(p, 0, t + 1);
-                        t
-                    });
+        let bodies = (0..nprocs).map(|pid| {
+            let v = v.clone();
+            async_body(move |p| async move {
+                loop {
+                    p.lock(lock).await;
+                    let t = v.read(&p, 0).await;
+                    v.write(&p, 0, t + 1).await;
+                    p.unlock(lock).await;
                     if t >= tasks {
                         break;
                     }
                     p.compute(500 + 700 * pid as u64 + 13 * t);
-                    v.set(p, 1 + t as usize, pid as u64 + 1);
-                });
-                body
+                    v.write(&p, 1 + t as usize, pid as u64 + 1).await;
+                }
             })
-            .collect()
+        });
+        Some(bodies.collect())
     }
 
     fn verify(&self) -> Result<(), String> {

@@ -9,7 +9,7 @@
 use std::cell::RefCell;
 
 use ssm::core::{Protocol, SimBuilder};
-use ssm::proto::{Proc, SharedVec, ThreadBody, Workload, World};
+use ssm::proto::{async_body, AsyncBody, SharedVec, Workload, World};
 use ssm::stats::{Bucket, Table};
 
 /// Processor 0 produces `items` values; everyone else consumes them from a
@@ -28,59 +28,57 @@ impl Workload for Pipeline {
         1 << 20
     }
 
-    fn spawn(&self, world: &mut World, nprocs: usize) -> Vec<ThreadBody> {
+    fn spawn_async(&self, world: &mut World, nprocs: usize) -> Option<Vec<AsyncBody>> {
         // Layout: [head, tail, sum, item0, item1, ...]
         let q = world.alloc_vec::<u64>(self.items + 3);
         let lock = world.alloc_lock();
         let done = world.alloc_barrier();
         *self.state.borrow_mut() = Some(q.clone());
         let items = self.items;
-        (0..nprocs)
-            .map(|pid| {
-                let q = q.clone();
-                let body: ThreadBody = Box::new(move |p: &Proc<'_>| {
-                    if pid == 0 {
-                        for i in 0..items {
-                            p.compute(200); // produce
-                            p.with_lock(lock, || {
-                                let tail = q.get(p, 1);
-                                q.set(p, 3 + tail as usize, (i * i) as u64);
-                                q.set(p, 1, tail + 1);
-                            });
-                        }
-                    } else {
-                        loop {
-                            let mut got = None;
-                            p.with_lock(lock, || {
-                                let head = q.get(p, 0);
-                                let tail = q.get(p, 1);
-                                if head < tail {
-                                    got = Some(q.get(p, 3 + head as usize));
-                                    q.set(p, 0, head + 1);
-                                } else if tail as usize == items {
-                                    got = None; // drained
-                                } else {
-                                    got = Some(u64::MAX); // retry marker
-                                }
-                            });
-                            match got {
-                                None => break,
-                                Some(u64::MAX) => p.compute(50), // back off
-                                Some(v) => {
-                                    p.compute(400); // consume
-                                    p.with_lock(lock, || {
-                                        let s = q.get(p, 2);
-                                        q.set(p, 2, s + v);
-                                    });
-                                }
+        let bodies = (0..nprocs).map(|pid| {
+            let q = q.clone();
+            async_body(move |p| async move {
+                if pid == 0 {
+                    for i in 0..items {
+                        p.compute(200); // produce
+                        p.lock(lock).await;
+                        let tail = q.read(&p, 1).await;
+                        q.write(&p, 3 + tail as usize, (i * i) as u64).await;
+                        q.write(&p, 1, tail + 1).await;
+                        p.unlock(lock).await;
+                    }
+                } else {
+                    loop {
+                        p.lock(lock).await;
+                        let head = q.read(&p, 0).await;
+                        let tail = q.read(&p, 1).await;
+                        let got = if head < tail {
+                            let v = q.read(&p, 3 + head as usize).await;
+                            q.write(&p, 0, head + 1).await;
+                            Some(v)
+                        } else if tail as usize == items {
+                            None // drained
+                        } else {
+                            Some(u64::MAX) // retry marker
+                        };
+                        p.unlock(lock).await;
+                        match got {
+                            None => break,
+                            Some(u64::MAX) => p.compute(50), // back off
+                            Some(v) => {
+                                p.compute(400); // consume
+                                p.lock(lock).await;
+                                let s = q.read(&p, 2).await;
+                                q.write(&p, 2, s + v).await;
+                                p.unlock(lock).await;
                             }
                         }
                     }
-                    p.barrier(done);
-                });
-                body
+                }
+                p.barrier(done).await;
             })
-            .collect()
+        });
+        Some(bodies.collect())
     }
 
     fn verify(&self) -> Result<(), String> {

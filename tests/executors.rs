@@ -1,11 +1,11 @@
 //! The two executors: async bodies polled inline on the driver's thread,
-//! and sync thread bodies on the engine's threads behind the baton. They
-//! must produce the same run, engine counters included.
+//! and the same bodies on the engine's threads behind the baton, through
+//! [`Workload::spawn`]'s thread adapter. They must produce the same run,
+//! engine counters included.
 
 use ssm::apps::catalog::{suite, Scale};
 use ssm::core::{LayerConfig, Protocol, RunResult, SimBuilder};
-use ssm::engine::WorkerSet;
-use ssm::proto::{async_body, AsyncBody, Proc, ThreadBody, Workload, World};
+use ssm::proto::{async_body, AsyncBody, ThreadBody, Workload, World};
 use ssm_sweep::{Cell, CellRecord};
 
 /// A workload's thread bodies alone: the driver must run them on threads.
@@ -67,7 +67,7 @@ fn inline_and_thread_executors_agree_on_every_catalog_cell() {
     }
 }
 
-/// Each processor writes its own slot; a sync workload.
+/// Each processor writes its own slot.
 struct Slots;
 
 impl Workload for Slots {
@@ -77,36 +77,58 @@ impl Workload for Slots {
     fn mem_bytes(&self) -> usize {
         1 << 16
     }
-    fn spawn(&self, world: &mut World, nprocs: usize) -> Vec<ThreadBody> {
+    fn spawn_async(&self, world: &mut World, nprocs: usize) -> Option<Vec<AsyncBody>> {
         let v = world.alloc_vec::<u64>(nprocs);
-        (0..nprocs)
-            .map(|pid| {
-                let v = v.clone();
-                let body: ThreadBody = Box::new(move |p: &Proc<'_>| v.set(p, pid, 1));
-                body
-            })
-            .collect()
+        let bodies = (0..nprocs).map(|pid| {
+            let v = v.clone();
+            async_body(move |p| async move { v.write(&p, pid, 1).await })
+        });
+        Some(bodies.collect())
     }
 }
 
+/// A plain run uses no thread; a workload's thread form (`OnThreads`,
+/// what the name calls a sync workload) takes one per processor.
 #[test]
 fn catalog_runs_use_no_threads_and_sync_workloads_do() {
     let fft = suite().into_iter().next().expect("FFT").build(Scale::Test);
     let r = SimBuilder::new(Protocol::Hlrc).procs(4).run(fft.as_ref());
     assert_eq!((r.threads_spawned, r.threads_reused), (0, 0));
 
-    let workers = WorkerSet::new();
-    let sim = SimBuilder::new(Protocol::Hlrc).procs(4).workers(workers);
-    let first = sim.run(&Slots);
-    assert_eq!((first.threads_spawned, first.threads_reused), (4, 0));
-    let second = sim.run(&Slots);
-    assert_eq!(second.threads_spawned + second.threads_reused, 4);
+    let sim = SimBuilder::new(Protocol::Hlrc).procs(4);
+    let inline = sim.run(&Slots);
+    assert_eq!((inline.threads_spawned, inline.threads_reused), (0, 0));
+    let threads = sim.run(&OnThreads(Box::new(Slots)));
+    assert_eq!((threads.threads_spawned, threads.threads_reused), (4, 0));
+    assert!(record(&inline, 4) == record(&threads, 4));
 }
 
-/// Zero-byte reads and writes at address 0 and 64 between real ones, in
-/// the form `inline` says, or none of them.
+/// One body whatever the processor count.
+struct OneBody;
+
+impl Workload for OneBody {
+    fn name(&self) -> String {
+        "one-body".into()
+    }
+    fn mem_bytes(&self) -> usize {
+        4096
+    }
+    fn spawn_async(&self, _world: &mut World, _nprocs: usize) -> Option<Vec<AsyncBody>> {
+        Some(vec![async_body(|_p| async {})])
+    }
+}
+
+#[test]
+#[should_panic(expected = "one thread body per processor")]
+fn the_thread_executor_wants_one_body_per_processor() {
+    let _ = SimBuilder::new(Protocol::Ideal)
+        .procs(3)
+        .run(&OnThreads(Box::new(OneBody)));
+}
+
+/// Zero-byte reads and writes at address 0 and 64 between real ones, or
+/// none of them.
 struct ZeroBytes {
-    inline: bool,
     zeros: bool,
 }
 
@@ -117,52 +139,25 @@ impl Workload for ZeroBytes {
     fn mem_bytes(&self) -> usize {
         1 << 16
     }
-    fn spawn(&self, world: &mut World, nprocs: usize) -> Vec<ThreadBody> {
-        let v = world.alloc_vec::<u64>(64);
-        let zeros = self.zeros;
-        (0..nprocs)
-            .map(|pid| {
-                let v = v.clone();
-                let body: ThreadBody = Box::new(move |p: &Proc<'_>| {
-                    p.compute(100);
-                    if zeros {
-                        p.touch_read(0, 0);
-                        p.touch_write(64, 0);
-                    }
-                    v.set(p, 8 * pid, 1);
-                    if zeros {
-                        p.touch_write(0, 0);
-                        p.touch_read(64, 0);
-                    }
-                });
-                body
-            })
-            .collect()
-    }
     fn spawn_async(&self, world: &mut World, nprocs: usize) -> Option<Vec<AsyncBody>> {
-        if !self.inline {
-            return None;
-        }
         let v = world.alloc_vec::<u64>(64);
         let zeros = self.zeros;
-        let bodies = (0..nprocs)
-            .map(|pid| {
-                let v = v.clone();
-                async_body(move |p| async move {
-                    p.compute(100);
-                    if zeros {
-                        p.touch_read(0, 0).await;
-                        p.touch_write(64, 0).await;
-                    }
-                    v.write(&p, 8 * pid, 1).await;
-                    if zeros {
-                        p.touch_write(0, 0).await;
-                        p.touch_read(64, 0).await;
-                    }
-                })
+        let bodies = (0..nprocs).map(|pid| {
+            let v = v.clone();
+            async_body(move |p| async move {
+                p.compute(100);
+                if zeros {
+                    p.touch_read(0, 0).await;
+                    p.touch_write(64, 0).await;
+                }
+                v.write(&p, 8 * pid, 1).await;
+                if zeros {
+                    p.touch_write(0, 0).await;
+                    p.touch_read(64, 0).await;
+                }
             })
-            .collect();
-        Some(bodies)
+        });
+        Some(bodies.collect())
     }
 }
 
@@ -177,20 +172,22 @@ fn zero_byte_touches_issue_nothing() {
         Protocol::Rdma,
     ] {
         for inline in [true, false] {
-            let sim = SimBuilder::new(proto).procs(2);
-            let with = sim.run(&ZeroBytes {
-                inline,
-                zeros: true,
-            });
-            let without = sim.run(&ZeroBytes {
-                inline,
-                zeros: false,
-            });
+            let run = |zeros| {
+                let w = ZeroBytes { zeros };
+                let sim = SimBuilder::new(proto).procs(2);
+                if inline {
+                    sim.run(&w)
+                } else {
+                    sim.run(&OnThreads(Box::new(w)))
+                }
+            };
+            let (with, without) = (run(true), run(false));
             assert!(
                 record(&with, 2) == record(&without, 2),
                 "{proto:?}, inline {inline}: a zero-byte touch cost something"
             );
             assert_eq!(with.counters.sim_ops, 2 * 2, "{proto:?}, inline {inline}");
+            assert_eq!(with.threads_spawned, if inline { 0 } else { 2 });
         }
     }
 }

@@ -370,7 +370,11 @@ impl ssm::proto::Workload for SyncMix {
         4 * 4096
     }
 
-    fn spawn(&self, world: &mut ssm::proto::World, nprocs: usize) -> Vec<ssm::proto::ThreadBody> {
+    fn spawn_async(
+        &self,
+        world: &mut ssm::proto::World,
+        nprocs: usize,
+    ) -> Option<Vec<ssm::proto::AsyncBody>> {
         // 512 u64s per page: the counter, the inner-lock slots, the
         // outer-lock slots and the barrier-phase slots sit on four pages,
         // homed round-robin at four different nodes.
@@ -379,31 +383,31 @@ impl ssm::proto::Workload for SyncMix {
         let inner = world.alloc_lock();
         let bar = world.alloc_barrier();
         *self.data.borrow_mut() = Some(v.clone());
-        (0..nprocs)
-            .map(|pid| {
-                let v = v.clone();
-                let body: ssm::proto::ThreadBody = Box::new(move |p| {
-                    p.compute(50 * (pid as u64 + 1));
-                    for r in 0..3u64 {
-                        p.lock(outer);
-                        v.set(p, 0, v.get(p, 0) + 1);
-                        p.lock(inner);
-                        let slot = 512 + 8 * pid;
-                        v.set(p, slot, v.get(p, slot) + r);
-                        p.unlock(inner);
-                        v.set(p, 1024 + pid, r);
-                        p.unlock(outer);
-                        p.compute(200);
-                    }
-                    p.barrier(bar);
-                    v.set(p, 1536 + 64 * pid, pid as u64);
-                    let _ = v.get(p, 0);
-                    p.barrier(bar);
-                    let _ = v.get(p, 1536 + 64 * ((pid + 1) % nprocs));
-                });
-                body
+        let bodies = (0..nprocs).map(|pid| {
+            let v = v.clone();
+            ssm::proto::async_body(move |p| async move {
+                p.compute(50 * (pid as u64 + 1));
+                for r in 0..3u64 {
+                    p.lock(outer).await;
+                    let n = v.read(&p, 0).await;
+                    v.write(&p, 0, n + 1).await;
+                    p.lock(inner).await;
+                    let slot = 512 + 8 * pid;
+                    let x = v.read(&p, slot).await;
+                    v.write(&p, slot, x + r).await;
+                    p.unlock(inner).await;
+                    v.write(&p, 1024 + pid, r).await;
+                    p.unlock(outer).await;
+                    p.compute(200);
+                }
+                p.barrier(bar).await;
+                v.write(&p, 1536 + 64 * pid, pid as u64).await;
+                v.read(&p, 0).await;
+                p.barrier(bar).await;
+                v.read(&p, 1536 + 64 * ((pid + 1) % nprocs)).await;
             })
-            .collect()
+        });
+        Some(bodies.collect())
     }
 
     fn verify(&self) -> Result<(), String> {
@@ -516,46 +520,49 @@ impl ssm::proto::Workload for DataPath {
         6 * 4096
     }
 
-    fn spawn(&self, world: &mut ssm::proto::World, nprocs: usize) -> Vec<ssm::proto::ThreadBody> {
+    fn spawn_async(
+        &self,
+        world: &mut ssm::proto::World,
+        nprocs: usize,
+    ) -> Option<Vec<ssm::proto::AsyncBody>> {
         let v = world.alloc_vec::<u64>(5 * PAGE_ELEMS);
         let lock = world.alloc_lock();
         let bar = world.alloc_barrier();
         *self.data.borrow_mut() = Some(v.clone());
-        (0..nprocs)
-            .map(|pid| {
-                let v = v.clone();
-                let body: ssm::proto::ThreadBody = Box::new(move |p| {
-                    p.compute(40 * (pid as u64 + 1));
-                    // Bytes 48..80 of page `pid` (two blocks), then the last
-                    // two and first two words of pages `pid` and `pid + 1`.
-                    v.touch_range_write(p, PAGE_ELEMS * pid + 6, 4);
-                    v.touch_range_read(p, PAGE_ELEMS * (pid + 1) - 2, 4);
-                    // Everyone shares two blocks of page 4.
-                    v.touch_range_read(p, 4 * PAGE_ELEMS + 6, 4);
-                    for _ in 0..3 {
-                        p.lock(lock);
-                        // Reads what the previous holder wrote.
-                        v.set(p, 0, v.get(p, 0) + 1);
-                        v.touch_range_write(p, PAGE_ELEMS - 1, 2);
-                        p.unlock(lock);
-                        p.compute(100);
-                    }
-                    p.barrier(bar);
-                    if pid == 0 {
-                        // Page 4's home under round-robin writes blocks
-                        // the others share.
-                        v.touch_range_write(p, 4 * PAGE_ELEMS + 4, 8);
-                    }
-                    p.barrier(bar);
-                    v.touch_range_read(p, 4 * PAGE_ELEMS, 16);
-                    let _ = v.get(p, 0);
-                    v.set(p, 3 * PAGE_ELEMS + 8 * pid, pid as u64);
-                    p.barrier(bar);
-                    let _ = v.get(p, 3 * PAGE_ELEMS + 8 * ((pid + 1) % nprocs));
-                });
-                body
+        let bodies = (0..nprocs).map(|pid| {
+            let v = v.clone();
+            ssm::proto::async_body(move |p| async move {
+                p.compute(40 * (pid as u64 + 1));
+                // Bytes 48..80 of page `pid` (two blocks), then the last
+                // two and first two words of pages `pid` and `pid + 1`.
+                v.touch_write(&p, PAGE_ELEMS * pid + 6, 4).await;
+                v.touch_read(&p, PAGE_ELEMS * (pid + 1) - 2, 4).await;
+                // Everyone shares two blocks of page 4.
+                v.touch_read(&p, 4 * PAGE_ELEMS + 6, 4).await;
+                for _ in 0..3 {
+                    p.lock(lock).await;
+                    // Reads what the previous holder wrote.
+                    let n = v.read(&p, 0).await;
+                    v.write(&p, 0, n + 1).await;
+                    v.touch_write(&p, PAGE_ELEMS - 1, 2).await;
+                    p.unlock(lock).await;
+                    p.compute(100);
+                }
+                p.barrier(bar).await;
+                if pid == 0 {
+                    // Page 4's home under round-robin writes blocks
+                    // the others share.
+                    v.touch_write(&p, 4 * PAGE_ELEMS + 4, 8).await;
+                }
+                p.barrier(bar).await;
+                v.touch_read(&p, 4 * PAGE_ELEMS, 16).await;
+                v.read(&p, 0).await;
+                v.write(&p, 3 * PAGE_ELEMS + 8 * pid, pid as u64).await;
+                p.barrier(bar).await;
+                v.read(&p, 3 * PAGE_ELEMS + 8 * ((pid + 1) % nprocs)).await;
             })
-            .collect()
+        });
+        Some(bodies.collect())
     }
 
     fn verify(&self) -> Result<(), String> {
