@@ -36,7 +36,7 @@ pub mod workers;
 
 pub use resource::{Pipe, Resource};
 pub use threads::{Resumed, ThreadId, ThreadPool, Yielder};
-pub use workers::{Completion, Job, WorkerSet, WORKER_THREAD_PREFIX};
+pub use workers::WorkerSet;
 
 /// Simulated time, in cycles of the modelled processor.
 ///

@@ -1,10 +1,10 @@
 //! A reusable pool of OS worker threads.
 //!
 //! Spawning an OS thread per simulated processor per simulation is the
-//! dominant setup cost of small sweep cells: a test-scale cell finishes in
-//! milliseconds, but pays for `nprocs` thread spawns and joins every time.
-//! A [`WorkerSet`] keeps workers parked between jobs so consecutive
-//! simulations reuse the same OS threads.
+//! dominant setup cost of small simulations on the thread path: a
+//! test-scale run finishes in milliseconds, but pays for `nprocs` thread
+//! spawns and joins every time. A [`WorkerSet`] keeps workers parked
+//! between jobs so consecutive simulations reuse the same OS threads.
 //!
 //! A job runs to completion on one worker and then hands back a
 //! *completion* closure. The worker re-registers itself as idle **before**
@@ -15,8 +15,8 @@
 //!
 //! Workers are detached: when the last [`WorkerSet`] handle drops, the
 //! idle workers' job channels close and the threads exit on their own.
-//! A worker abandoned mid-job (e.g. a timed-out sweep cell) is simply
-//! unavailable until its job finishes, after which it re-idles.
+//! A worker whose job has not returned is simply unavailable until it
+//! does, after which it re-idles.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Sender};
@@ -24,13 +24,13 @@ use std::sync::{Arc, Mutex, Weak};
 
 /// What a worker runs: the job body, returning the completion closure the
 /// worker invokes after re-parking itself.
-pub type Job = Box<dyn FnOnce() -> Completion + Send + 'static>;
+pub(crate) type Job = Box<dyn FnOnce() -> Completion + Send + 'static>;
 
 /// Delivered after the worker is back on the idle list.
-pub type Completion = Box<dyn FnOnce() + Send + 'static>;
+pub(crate) type Completion = Box<dyn FnOnce() + Send + 'static>;
 
 /// Thread-name prefix of pooled workers (`ssm-worker-<n>`).
-pub const WORKER_THREAD_PREFIX: &str = "ssm-worker-";
+pub(crate) const WORKER_THREAD_PREFIX: &str = "ssm-worker-";
 
 struct Inner {
     idle: Mutex<Vec<Sender<Job>>>,
@@ -59,13 +59,13 @@ impl WorkerSet {
     }
 
     /// Number of workers currently parked and available.
-    pub fn idle_count(&self) -> usize {
+    pub(crate) fn idle_count(&self) -> usize {
         self.inner.idle.lock().expect("idle list").len()
     }
 
     /// Runs `job` on an idle worker, spawning a fresh one only if none is
     /// parked. Returns `true` if an existing worker was reused.
-    pub fn submit(&self, job: Job) -> bool {
+    pub(crate) fn submit(&self, job: Job) -> bool {
         // Reuse loop: a parked worker's channel can only be closed if its
         // thread exited (it never closes its own receiver while parked),
         // which cannot happen for a registered idle worker — but stay

@@ -4,8 +4,10 @@
 //!
 //! * `--procs N` — simulated processors (default 16, the paper's scale);
 //! * `--scale test|bench|full` — problem sizes (default `bench`);
-//! * `--app NAME` — restrict to applications whose name contains `NAME`;
-//! * `--jobs N` — host worker threads (default: available parallelism);
+//! * `--app NAME` — restrict to applications whose name contains `NAME`
+//!   (a name that matches no application is a usage error);
+//! * `--jobs N` — job threads, one cell in flight on each (default:
+//!   available parallelism);
 //! * `--no-cache` — ignore the result cache and write nothing under
 //!   `--results` (neither `sweep_cache.jsonl` nor `bench_summary.json`);
 //! * `--no-batching` — one handoff per simulated operation: the same
@@ -13,7 +15,9 @@
 //!   past an operation the driver has not replayed (results are
 //!   byte-identical; only the host-side handoff counters and wall time
 //!   change, and every operation counts as a one-op batch);
-//! * `--timeout SECS` — per-cell wall-time limit (default: none);
+//! * `--timeout SECS` — per-cell wall-time limit, a positive number of
+//!   seconds (default: none); a cell past it is reported as timed out and
+//!   its job thread is abandoned and replaced;
 //! * `--results DIR` — results directory (default `results/`);
 //! * `--quiet` — suppress stderr progress;
 //! * `--shard i/N` — worker mode: run only the cells whose hash lands on
@@ -51,7 +55,7 @@ pub struct SweepCli {
     pub scale: Scale,
     /// Substring filter on application names (empty = all).
     pub filter: String,
-    /// Host worker threads.
+    /// Job threads (cells in flight at once).
     pub jobs: usize,
     /// Skip the on-disk cache and the summary: write nothing to disk.
     pub no_cache: bool,
@@ -135,7 +139,8 @@ impl SweepCli {
                     cli.timeout = Some(Duration::from_secs(
                         args.next()
                             .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| die("--timeout needs seconds")),
+                            .filter(|&s: &u64| s > 0)
+                            .unwrap_or_else(|| die("--timeout needs a positive number of seconds")),
                     ));
                 }
                 "--results" => {
@@ -154,6 +159,14 @@ impl SweepCli {
         }
         if cli.shard.is_some() && cli.no_cache {
             die("--shard writes its slice into the cache under --results; drop --no-cache");
+        }
+        if cli.apps().is_empty() {
+            let names: Vec<&str> = suite().iter().map(|a| a.name).collect();
+            die(&format!(
+                "--app {:?} matches no application; the catalog has {}",
+                cli.filter,
+                names.join(", ")
+            ));
         }
         cli
     }

@@ -2,15 +2,16 @@
 //!
 //! Cells are embarrassingly parallel: each simulation runs on one thread,
 //! shares no mutable state with its neighbours, and is deterministic. The
-//! executor therefore fans unique, uncached cells out over a
-//! work-stealing pool of OS threads (std only), with:
+//! executor's coordinator, on the calling thread, deals unique uncached
+//! cells to `--jobs` job threads (`ssm-sweep-N`, std only) and alone owns
+//! the queues, the replay state, the cache and the counters. It provides:
 //!
 //! * **panic capture** — a diverging application/configuration reports as
 //!   a failed cell instead of killing the sweep (the global panic hook is
-//!   taught to stay quiet for sweep-owned threads);
-//! * **wall-time limits** — a cell that exceeds `--timeout` is abandoned
-//!   (its detached simulation thread's eventual result is discarded) and
-//!   reported as timed out;
+//!   taught to stay quiet for the job threads);
+//! * **wall-time limits** — a cell that exceeds `--timeout` is reported as
+//!   timed out, and its job thread is abandoned (it exits once the cell
+//!   returns, and its late report is ignored) and replaced by a fresh one;
 //! * **deterministic ordering** — results come back in cell-enumeration
 //!   order regardless of completion order;
 //! * **caching** — completed cells append to the [`ResultStore`] as they
@@ -25,8 +26,8 @@
 //!   procs, batching) feed the driver the same operation streams, so the
 //!   first cell of a key runs live and records them, and the key's later
 //!   cells replay the record under their own protocol and costs, without
-//!   running the application (DESIGN.md §14). Cells are dealt to the deques
-//!   by key, so a key's cells follow each other on one worker;
+//!   running the application (DESIGN.md §14). Cells are dealt to the job
+//!   queues by key, so a key's cells follow each other on one job thread;
 //! * **progress** — a live stderr line (done/total, cache hits, failures,
 //!   ETA), and a completion line that counts replayed cells and aborted
 //!   replays.
@@ -37,14 +38,13 @@ use std::fs::File;
 use std::io::{BufWriter, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, RecvTimeoutError};
-use std::sync::{Arc, Mutex, Once};
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Once};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ssm_apps::catalog::{self, Scale};
 use ssm_core::{FaultSpec, Protocol, ReplayLog, SimBuilder};
-use ssm_engine::{WorkerSet, WORKER_THREAD_PREFIX};
 
 use crate::cell::Cell;
 use crate::cli::SweepCli;
@@ -213,6 +213,21 @@ impl SweepRun {
         }
         Json::Obj(fields)
     }
+
+    /// Prints the live progress line of a sweep that began at `started`:
+    /// done/total, failures and an ETA.
+    fn report_progress(&self, started: Instant) {
+        let (done, total) = (self.cached + self.executed, self.outcomes.len());
+        let mut line = format!("[ssm-sweep] {done}/{total} cells");
+        if self.failed > 0 {
+            line += &format!(", {} failed", self.failed);
+        }
+        if self.executed > 0 && done < total {
+            let per_cell = started.elapsed().as_secs_f64() / self.executed as f64;
+            line += &format!(", ETA {:.0}s", per_cell * (total - done) as f64);
+        }
+        eprintln!("{line}");
+    }
 }
 
 /// Builds and runs the simulation for one cell. Panics propagate to the
@@ -340,24 +355,21 @@ impl KeyLog {
     }
 }
 
-/// Number of sweep cells currently in flight (used by the panic filter).
-static ACTIVE_CELLS: AtomicUsize = AtomicUsize::new(0);
+/// Name prefix of the sweep's job threads (`ssm-sweep-<slot>`).
+const THREAD_PREFIX: &str = "ssm-sweep-";
 
 /// Installs (once per process) a panic hook that suppresses the default
-/// backtrace spew for panics on sweep-owned threads — the pooled
-/// `ssm-worker-N` threads that run the per-cell guard jobs, and with them
-/// the catalog's inline bodies — while cells are in flight. The panic
-/// still unwinds and is reported as a failed cell; every other thread
-/// keeps the previous hook's behavior.
+/// backtrace spew for panics on the sweep's job threads, which run every
+/// cell, and with it the catalog's inline bodies, under `catch_unwind`.
+/// The panic still unwinds and is reported as a failed cell; every other
+/// thread keeps the previous hook's behavior.
 fn install_panic_filter() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
             let name = std::thread::current().name().unwrap_or("").to_string();
-            let owned =
-                name.starts_with(WORKER_THREAD_PREFIX) && ACTIVE_CELLS.load(Ordering::SeqCst) > 0;
-            if !owned {
+            if !name.starts_with(THREAD_PREFIX) {
                 previous(info);
             }
         }));
@@ -374,127 +386,56 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs one cell as `plan` says on a leased worker thread, enforcing the
-/// wall-time limit. Returns the status, and how the cell ran if it
-/// completed (never panics).
-fn execute_with_limits(
-    cell: &Cell,
-    plan: Plan,
-    workers: &WorkerSet,
-    cli: &SweepCli,
-) -> (CellStatus, Option<Ran>) {
-    let c = cell.clone();
-    let batching = !cli.no_batching;
-    match run_guarded(workers, cli.timeout, move || {
-        execute_planned(&c, batching, plan)
-    }) {
-        Ok((rec, ran)) => (CellStatus::Done(rec), Some(ran)),
-        Err(status) => (status, None),
-    }
-}
+/// What a job thread runs for a cell: [`execute_planned`], or a stand-in
+/// in tests.
+type Runner = fn(&Cell, bool, Plan) -> Result<(CellRecord, Ran), String>;
 
-/// The guard around one cell execution: a leased worker thread, panic
-/// capture, and the wall-time limit. Split from [`execute_with_limits`] so
-/// the guard itself is testable with arbitrary workloads.
-///
-/// The result is delivered by the worker's *completion* closure, which
-/// runs only after the worker has re-registered itself as idle — so by
-/// the time this returns, the guard's worker is parked and ready for the
-/// next cell.
-///
-/// Returns the work's output, or the failed or timed-out status.
-// The error is never `Done`, the large variant.
-#[allow(clippy::result_large_err)]
-fn run_guarded<T: Send + 'static>(
-    workers: &WorkerSet,
-    timeout: Option<Duration>,
-    work: impl FnOnce() -> Result<T, String> + Send + 'static,
-) -> Result<T, CellStatus> {
-    let (tx, rx) = channel();
-    ACTIVE_CELLS.fetch_add(1, Ordering::SeqCst);
-    workers.submit(Box::new(move || {
-        let out = match catch_unwind(AssertUnwindSafe(work)) {
-            Ok(r) => r,
-            Err(payload) => Err(panic_message(payload)),
-        };
-        Box::new(move || {
-            let _ = tx.send(out);
+/// A cell for a job thread: its index in the sweep, the cell, its plan.
+type Job = (usize, Cell, Plan);
+
+/// A job thread's report: its slot, the cell's index and how it ended.
+type Report = (usize, usize, Result<(CellRecord, Ran), String>);
+
+/// Spawns the job thread of `slot`. It runs each cell it receives under
+/// `catch_unwind`, reports on `done`, and exits when its job channel
+/// closes (or the coordinator is gone).
+fn spawn_job_thread(
+    slot: usize,
+    done: Sender<Report>,
+    runner: Runner,
+    batching: bool,
+) -> (Sender<Job>, JoinHandle<()>) {
+    let (tx, rx) = channel::<Job>();
+    let thread = std::thread::Builder::new()
+        .name(format!("{THREAD_PREFIX}{slot}"))
+        .stack_size(8 << 20) // recursive applications outgrow the default
+        .spawn(move || {
+            for (i, cell, plan) in rx {
+                let out = catch_unwind(AssertUnwindSafe(|| runner(&cell, batching, plan)))
+                    .unwrap_or_else(|payload| Err(panic_message(payload)));
+                if done.send((slot, i, out)).is_err() {
+                    return;
+                }
+            }
         })
-    }));
-    let received = match timeout {
-        Some(t) => rx.recv_timeout(t),
-        None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-    };
-    let status = match received {
-        Ok(Ok(out)) => Ok(out),
-        Ok(Err(e)) => Err(CellStatus::Failed(e)),
-        Err(RecvTimeoutError::Timeout) => {
-            // Abandon the cell: its completion will land on a dropped
-            // receiver, and its worker stays busy (unavailable for lease)
-            // until the simulation finishes. A late panic on the zombie's
-            // threads may print, which is acceptable for an
-            // already-reported cell.
-            drop(rx);
-            ACTIVE_CELLS.fetch_sub(1, Ordering::SeqCst);
-            return Err(CellStatus::TimedOut(timeout.expect("timeout fired")));
-        }
-        Err(RecvTimeoutError::Disconnected) => Err(CellStatus::Failed(
-            "cell worker vanished without a result".to_string(),
-        )),
-    };
-    ACTIVE_CELLS.fetch_sub(1, Ordering::SeqCst);
-    status
+        .expect("failed to spawn a sweep job thread");
+    (tx, thread)
 }
 
-struct Progress {
-    total: usize,
-    done: usize,
-    executed: usize,
-    replayed: usize,
-    replays_aborted: usize,
-    failed: usize,
-    abandoned: usize,
-    started: Instant,
+/// One of the `--jobs` slots: its job thread, once started, and the cell
+/// it is running.
+#[derive(Default)]
+struct Slot {
+    thread: Option<(Sender<Job>, JoinHandle<()>)>,
+    running: Option<Running>,
 }
 
-impl Progress {
-    fn report(&self, enabled: bool) {
-        if !enabled {
-            return;
-        }
-        let eta = if self.executed > 0 && self.done < self.total {
-            let per_cell = self.started.elapsed().as_secs_f64() / self.executed as f64;
-            let remaining = (self.total - self.done) as f64;
-            format!(", ETA {:.0}s", per_cell * remaining)
-        } else {
-            String::new()
-        };
-        let failures = if self.failed > 0 {
-            format!(", {} failed", self.failed)
-        } else {
-            String::new()
-        };
-        eprintln!(
-            "[ssm-sweep] {}/{} cells{failures}{eta}",
-            self.done, self.total
-        );
-    }
-}
-
-/// Deduplicates `cells` by hash, first occurrence wins, preserving
-/// enumeration order. Returns the hash→slot index and the unique
-/// `(cell, hash)` list.
-fn dedup_cells(cells: &[Cell]) -> (HashMap<String, usize>, Vec<(Cell, String)>) {
-    let mut index: HashMap<String, usize> = HashMap::new();
-    let mut unique: Vec<(Cell, String)> = Vec::new();
-    for cell in cells {
-        let hash = cell.hash();
-        index.entry(hash.clone()).or_insert_with(|| {
-            unique.push((cell.clone(), hash));
-            unique.len() - 1
-        });
-    }
-    (index, unique)
+/// A cell in flight.
+struct Running {
+    index: usize,
+    /// Planned as its key's capture.
+    capturing: bool,
+    deadline: Option<Instant>,
 }
 
 /// The in-process executor behind [`crate::Sweep::run`]: executes `cells`
@@ -507,13 +448,16 @@ fn dedup_cells(cells: &[Cell]) -> (HashMap<String, usize>, Vec<(Cell, String)>) 
 /// to it as they complete, and the sweep's `bench_summary.json` is
 /// (re)written at the end.
 pub(crate) fn run_local(cells: &[Cell], cli: &SweepCli) -> SweepRun {
+    run_cells(cells, cli, execute_planned)
+}
+
+/// [`run_local`], with each cell run by `runner` on a job thread.
+fn run_cells(cells: &[Cell], cli: &SweepCli, runner: Runner) -> SweepRun {
     install_panic_filter();
-    let sweep_started = Instant::now();
+    let started = Instant::now();
     let progress_on = !cli.quiet;
 
-    let (index, unique) = dedup_cells(cells);
-
-    let store = if cli.no_cache {
+    let mut store = if cli.no_cache {
         None
     } else {
         match ResultStore::open(&cli.results_dir) {
@@ -546,172 +490,175 @@ pub(crate) fn run_local(cells: &[Cell], cli: &SweepCli) -> SweepRun {
         }
     };
 
-    let mut statuses: Vec<Option<CellStatus>> = vec![None; unique.len()];
-    let mut replayed_flags: Vec<bool> = vec![false; unique.len()];
-    let mut cached_flags: Vec<bool> = vec![false; unique.len()];
+    let mut run = SweepRun {
+        outcomes: Vec::new(),
+        index: HashMap::new(),
+        executed: 0,
+        replayed: 0,
+        replays_aborted: 0,
+        cached: 0,
+        failed: 0,
+        abandoned_threads: 0,
+        host_ms: 0,
+    };
     let mut misses: Vec<usize> = Vec::new();
-    let mut cached = 0usize;
-    for (i, (_, hash)) in unique.iter().enumerate() {
-        if let Some(rec) = store.as_ref().and_then(|s| s.get(hash)) {
-            statuses[i] = Some(CellStatus::Done(rec));
-            cached_flags[i] = true;
-            cached += 1;
-        } else {
-            misses.push(i);
+    for cell in cells {
+        let hash = cell.hash();
+        if run.index.contains_key(&hash) {
+            continue;
         }
+        let rec = store.as_ref().and_then(|s| s.get(&hash));
+        if rec.is_none() {
+            misses.push(run.outcomes.len());
+        }
+        run.index.insert(hash.clone(), run.outcomes.len());
+        run.outcomes.push(CellOutcome {
+            cell: cell.clone(),
+            hash,
+            cached: rec.is_some(),
+            replayed: false,
+            // A miss's placeholder, replaced when its cell reports.
+            status: rec.map_or_else(
+                || CellStatus::Failed("not run".to_string()),
+                CellStatus::Done,
+            ),
+        });
     }
+    run.cached = run.outcomes.len() - misses.len();
 
     let jobs = cli.jobs.max(1).min(misses.len().max(1));
     if progress_on {
         eprintln!(
             "[ssm-sweep] {} cells ({} unique): {} cached, {} to run on {} worker(s)",
             cells.len(),
-            unique.len(),
-            cached,
+            run.outcomes.len(),
+            run.cached,
             misses.len(),
             jobs
         );
     }
 
-    // Work-stealing deques: each replay key's cells go to one deque in
+    // One queue per slot: each replay key's cells go to one queue in
     // enumeration order, so a key's later cells follow its capture on the
-    // same worker; keys are dealt round-robin. A worker pops its own deque
-    // from the front and steals from the back of others'.
+    // same job thread; keys are dealt round-robin.
     let batching = !cli.no_batching;
     let mut keys: HashMap<ReplayKey, usize> = HashMap::new();
-    let mut key_of = vec![0; unique.len()];
+    let mut key_of = vec![0; run.outcomes.len()];
     let mut groups: Vec<Vec<usize>> = Vec::new();
     for &i in &misses {
-        let k = *keys
-            .entry(replay_key(&unique[i].0, batching))
-            .or_insert_with(|| {
-                groups.push(Vec::new());
-                groups.len() - 1
-            });
-        groups[k].push(i);
-        key_of[i] = k;
+        let key = replay_key(&run.outcomes[i].cell, batching);
+        key_of[i] = *keys.entry(key).or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[key_of[i]].push(i);
     }
-    let deques: Vec<Mutex<VecDeque<usize>>> =
-        (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect();
+    let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); jobs];
     for (k, group) in groups.iter().enumerate() {
-        deques[k % jobs].lock().expect("deque").extend(group);
+        queues[k % jobs].extend(group);
     }
-    let key_logs: Mutex<Vec<KeyLog>> = Mutex::new(
-        groups
-            .iter()
-            .map(|g| KeyLog {
-                unstarted: g.len(),
-                log: LogState::Idle,
-            })
-            .collect(),
-    );
-
-    // State shared by the workers: per-cell status slots, the open cache,
-    // and progress accounting. One lock, taken once per finished cell.
-    type SharedState<'a> = (
-        (&'a mut Vec<Option<CellStatus>>, &'a mut Vec<bool>),
-        Option<ResultStore>,
-        Progress,
-    );
-    let shared_results: Mutex<SharedState> = Mutex::new((
-        (&mut statuses, &mut replayed_flags),
-        store,
-        Progress {
-            total: unique.len(),
-            done: cached,
-            executed: 0,
-            replayed: 0,
-            replays_aborted: 0,
-            failed: 0,
-            abandoned: 0,
-            started: Instant::now(),
-        },
-    ));
-    let unique_ref = &unique;
-    let deques_ref = &deques;
-    let key_of = &key_of;
-    let key_logs = &key_logs;
-    let shared = &shared_results;
-
-    // One worker set per sweep for the per-cell guard jobs, so cell N+1
-    // recycles cell N's thread instead of spawning. The catalog's bodies
-    // run inline on the guard thread and need no thread of their own.
-    let workers = WorkerSet::new();
-    let workers_ref = &workers;
-
-    std::thread::scope(|scope| {
-        for w in 0..jobs {
-            scope.spawn(move || loop {
-                let next = {
-                    let mut own = deques_ref[w].lock().expect("deque");
-                    own.pop_front()
-                };
-                let next = next.or_else(|| {
-                    (1..jobs)
-                        .find_map(|d| deques_ref[(w + d) % jobs].lock().expect("deque").pop_back())
-                });
-                let Some(i) = next else { break };
-                let (cell, _) = &unique_ref[i];
-                let plan = key_logs.lock().expect("key logs")[key_of[i]].start();
-                let capturing = matches!(plan, Plan::Capture);
-                let (status, ran) = execute_with_limits(cell, plan, workers_ref, cli);
-                let replayed = matches!(ran, Some(Ran::Replayed));
-                let aborted = matches!(ran, Some(Ran::Aborted));
-                key_logs.lock().expect("key logs")[key_of[i]].finish(capturing, ran);
-                let mut guard = shared.lock().expect("results");
-                let ((results, replays), store, progress) = &mut *guard;
-                if let CellStatus::Done(rec) = &status {
-                    if let Some(s) = store.as_mut() {
-                        if let Err(e) = s.append(rec.clone()) {
-                            eprintln!("[ssm-sweep] warning: cache append failed: {e}");
-                        }
-                    }
-                } else {
-                    progress.failed += 1;
-                }
-                if matches!(status, CellStatus::TimedOut(_)) {
-                    // The timed-out simulation keeps its worker busy.
-                    progress.abandoned += 1;
-                }
-                results[i] = Some(status);
-                replays[i] = replayed;
-                progress.done += 1;
-                progress.executed += 1;
-                progress.replayed += usize::from(replayed);
-                progress.replays_aborted += usize::from(aborted);
-                progress.report(progress_on);
-            });
-        }
-    });
-
-    let (_, _, progress) = shared_results.into_inner().expect("results");
-
-    let outcomes: Vec<CellOutcome> = unique
+    let mut key_logs: Vec<KeyLog> = groups
         .iter()
-        .zip(statuses.iter_mut())
-        .zip(cached_flags.iter().zip(&replayed_flags))
-        .map(
-            |(((cell, hash), status), (&cached, &replayed))| CellOutcome {
-                cell: cell.clone(),
-                hash: hash.clone(),
-                cached,
-                replayed,
-                status: status.take().expect("every cell resolved"),
-            },
-        )
+        .map(|g| KeyLog {
+            unstarted: g.len(),
+            log: LogState::Idle,
+        })
         .collect();
 
-    let run = SweepRun {
-        outcomes,
-        index,
-        executed: progress.executed,
-        replayed: progress.replayed,
-        replays_aborted: progress.replays_aborted,
-        cached,
-        failed: progress.failed,
-        abandoned_threads: progress.abandoned,
-        host_ms: sweep_started.elapsed().as_millis() as u64,
-    };
+    let (done_tx, done_rx) = channel::<Report>();
+    let mut slots: Vec<Slot> = (0..jobs).map(|_| Slot::default()).collect();
+    loop {
+        // An idle slot takes the front of its own queue, or else steals
+        // from the back of another's.
+        for (s, slot) in slots.iter_mut().enumerate() {
+            if slot.running.is_some() {
+                continue;
+            }
+            let next = queues[s]
+                .pop_front()
+                .or_else(|| (1..jobs).find_map(|d| queues[(s + d) % jobs].pop_back()));
+            let Some(i) = next else { continue };
+            let plan = key_logs[key_of[i]].start();
+            slot.running = Some(Running {
+                index: i,
+                capturing: matches!(plan, Plan::Capture),
+                // A limit past the end of time is no limit.
+                deadline: cli.timeout.and_then(|t| Instant::now().checked_add(t)),
+            });
+            let (tx, _) = slot
+                .thread
+                .get_or_insert_with(|| spawn_job_thread(s, done_tx.clone(), runner, batching));
+            tx.send((i, run.outcomes[i].cell.clone(), plan))
+                .expect("an idle job thread listens");
+        }
+        if slots.iter().all(|s| s.running.is_none()) {
+            break;
+        }
+
+        // Wait for a report, or until the earliest deadline passes. The
+        // coordinator holds a sender, so the channel never disconnects.
+        let deadline = slots
+            .iter()
+            .filter_map(|s| s.running.as_ref()?.deadline)
+            .min();
+        let report = match deadline {
+            Some(d) => done_rx
+                .recv_timeout(d.saturating_duration_since(Instant::now()))
+                .ok(),
+            None => done_rx.recv().ok(),
+        };
+        let mut finished: Vec<(Running, CellStatus, Option<Ran>)> = Vec::new();
+        if let Some((s, i, out)) = report {
+            // An abandoned thread's late report matches no running cell.
+            if let Some(running) = slots[s].running.take_if(|r| r.index == i) {
+                finished.push(match out {
+                    Ok((rec, ran)) => (running, CellStatus::Done(rec), Some(ran)),
+                    Err(e) => (running, CellStatus::Failed(e), None),
+                });
+            }
+        } else {
+            let now = Instant::now();
+            for slot in &mut slots {
+                let expired = |r: &mut Running| r.deadline.is_some_and(|d| d <= now);
+                if let Some(running) = slot.running.take_if(expired) {
+                    // Abandon the thread: dropping its job channel makes it
+                    // exit once the cell returns. The slot starts a fresh
+                    // one for its next cell.
+                    slot.thread = None;
+                    run.abandoned_threads += 1;
+                    let limit = cli.timeout.expect("only a limited cell has a deadline");
+                    finished.push((running, CellStatus::TimedOut(limit), None));
+                }
+            }
+        }
+
+        for (running, status, ran) in finished {
+            let i = running.index;
+            let replayed = matches!(ran, Some(Ran::Replayed));
+            run.replayed += usize::from(replayed);
+            run.replays_aborted += usize::from(matches!(ran, Some(Ran::Aborted)));
+            key_logs[key_of[i]].finish(running.capturing, ran);
+            if let CellStatus::Done(rec) = &status {
+                if let Err(e) = store.as_mut().map_or(Ok(()), |s| s.append(rec.clone())) {
+                    eprintln!("[ssm-sweep] warning: cache append failed: {e}");
+                }
+            } else {
+                run.failed += 1;
+            }
+            run.outcomes[i].replayed = replayed;
+            run.outcomes[i].status = status;
+            run.executed += 1;
+            if progress_on {
+                run.report_progress(started);
+            }
+        }
+    }
+    for (tx, thread) in slots.into_iter().filter_map(|s| s.thread) {
+        drop(tx);
+        thread.join().expect("job threads catch panics");
+    }
+
+    run.host_ms = started.elapsed().as_millis() as u64;
     if !cli.no_cache {
         if let Err(e) = run.write_summary(&cli.results_dir) {
             eprintln!("[ssm-sweep] warning: summary write failed: {e}");
@@ -747,47 +694,49 @@ mod tests {
     use ssm_core::LayerConfig;
     use ssm_stats::{Counters, ProtoActivity};
 
-    fn dummy_record() -> CellRecord {
-        CellRecord {
-            cell: Cell::new("FFT", Protocol::Hlrc, LayerConfig::base(), 2, Scale::Test),
-            total_cycles: 1,
-            per_proc: vec![[1, 0, 0, 0, 0, 0]; 2],
-            activity: ProtoActivity::default(),
-            counters: Counters::default(),
-            verified: true,
-            verify_error: None,
-            host_ms: 0,
-            attempts: 1,
-            threads_spawned: 0,
-            threads_reused: 0,
+    fn cell(app: &str, procs: usize) -> Cell {
+        Cell::new(app, Protocol::Hlrc, LayerConfig::base(), procs, Scale::Test)
+    }
+
+    /// Runs `cells` on one job thread, uncached and quiet, each cell by
+    /// `runner`.
+    fn sweep(cells: &[Cell], timeout: Option<Duration>, runner: Runner) -> SweepRun {
+        let cli = SweepCli {
+            timeout,
+            jobs: 1,
+            no_cache: true,
+            quiet: true,
+            ..SweepCli::default()
+        };
+        run_cells(cells, &cli, runner)
+    }
+
+    fn failure<'a>(run: &'a SweepRun, cell: &Cell) -> &'a str {
+        match &run.outcome(cell).expect("in the sweep").status {
+            CellStatus::Failed(msg) => msg,
+            other => panic!("expected Failed, got {other:?}"),
         }
     }
 
-    #[test]
-    fn guard_passes_results_through() {
-        let workers = WorkerSet::new();
-        let rec = dummy_record();
-        let want = rec.clone();
-        match run_guarded(&workers, None, move || Ok(rec)) {
-            Ok(got) => assert_eq!(got, want),
-            Err(other) => panic!("expected Done, got {other:?}"),
-        }
+    /// Asserts that `cell` completed, verified, with the record a plain
+    /// run gives.
+    fn assert_ran(run: &SweepRun, cell: &Cell) {
+        let rec = run.record(cell).expect("the cell completed");
+        assert!(rec.verified);
+        let want = execute(cell).expect("the cell runs");
+        assert_eq!(rec.canonical(), want.canonical());
     }
 
     #[test]
-    fn guard_captures_panics_as_failed_cells() {
-        install_panic_filter(); // keep the test log free of backtrace spew
-        let workers = WorkerSet::new();
-        match run_guarded::<()>(&workers, None, || panic!("cell exploded: {}", 7)) {
-            Err(CellStatus::Failed(msg)) => assert!(msg.contains("cell exploded: 7"), "{msg}"),
-            other => panic!("expected Failed, got {other:?}"),
-        }
-        // The panic unwound through the leased worker; the set hands out a
-        // fresh one and the caller keeps going.
-        match run_guarded::<()>(&workers, None, || Err("soft failure".to_string())) {
-            Err(CellStatus::Failed(msg)) => assert_eq!(msg, "soft failure"),
-            other => panic!("expected Failed, got {other:?}"),
-        }
+    fn a_panicking_cell_fails_alone() {
+        let cells = [cell("FFT", 0), cell("FFT", 2)];
+        let run = sweep(&cells, None, execute_planned);
+        let msg = failure(&run, &cells[0]);
+        assert!(msg.contains("need at least one processor"), "{msg}");
+        // The panic unwound through the job thread, which runs the next
+        // cell normally.
+        assert_ran(&run, &cells[1]);
+        assert_eq!((run.executed, run.failed, run.abandoned_threads), (2, 1, 0));
     }
 
     /// Processor 1's body panics, or never reaches the barrier; the
@@ -826,73 +775,151 @@ mod tests {
         }
     }
 
+    /// Runs [`Broken`] for the cells named "panics" and "deadlocks", and
+    /// every other cell as the sweep does.
+    fn with_broken(cell: &Cell, batching: bool, plan: Plan) -> Result<(CellRecord, Ran), String> {
+        let panics = match cell.app.as_str() {
+            "panics" => true,
+            "deadlocks" => false,
+            _ => return execute_planned(cell, batching, plan),
+        };
+        let r = SimBuilder::new(Protocol::Hlrc)
+            .procs(cell.procs)
+            .run(&Broken { panics });
+        Ok((CellRecord::from_run(cell.clone(), &r, 0), Ran::Live))
+    }
+
     #[test]
     fn inline_body_failures_fail_only_their_cell() {
-        install_panic_filter();
-        let workers = WorkerSet::new();
-        let failure = |panics| {
-            let out = run_guarded(&workers, None, move || {
-                let r = SimBuilder::new(Protocol::Hlrc)
-                    .procs(3)
-                    .run(&Broken { panics });
-                Ok(r.total_cycles)
-            });
-            match out {
-                Err(CellStatus::Failed(msg)) => msg,
-                other => panic!("expected Failed, got {other:?}"),
-            }
-        };
-        let msg = failure(true);
+        let cells = [cell("panics", 3), cell("deadlocks", 3), cell("FFT", 2)];
+        let run = sweep(&cells, None, with_broken);
+        let msg = failure(&run, &cells[0]);
         assert!(msg.contains("P1") && msg.contains("body gave up"), "{msg}");
-        let msg = failure(false);
+        let msg = failure(&run, &cells[1]);
         assert!(msg.contains("simulation deadlock"), "{msg}");
         assert!(msg.contains("P0@") && msg.contains("P2@"), "{msg}");
         assert!(!msg.contains("P1@"), "P1 finished: {msg}");
-        // The same worker set runs the next cell normally.
-        let cell = Cell::new("FFT", Protocol::Hlrc, LayerConfig::base(), 2, Scale::Test);
-        let want = execute(&cell).expect("FFT runs");
-        match run_guarded(&workers, None, move || execute(&cell)) {
-            Ok(rec) => {
-                assert!(rec.verified);
-                assert_eq!(rec.canonical(), want.canonical());
-            }
-            Err(other) => panic!("expected Done, got {other:?}"),
-        }
+        assert_ran(&run, &cells[2]);
+        assert_eq!((run.failed, run.abandoned_threads), (2, 0));
     }
 
-    #[test]
-    fn guard_enforces_wall_time_limit() {
-        let workers = WorkerSet::new();
-        let limit = Duration::from_millis(20);
-        let status = run_guarded(&workers, Some(limit), move || {
-            // Far beyond the limit; the guard abandons this thread.
+    /// Sleeps far past any test's limit for the cell named "sleeps"; runs
+    /// every other cell at once, as a dummy.
+    fn sleepy(cell: &Cell, _: bool, _: Plan) -> Result<(CellRecord, Ran), String> {
+        if cell.app == "sleeps" {
             std::thread::sleep(Duration::from_secs(5));
-            Ok(dummy_record())
-        });
-        assert_eq!(status, Err(CellStatus::TimedOut(limit)));
+        }
+        let rec = CellRecord {
+            cell: cell.clone(),
+            total_cycles: 1,
+            per_proc: vec![[1, 0, 0, 0, 0, 0]; cell.procs],
+            activity: ProtoActivity::default(),
+            counters: Counters::default(),
+            verified: true,
+            verify_error: None,
+            host_ms: 0,
+            attempts: 1,
+            threads_spawned: 0,
+            threads_reused: 0,
+        };
+        Ok((rec, Ran::Live))
     }
 
     #[test]
-    fn timed_out_cells_count_abandoned_threads() {
-        // A timed-out cell detaches its simulation thread; the sweep must
-        // count it.
-        let cell = Cell::new("FFT", Protocol::Hlrc, LayerConfig::base(), 2, Scale::Test);
-        let cli = SweepCli {
-            timeout: Some(Duration::from_nanos(1)),
-            jobs: 1,
-            no_cache: true,
-            quiet: true,
-            ..SweepCli::default()
-        };
-        let run = run_local(&[cell], &cli);
-        if matches!(run.outcomes[0].status, CellStatus::TimedOut(_)) {
-            assert_eq!((run.failed, run.abandoned_threads), (1, 1));
-        } else {
-            // A 1ns budget losing the race is wildly unlikely but not
-            // impossible on a loaded host; a completed cell abandons
-            // nothing.
-            assert_eq!((run.failed, run.abandoned_threads), (0, 0));
+    fn a_cell_past_its_limit_times_out_and_a_fresh_thread_takes_its_slot() {
+        let limit = Duration::from_millis(20);
+        let cells = [cell("sleeps", 2), cell("quick", 2)];
+        let run = sweep(&cells, Some(limit), sleepy);
+        let status = &run.outcome(&cells[0]).expect("in the sweep").status;
+        assert_eq!(status, &CellStatus::TimedOut(limit));
+        // The one slot's thread was abandoned; its replacement ran the
+        // next cell.
+        assert!(run.record(&cells[1]).is_some());
+        assert_eq!((run.executed, run.failed, run.abandoned_threads), (2, 1, 1));
+    }
+
+    #[test]
+    fn a_limit_too_far_to_reach_is_no_limit() {
+        let cells = [cell("quick", 2)];
+        let run = sweep(&cells, Some(Duration::MAX), sleepy);
+        assert!(run.record(&cells[0]).is_some());
+    }
+
+    #[test]
+    fn unknown_application_is_a_failed_cell() {
+        let cells = [cell("No-Such-App", 2)];
+        let run = sweep(&cells, None, execute_planned);
+        let msg = failure(&run, &cells[0]);
+        assert!(msg.contains("No-Such-App"), "{msg}");
+    }
+
+    fn key_log(cells: usize) -> KeyLog {
+        KeyLog {
+            unstarted: cells,
+            log: LogState::Idle,
         }
+    }
+
+    /// A replay log of a small live run.
+    fn captured() -> ReplayLog {
+        let spec = catalog::by_name("FFT").expect("FFT");
+        let (_, log) = SimBuilder::new(Protocol::Ideal)
+            .procs(2)
+            .capture(spec.build(Scale::Test).as_ref());
+        log.expect("the log is written")
+    }
+
+    #[test]
+    fn a_cell_captures_only_for_a_later_cell_of_its_key() {
+        assert!(matches!(key_log(1).start(), Plan::Live));
+        let mut key = key_log(3);
+        assert!(matches!(key.start(), Plan::Capture));
+        // One capture at a time: the next cell runs live meanwhile.
+        assert!(matches!(key.start(), Plan::Live));
+        // A capture that finishes after the key's last cell started is
+        // not kept.
+        assert!(matches!(key.start(), Plan::Live));
+        key.finish(true, Some(Ran::Captured(Some(captured()))));
+        assert!(matches!(key.log, LogState::Idle));
+    }
+
+    #[test]
+    fn a_failed_capture_lets_the_next_cell_capture() {
+        let mut key = key_log(3);
+        assert!(matches!(key.start(), Plan::Capture));
+        key.finish(true, None); // failed or timed out
+        assert!(matches!(key.start(), Plan::Capture));
+        key.finish(true, Some(Ran::Captured(None))); // the log was not written
+        assert!(matches!(key.log, LogState::Idle));
+    }
+
+    #[test]
+    fn an_aborted_replay_makes_the_rest_of_the_key_live() {
+        let mut key = key_log(4);
+        assert!(matches!(key.start(), Plan::Capture));
+        key.finish(true, Some(Ran::Captured(Some(captured()))));
+        assert!(matches!(key.start(), Plan::Replay(_)));
+        key.finish(false, Some(Ran::Aborted));
+        assert!(matches!(key.start(), Plan::Live));
+        key.finish(false, Some(Ran::Live));
+        assert!(matches!(key.start(), Plan::Live));
+    }
+
+    #[test]
+    fn the_log_is_dropped_when_the_last_cell_of_its_key_starts() {
+        let mut key = key_log(3);
+        assert!(matches!(key.start(), Plan::Capture));
+        key.finish(true, Some(Ran::Captured(Some(captured()))));
+        let Plan::Replay(first) = key.start() else {
+            panic!("the second cell replays")
+        };
+        assert_eq!(Arc::strong_count(&first), 2, "the key keeps the log");
+        let Plan::Replay(last) = key.start() else {
+            panic!("the last cell replays")
+        };
+        assert!(matches!(key.log, LogState::Idle));
+        drop(first);
+        assert_eq!(Arc::strong_count(&last), 1, "only the last replay holds it");
     }
 
     #[cfg(unix)]
@@ -922,18 +949,5 @@ mod tests {
         // A rename installs a new inode; an in-place truncate would not.
         assert_ne!(inode(), first, "summary rewritten in place");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn unknown_application_is_a_failed_cell() {
-        let cell = Cell::new(
-            "No-Such-App",
-            Protocol::Hlrc,
-            LayerConfig::base(),
-            2,
-            Scale::Test,
-        );
-        let err = execute(&cell).expect_err("unknown app");
-        assert!(err.contains("No-Such-App"), "{err}");
     }
 }

@@ -8,9 +8,10 @@
 //! * [`Cell`] — a content-addressed cell description with a stable hash
 //!   ([`Cell::hash`]), so identical cells are recognized across binaries
 //!   and sessions;
-//! * [`Sweep`] — the builder front door: an in-process work-stealing
-//!   executor (std threads only) with per-cell panic capture, wall-time
-//!   limits, live progress and deterministic result ordering;
+//! * [`Sweep`] — the builder front door: an in-process executor whose
+//!   coordinator deals cells to one std thread per `--jobs` slot, with
+//!   per-cell panic capture, wall-time limits, live progress and
+//!   deterministic result ordering;
 //! * [`ResultStore`] — an append-only JSONL cache under `results/` keyed
 //!   by cell hash, making every sweep resumable and shareable between
 //!   binaries, and the only reader and writer of cache files (shard merges

@@ -45,8 +45,9 @@ pub struct CellRecord {
     /// worker-pool warmth — zeroed in [`CellRecord::canonical`] like
     /// `host_ms`).
     pub threads_spawned: u64,
-    /// OS threads recycled from the sweep's worker pool for this cell
-    /// (host-side, zeroed in canonical form).
+    /// OS threads recycled from an engine worker pool for this cell
+    /// (host-side, zeroed in canonical form; 0 for a catalog cell, whose
+    /// bodies run inline).
     pub threads_reused: u64,
 }
 
