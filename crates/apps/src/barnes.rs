@@ -25,7 +25,7 @@ use std::cell::RefCell;
 
 use ssm_proto::{async_body, AsyncBody, Cpu, SharedVec, Workload, World};
 
-use crate::common::{block_range, read_block, write_block, FLOP, INT_OP};
+use crate::common::{block_range, FLOP, INT_OP};
 
 /// Opening criterion (cell used whole if `size/dist < THETA`).
 const THETA: f64 = 0.5;
@@ -170,18 +170,16 @@ impl Tree {
             parent_center[1] + if oct & 2 != 0 { h } else { -h },
             parent_center[2] + if oct & 1 != 0 { h } else { -h },
         ];
-        write_block(p, &self.center, nc * 3, &c).await;
-        self.half.touch_write(p, nc, 1).await;
-        self.half.set_direct(nc, h);
-        write_block(p, &self.child, nc * 8, &[0i64; 8]).await;
+        self.center.write_range(p, nc * 3, &c).await;
+        self.half.write(p, nc, h).await;
+        self.child.write_range(p, nc * 8, &[0i64; 8]).await;
         p.compute(8 * INT_OP);
         (c, h)
     }
 
     async fn read_cell_geom(&self, p: &Cpu, cell: usize) -> ([f64; 3], f64) {
-        let c = read_block(p, &self.center, cell * 3, 3).await;
-        self.half.touch_read(p, cell, 1).await;
-        let h = self.half.get_direct(cell);
+        let c = self.center.read_range(p, cell * 3, 3).await;
+        let h = self.half.read(p, cell).await;
         ([c[0], c[1], c[2]], h)
     }
 
@@ -208,11 +206,11 @@ impl Tree {
             let (c, h) = self.read_cell_geom(p, cur).await;
             let oct = octant(&x, &c);
             p.compute(6 * INT_OP);
-            self.child.touch_read(p, cur * 8 + oct, 1).await;
-            match decode(self.child.get_direct(cur * 8 + oct)) {
+            match decode(self.child.read(p, cur * 8 + oct).await) {
                 Slot::Empty => {
-                    self.child.touch_write(p, cur * 8 + oct, 1).await;
-                    self.child.set_direct(cur * 8 + oct, encode(Slot::Body(b)));
+                    self.child
+                        .write(p, cur * 8 + oct, encode(Slot::Body(b)))
+                        .await;
                     if lock_cells {
                         p.unlock(locks[cur]).await;
                     }
@@ -231,12 +229,14 @@ impl Tree {
                     assert!(nc < pool.1, "cell pool exhausted");
                     pool.0 += 1;
                     let (ncenter, _nh) = self.create_cell(p, nc, &c, h, oct).await;
-                    let b2pos = read_block(p, pos, b2 * 3, 3).await;
+                    let b2pos = pos.read_range(p, b2 * 3, 3).await;
                     let o2 = octant(&b2pos, &ncenter);
-                    self.child.touch_write(p, nc * 8 + o2, 1).await;
-                    self.child.set_direct(nc * 8 + o2, encode(Slot::Body(b2)));
-                    self.child.touch_write(p, cur * 8 + oct, 1).await;
-                    self.child.set_direct(cur * 8 + oct, encode(Slot::Cell(nc)));
+                    self.child
+                        .write(p, nc * 8 + o2, encode(Slot::Body(b2)))
+                        .await;
+                    self.child
+                        .write(p, cur * 8 + oct, encode(Slot::Cell(nc)))
+                        .await;
                     if lock_cells {
                         p.unlock(locks[cur]).await;
                     }
@@ -266,7 +266,7 @@ impl Tree {
         }
         let frame = async |cell: usize| Frame {
             cell,
-            kids: read_block(p, &self.child, cell * 8, 8).await,
+            kids: self.child.read_range(p, cell * 8, 8).await,
             next: 0,
             mass: 0.0,
             w: [0.0; 3],
@@ -279,7 +279,7 @@ impl Tree {
                 match decode(k) {
                     Slot::Empty => {}
                     Slot::Body(b) => {
-                        let bp = read_block(p, pos, b * 3, 3).await;
+                        let bp = pos.read_range(p, b * 3, 3).await;
                         top.mass += body_mass;
                         for (wc, x) in top.w.iter_mut().zip(&bp) {
                             *wc += body_mass * x;
@@ -300,9 +300,8 @@ impl Tree {
             } else {
                 [0.0; 3]
             };
-            write_block(p, &self.com, cell * 3, &com).await;
-            self.cmass.touch_write(p, cell, 1).await;
-            self.cmass.set_direct(cell, mass);
+            self.com.write_range(p, cell * 3, &com).await;
+            self.cmass.write(p, cell, mass).await;
             let Some(parent) = stack.last_mut() else {
                 return (mass, w);
             };
@@ -335,19 +334,17 @@ impl Tree {
                     if b == me {
                         continue;
                     }
-                    let bp = read_block(p, pos, b * 3, 3).await;
+                    let bp = pos.read_range(p, b * 3, 3).await;
                     add_grav(&mut acc, &x, &[bp[0], bp[1], bp[2]], body_mass);
                     interactions += 1;
                 }
                 Slot::Cell(cell) => {
-                    self.cmass.touch_read(p, cell, 1).await;
-                    let m = self.cmass.get_direct(cell);
+                    let m = self.cmass.read(p, cell).await;
                     if m <= 0.0 {
                         continue;
                     }
-                    let com = read_block(p, &self.com, cell * 3, 3).await;
-                    self.half.touch_read(p, cell, 1).await;
-                    let h = self.half.get_direct(cell);
+                    let com = self.com.read_range(p, cell * 3, 3).await;
+                    let h = self.half.read(p, cell).await;
                     let d = [com[0] - x[0], com[1] - x[1], com[2] - x[2]];
                     let dist2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + SOFT;
                     let size = 4.0 * h * h; // (2 * half)^2
@@ -355,7 +352,7 @@ impl Tree {
                         add_grav(&mut acc, &x, &[com[0], com[1], com[2]], m);
                         interactions += 1;
                     } else {
-                        let kids = read_block(p, &self.child, cell * 8, 8).await;
+                        let kids = self.child.read_range(p, cell * 8, 8).await;
                         for &k in &kids {
                             let s = decode(k);
                             if s != Slot::Empty {
@@ -450,15 +447,13 @@ impl Workload for Barnes {
                         if pid == 0 {
                             // Reset the root (and, for the spatial variant,
                             // the eight top-level octant cells).
-                            write_block(p, &tree.center, 0, &[0.5, 0.5, 0.5]).await;
-                            tree.half.touch_write(p, 0, 1).await;
-                            tree.half.set_direct(0, 0.5);
-                            write_block(p, &tree.child, 0, &[0i64; 8]).await;
+                            tree.center.write_range(p, 0, &[0.5, 0.5, 0.5]).await;
+                            tree.half.write(p, 0, 0.5).await;
+                            tree.child.write_range(p, 0, &[0i64; 8]).await;
                             if variant == BarnesVariant::Spatial {
                                 for o in 0..8usize {
                                     tree.create_cell(p, 1 + o, &[0.5, 0.5, 0.5], 0.5, o).await;
-                                    tree.child.touch_write(p, o, 1).await;
-                                    tree.child.set_direct(o, encode(Slot::Cell(1 + o)));
+                                    tree.child.write(p, o, encode(Slot::Cell(1 + o))).await;
                                 }
                             }
                         }
@@ -467,7 +462,7 @@ impl Workload for Barnes {
                             BarnesVariant::Original => {
                                 // Concurrent locked insertion of my bodies.
                                 for b in b0..b1 {
-                                    let bp = read_block(p, &pos, b * 3, 3).await;
+                                    let bp = pos.read_range(p, b * 3, 3).await;
                                     tree.insert(
                                         p,
                                         &pos,
@@ -485,7 +480,7 @@ impl Workload for Barnes {
                                 // Lock-free build of my octants: read every
                                 // position coarsely, insert the bodies that
                                 // fall in octants assigned to me.
-                                let all = read_block(p, &pos, 0, n * 3).await;
+                                let all = pos.read_range(p, 0, n * 3).await;
                                 p.compute(n as u64 * 2 * INT_OP);
                                 for b in 0..n {
                                     let x = [all[b * 3], all[b * 3 + 1], all[b * 3 + 2]];
@@ -513,31 +508,29 @@ impl Workload for Barnes {
                             if o % np != pid {
                                 continue;
                             }
-                            tree.child.touch_read(p, o, 1).await;
-                            if let Slot::Cell(c) = decode(tree.child.get_direct(o)) {
+                            if let Slot::Cell(c) = decode(tree.child.read(p, o).await) {
                                 tree.compute_com(p, &pos, body_mass, c).await;
                             }
                         }
                         p.barrier(bar).await;
                         if pid == 0 {
                             // Root COM from its children.
-                            let kids = read_block(p, &tree.child, 0, 8).await;
+                            let kids = tree.child.read_range(p, 0, 8).await;
                             let mut mass = 0.0;
                             let mut w = [0.0f64; 3];
                             for &k in &kids {
                                 match decode(k) {
                                     Slot::Empty => {}
                                     Slot::Body(b) => {
-                                        let bp = read_block(p, &pos, b * 3, 3).await;
+                                        let bp = pos.read_range(p, b * 3, 3).await;
                                         mass += body_mass;
                                         for c in 0..3 {
                                             w[c] += body_mass * bp[c];
                                         }
                                     }
                                     Slot::Cell(sub) => {
-                                        tree.cmass.touch_read(p, sub, 1).await;
-                                        let m = tree.cmass.get_direct(sub);
-                                        let sc = read_block(p, &tree.com, sub * 3, 3).await;
+                                        let m = tree.cmass.read(p, sub).await;
+                                        let sc = tree.com.read_range(p, sub * 3, 3).await;
                                         mass += m;
                                         for c in 0..3 {
                                             w[c] += m * sc[c];
@@ -551,35 +544,34 @@ impl Workload for Barnes {
                             } else {
                                 [0.0; 3]
                             };
-                            write_block(p, &tree.com, 0, &root_com).await;
-                            tree.cmass.touch_write(p, 0, 1).await;
-                            tree.cmass.set_direct(0, mass);
+                            tree.com.write_range(p, 0, &root_com).await;
+                            tree.cmass.write(p, 0, mass).await;
                         }
                         p.barrier(bar).await;
                         // --- Force phase ---
                         for b in b0..b1 {
-                            let bp = read_block(p, &pos, b * 3, 3).await;
+                            let bp = pos.read_range(p, b * 3, 3).await;
                             let (a, inter) = tree
                                 .force_on(p, &pos, body_mass, b, [bp[0], bp[1], bp[2]], 0)
                                 .await;
                             p.compute(inter * 20 * FLOP);
-                            write_block(p, &acc, b * 3, &a).await;
+                            acc.write_range(p, b * 3, &a).await;
                         }
                         p.barrier(bar).await;
                         // --- Integration (skipped on the last step so the
                         // accelerations correspond to the final positions
                         // for verification) ---
                         if step + 1 < steps {
-                            let f = read_block(p, &acc, b0 * 3, (b1 - b0) * 3).await;
-                            let mut v = read_block(p, &vel, b0 * 3, (b1 - b0) * 3).await;
-                            let mut x = read_block(p, &pos, b0 * 3, (b1 - b0) * 3).await;
+                            let f = acc.read_range(p, b0 * 3, (b1 - b0) * 3).await;
+                            let mut v = vel.read_range(p, b0 * 3, (b1 - b0) * 3).await;
+                            let mut x = pos.read_range(p, b0 * 3, (b1 - b0) * 3).await;
                             for k in 0..(b1 - b0) * 3 {
                                 v[k] += f[k] * DT;
                                 x[k] = (x[k] + v[k] * DT).clamp(0.02, 0.98);
                             }
                             p.compute(((b1 - b0) * 3) as u64 * 4 * FLOP);
-                            write_block(p, &vel, b0 * 3, &v).await;
-                            write_block(p, &pos, b0 * 3, &x).await;
+                            vel.write_range(p, b0 * 3, &v).await;
+                            pos.write_range(p, b0 * 3, &x).await;
                         }
                         p.barrier(bar).await;
                     }

@@ -1,5 +1,5 @@
 //! Shared helpers for the application suite: work partitioning, cycle-cost
-//! constants, complex arithmetic, and coarse-grained shared-array I/O.
+//! constants, complex arithmetic, and running a future that never suspends.
 //!
 //! # Cost model
 //!
@@ -12,8 +12,6 @@
 use std::future::Future;
 use std::pin::pin;
 use std::task::{Context, Poll, Waker};
-
-use ssm_proto::{Cpu, Scalar, SharedVec};
 
 /// Cycles charged per floating-point operation (with surrounding loads,
 /// stores and address arithmetic at 1 IPC).
@@ -113,21 +111,6 @@ pub fn block_range(n: usize, nprocs: usize, pid: usize) -> (usize, usize) {
     let start = pid * base + pid.min(rem);
     let len = base + usize::from(pid < rem);
     (start, start + len)
-}
-
-/// Reads `len` consecutive elements starting at `i` with a single simulated
-/// coarse access, returning the values. This is how the suite models the
-/// blocked/staged copies SPLASH-2 applications use.
-pub async fn read_block<T: Scalar>(p: &Cpu, v: &SharedVec<T>, i: usize, len: usize) -> Vec<T> {
-    v.touch_read(p, i, len).await;
-    v.read_range_direct(i, len)
-}
-
-/// Writes `vals` to consecutive elements starting at `i` with a single
-/// simulated coarse access.
-pub async fn write_block<T: Scalar>(p: &Cpu, v: &SharedVec<T>, i: usize, vals: &[T]) {
-    v.touch_write(p, i, vals.len()).await;
-    v.write_range_direct(i, vals);
 }
 
 /// The value of a future that never suspends: application code run

@@ -18,9 +18,7 @@ use std::sync::Arc;
 
 use ssm_proto::{async_body, AsyncBody, Cpu, SharedVec, Workload, World};
 
-use crate::common::{
-    block_range, fft_cycles, fft_in_place, read_block, write_block, Cx, COPY, FLOP,
-};
+use crate::common::{block_range, fft_cycles, fft_in_place, Cx, COPY, FLOP};
 
 /// The FFT workload. `n` complex points (a power of four so the matrix is
 /// square).
@@ -166,7 +164,7 @@ async fn fft_band(
     twiddle: Option<&Roots>,
 ) {
     for r in r0..r1 {
-        let seg = read_block(p, v, r * m * 2, m * 2).await;
+        let seg = v.read_range(p, r * m * 2, m * 2).await;
         let mut row: Vec<Cx> = (0..m)
             .map(|i| Cx::new(seg[2 * i], seg[2 * i + 1]))
             .collect();
@@ -181,7 +179,7 @@ async fn fft_band(
             p.compute(m as u64 * 6 * FLOP);
         }
         let flat: Vec<f64> = row.iter().flat_map(|c| [c.re, c.im]).collect();
-        write_block(p, v, r * m * 2, &flat).await;
+        v.write_range(p, r * m * 2, &flat).await;
     }
 }
 

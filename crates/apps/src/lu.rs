@@ -15,7 +15,7 @@ use std::cell::RefCell;
 
 use ssm_proto::{async_body, AsyncBody, SharedVec, Workload, World};
 
-use crate::common::{read_block, write_block, FLOP};
+use crate::common::FLOP;
 
 /// Deterministic matrix entry (regenerable by verification).
 fn a_init(n: usize, i: usize, j: usize) -> f64 {
@@ -170,10 +170,10 @@ impl Workload for Lu {
                     for k in 0..nb {
                         // Phase 1: factor the diagonal block.
                         if owner(k, k, pr, pc) == pid {
-                            let mut d = read_block(p, &a, base_of(k, k), bsz).await;
+                            let mut d = a.read_range(p, base_of(k, k), bsz).await;
                             lu0(&mut d, b);
                             p.compute(2 * flops_block / 3);
-                            write_block(p, &a, base_of(k, k), &d).await;
+                            a.write_range(p, base_of(k, k), &d).await;
                         }
                         p.barrier(bar).await;
                         // Phase 2: perimeter updates.
@@ -181,21 +181,21 @@ impl Workload for Lu {
                         for i in k + 1..nb {
                             if owner(i, k, pr, pc) == pid {
                                 if diag.is_none() {
-                                    diag = Some(read_block(p, &a, base_of(k, k), bsz).await);
+                                    diag = Some(a.read_range(p, base_of(k, k), bsz).await);
                                 }
-                                let mut x = read_block(p, &a, base_of(i, k), bsz).await;
+                                let mut x = a.read_range(p, base_of(i, k), bsz).await;
                                 bdiv(&mut x, diag.as_ref().expect("diag loaded"), b);
                                 p.compute(flops_block);
-                                write_block(p, &a, base_of(i, k), &x).await;
+                                a.write_range(p, base_of(i, k), &x).await;
                             }
                             if owner(k, i, pr, pc) == pid {
                                 if diag.is_none() {
-                                    diag = Some(read_block(p, &a, base_of(k, k), bsz).await);
+                                    diag = Some(a.read_range(p, base_of(k, k), bsz).await);
                                 }
-                                let mut x = read_block(p, &a, base_of(k, i), bsz).await;
+                                let mut x = a.read_range(p, base_of(k, i), bsz).await;
                                 bmodd(&mut x, diag.as_ref().expect("diag loaded"), b);
                                 p.compute(flops_block);
-                                write_block(p, &a, base_of(k, i), &x).await;
+                                a.write_range(p, base_of(k, i), &x).await;
                             }
                         }
                         p.barrier(bar).await;
@@ -208,13 +208,13 @@ impl Workload for Lu {
                                 }
                                 // Cache the row's L block across j.
                                 if lcache.as_ref().map(|(li, _)| *li) != Some(i) {
-                                    lcache = Some((i, read_block(p, &a, base_of(i, k), bsz).await));
+                                    lcache = Some((i, a.read_range(p, base_of(i, k), bsz).await));
                                 }
-                                let u = read_block(p, &a, base_of(k, j), bsz).await;
-                                let mut x = read_block(p, &a, base_of(i, j), bsz).await;
+                                let u = a.read_range(p, base_of(k, j), bsz).await;
+                                let mut x = a.read_range(p, base_of(i, j), bsz).await;
                                 bmod(&mut x, &lcache.as_ref().expect("L cached").1, &u, b);
                                 p.compute(2 * flops_block);
-                                write_block(p, &a, base_of(i, j), &x).await;
+                                a.write_range(p, base_of(i, j), &x).await;
                             }
                         }
                         p.barrier(bar).await;

@@ -20,7 +20,7 @@ use std::cell::RefCell;
 
 use ssm_proto::{async_body, AsyncBody, SharedVec, Workload, World};
 
-use crate::common::{block_range, read_block, FLOP, INT_OP};
+use crate::common::{block_range, FLOP, INT_OP};
 
 /// Fixed boundary value at grid point `(i, j)`.
 fn boundary(i: usize, j: usize) -> f64 {
@@ -258,7 +258,7 @@ impl Workload for Ocean {
                             match variant {
                                 OceanVariant::Contiguous => {
                                     let base = layout.index(r0, c0);
-                                    let blk = read_block(p, &grid, base, h * w).await;
+                                    let blk = grid.read_range(p, base, h * w).await;
                                     for r in 0..h {
                                         for c in 0..w {
                                             local[(r + 1) * lw + c + 1] = blk[r * w + c];
@@ -267,7 +267,7 @@ impl Workload for Ocean {
                                 }
                                 OceanVariant::Rowwise => {
                                     let base = layout.index(r0, 0);
-                                    let blk = read_block(p, &grid, base, h * total).await;
+                                    let blk = grid.read_range(p, base, h * total).await;
                                     for r in 0..h {
                                         for c in 0..w {
                                             local[(r + 1) * lw + c + 1] = blk[r * total + c];
@@ -289,7 +289,7 @@ impl Workload for Ocean {
                                         {
                                             len += 1;
                                         }
-                                        let seg = read_block(p, &grid, start_idx, len).await;
+                                        let seg = grid.read_range(p, start_idx, len).await;
                                         for (t, v) in seg.into_iter().enumerate() {
                                             local[dst_r * lw + (j - c0) + 1 + t] = v;
                                         }
@@ -308,15 +308,13 @@ impl Workload for Ocean {
                             if c0 > 0 {
                                 for r in 0..h {
                                     let idx = layout.index(r0 + r, c0 - 1);
-                                    grid.touch_read(p, idx, 1).await;
-                                    local[(r + 1) * lw] = grid.get_direct(idx);
+                                    local[(r + 1) * lw] = grid.read(p, idx).await;
                                 }
                             }
                             if c1 < total {
                                 for r in 0..h {
                                     let idx = layout.index(r0 + r, c1);
-                                    grid.touch_read(p, idx, 1).await;
-                                    local[(r + 1) * lw + w + 1] = grid.get_direct(idx);
+                                    local[(r + 1) * lw + w + 1] = grid.read(p, idx).await;
                                 }
                             }
                             // Update my interior cells of this color.
@@ -346,8 +344,7 @@ impl Workload for Ocean {
                             // alternate; there is no contiguous run to
                             // batch).
                             for (idx, v) in updates {
-                                grid.touch_write(p, idx, 1).await;
-                                grid.set_direct(idx, v);
+                                grid.write(p, idx, v).await;
                             }
                             p.barrier(bar).await;
                         }

@@ -21,7 +21,7 @@ use std::cell::RefCell;
 
 use ssm_proto::{async_body, AsyncBody, SharedVec, Workload, World};
 
-use crate::common::{block_range, read_block, write_block, INT_OP};
+use crate::common::{block_range, INT_OP};
 
 /// Digit width in bits (radix 256).
 const DIGIT_BITS: u32 = 8;
@@ -149,18 +149,18 @@ impl Workload for Radix {
                         let shift = pass * DIGIT_BITS;
                         let (from, to) = (arrays[0], arrays[1]);
                         // Phase 1: local histogram of my segment.
-                        let mine = read_block(p, from, k0, k1 - k0).await;
+                        let mine = from.read_range(p, k0, k1 - k0).await;
                         let mut counts = vec![0u32; R];
                         for &k in &mine {
                             counts[((k >> shift) as usize) & (R - 1)] += 1;
                         }
                         p.compute(mine.len() as u64 * INT_OP);
-                        write_block(p, &hist, pid * R, &counts).await;
+                        hist.write_range(p, pid * R, &counts).await;
                         p.barrier(bar).await;
                         // Phase 2: read all histograms, compute my bases.
                         let mut all = Vec::with_capacity(np);
                         for q in 0..np {
-                            all.push(read_block(p, &hist, q * R, R).await);
+                            all.push(hist.read_range(p, q * R, R).await);
                         }
                         p.compute((np * R) as u64 * INT_OP);
                         let mut base = vec![0u32; R];
@@ -195,7 +195,7 @@ impl Workload for Radix {
                                 // region (local, coarse, single-writer).
                                 let sorted = digit_sort(&mine, &counts, shift);
                                 p.compute(mine.len() as u64 * 3 * INT_OP);
-                                write_block(p, &buf, k0, &sorted).await;
+                                buf.write_range(p, k0, &sorted).await;
                                 p.barrier(bar).await;
                                 // 3b: gather my destination range with
                                 // contiguous remote reads. Bucket (q, d)
@@ -226,14 +226,14 @@ impl Workload for Radix {
                                         let hi = (g + len).min(k1);
                                         if lo < hi {
                                             let off = bucket_at[q][d] + (lo - g);
-                                            let vals = read_block(p, &buf, off, hi - lo).await;
+                                            let vals = buf.read_range(p, off, hi - lo).await;
                                             out.extend_from_slice(&vals);
                                         }
                                         g += len;
                                     }
                                 }
                                 p.compute(out.len() as u64 * INT_OP);
-                                write_block(p, to, k0, &out).await;
+                                to.write_range(p, k0, &out).await;
                             }
                         }
                         p.barrier(bar).await;

@@ -17,7 +17,7 @@ use std::cell::RefCell;
 
 use ssm_proto::{async_body, AsyncBody, SharedVec, Workload, World};
 
-use crate::common::{read_block, ready, FLOP, INT_OP};
+use crate::common::{ready, FLOP, INT_OP};
 use crate::taskq::TaskQueues;
 
 /// Grid resolution per axis of the acceleration structure.
@@ -311,17 +311,17 @@ impl Workload for Raytrace {
                                     res,
                                     ns,
                                     &mut async |i| {
-                                        v_starts.touch_read(p, i, 1).await;
+                                        let s = v_starts.read(p, i).await;
                                         p.compute(2 * INT_OP);
-                                        v_starts.get_direct(i)
+                                        s
                                     },
                                     &mut async |i| {
-                                        v_items.touch_read(p, i, 1).await;
+                                        let s = v_items.read(p, i).await;
                                         p.compute(INT_OP);
-                                        v_items.get_direct(i)
+                                        s
                                     },
                                     &mut async |i| {
-                                        let f = read_block(p, &v_sph, i * 5, 5).await;
+                                        let f = v_sph.read_range(p, i * 5, 5).await;
                                         p.compute(15 * FLOP);
                                         Sphere {
                                             c: [f[0], f[1], f[2]],

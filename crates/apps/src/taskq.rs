@@ -63,23 +63,18 @@ impl TaskQueues {
             let base = victim * self.stride;
             p.lock(self.locks[victim]).await;
             // Head and tail live together: one fine-grained read.
-            self.store.touch_read(p, base, 2).await;
-            let head = self.store.get_direct(base) as usize;
-            let tail = self.store.get_direct(base + 1) as usize;
+            let hdr = self.store.read_range(p, base, 2).await;
+            let (head, tail) = (hdr[0] as usize, hdr[1] as usize);
             let got = if head < tail {
                 if victim == me {
                     // Own queue: take from the head.
-                    self.store.touch_read(p, base + HDR + head, 1).await;
-                    let t = self.store.get_direct(base + HDR + head);
-                    self.store.touch_write(p, base, 1).await;
-                    self.store.set_direct(base, head as u32 + 1);
+                    let t = self.store.read(p, base + HDR + head).await;
+                    self.store.write(p, base, head as u32 + 1).await;
                     Some((t, false))
                 } else {
                     // Steal from the tail.
-                    self.store.touch_read(p, base + HDR + tail - 1, 1).await;
-                    let t = self.store.get_direct(base + HDR + tail - 1);
-                    self.store.touch_write(p, base + 1, 1).await;
-                    self.store.set_direct(base + 1, tail as u32 - 1);
+                    let t = self.store.read(p, base + HDR + tail - 1).await;
+                    self.store.write(p, base + 1, tail as u32 - 1).await;
                     Some((t, true))
                 }
             } else {

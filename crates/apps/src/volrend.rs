@@ -23,7 +23,7 @@ use std::cell::RefCell;
 
 use ssm_proto::{async_body, AsyncBody, SharedVec, Workload, World};
 
-use crate::common::{ready, write_block, FLOP, INT_OP};
+use crate::common::{ready, FLOP, INT_OP};
 use crate::taskq::TaskQueues;
 
 /// Tile edge in pixels.
@@ -255,8 +255,7 @@ impl Workload for Volrend {
                             for (i, px) in (tx..tx + TILE).enumerate() {
                                 let (val, steps) = cast_ray(v, px, py, &mut async |x, y, z| {
                                     let idx = (z * v + y) * v + x;
-                                    volume.touch_read(p, idx, 1).await;
-                                    volume.get_direct(idx)
+                                    volume.read(p, idx).await
                                 })
                                 .await;
                                 p.compute(steps as u64 * (6 * FLOP + 2 * INT_OP));
@@ -269,7 +268,7 @@ impl Workload for Volrend {
                                     }
                                 }
                                 VolrendVariant::Restructured => {
-                                    write_block(p, &image, py * v + tx, &row).await;
+                                    image.write_range(p, py * v + tx, &row).await;
                                 }
                             }
                         }

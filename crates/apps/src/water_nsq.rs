@@ -23,7 +23,7 @@ use std::cell::RefCell;
 
 use ssm_proto::{async_body, AsyncBody, SharedVec, Workload, World};
 
-use crate::common::{block_range, read_block, write_block, FLOP};
+use crate::common::{block_range, FLOP};
 
 /// Integration step.
 const DT: f64 = 1e-3;
@@ -150,13 +150,15 @@ impl Workload for WaterNsq {
                     let (m0, m1) = block_range(n, p.nprocs(), pid);
                     for _ in 0..steps {
                         // Phase 1: zero my forces.
-                        write_block(p, &force, m0 * 3, &vec![0.0; (m1 - m0) * 3]).await;
+                        force
+                            .write_range(p, m0 * 3, &vec![0.0; (m1 - m0) * 3])
+                            .await;
                         p.barrier(bar).await;
                         // Phase 2: pair forces. Read all positions coarsely
                         // (read-mostly), accumulate my own contributions
                         // privately, push contributions to others under
                         // their molecule lock.
-                        let all_pos = read_block(p, &pos, 0, n * 3).await;
+                        let all_pos = pos.read_range(p, 0, n * 3).await;
                         let mut partial = vec![0.0f64; n * 3];
                         let mut touched = vec![false; n];
                         for i in m0..m1 {
@@ -185,32 +187,32 @@ impl Workload for WaterNsq {
                                 continue;
                             }
                             p.lock(locks[j]).await;
-                            let cur = read_block(p, &force, j * 3, 3).await;
-                            write_block(
-                                p,
-                                &force,
-                                j * 3,
-                                &[
-                                    cur[0] + partial[j * 3],
-                                    cur[1] + partial[j * 3 + 1],
-                                    cur[2] + partial[j * 3 + 2],
-                                ],
-                            )
-                            .await;
+                            let cur = force.read_range(p, j * 3, 3).await;
+                            force
+                                .write_range(
+                                    p,
+                                    j * 3,
+                                    &[
+                                        cur[0] + partial[j * 3],
+                                        cur[1] + partial[j * 3 + 1],
+                                        cur[2] + partial[j * 3 + 2],
+                                    ],
+                                )
+                                .await;
                             p.unlock(locks[j]).await;
                         }
                         p.barrier(bar).await;
                         // Phase 3: integrate my molecules.
-                        let f = read_block(p, &force, m0 * 3, (m1 - m0) * 3).await;
-                        let mut v = read_block(p, &vel, m0 * 3, (m1 - m0) * 3).await;
-                        let mut x = read_block(p, &pos, m0 * 3, (m1 - m0) * 3).await;
+                        let f = force.read_range(p, m0 * 3, (m1 - m0) * 3).await;
+                        let mut v = vel.read_range(p, m0 * 3, (m1 - m0) * 3).await;
+                        let mut x = pos.read_range(p, m0 * 3, (m1 - m0) * 3).await;
                         for k in 0..(m1 - m0) * 3 {
                             v[k] += f[k] * DT;
                             x[k] += v[k] * DT;
                         }
                         p.compute(((m1 - m0) * 3) as u64 * 4 * FLOP);
-                        write_block(p, &vel, m0 * 3, &v).await;
-                        write_block(p, &pos, m0 * 3, &x).await;
+                        vel.write_range(p, m0 * 3, &v).await;
+                        pos.write_range(p, m0 * 3, &x).await;
                         p.barrier(bar).await;
                     }
                 })

@@ -22,7 +22,7 @@ use std::cell::RefCell;
 
 use ssm_proto::{async_body, AsyncBody, SharedVec, Workload, World};
 
-use crate::common::{block_range, read_block, write_block, FLOP};
+use crate::common::{block_range, FLOP};
 
 /// Integration step.
 const DT: f64 = 1e-3;
@@ -164,7 +164,7 @@ impl Workload for WaterSp {
                     for _ in 0..steps {
                         // Phase 1: read all positions (read-mostly sharing)
                         // and pick my molecules by current cell.
-                        let all_pos = read_block(p, &pos, 0, n * 3).await;
+                        let all_pos = pos.read_range(p, 0, n * 3).await;
                         let mine: Vec<usize> = (0..n)
                             .filter(|&i| {
                                 let x = [all_pos[i * 3], all_pos[i * 3 + 1], all_pos[i * 3 + 2]];
@@ -204,16 +204,16 @@ impl Workload for WaterSp {
                         // Phase 3: integrate my molecules; update cell
                         // occupancy under locks on boundary crossings.
                         for (t, &i) in mine.iter().enumerate() {
-                            let mut v = read_block(p, &vel, i * 3, 3).await;
-                            let mut x = read_block(p, &pos, i * 3, 3).await;
+                            let mut v = vel.read_range(p, i * 3, 3).await;
+                            let mut x = pos.read_range(p, i * 3, 3).await;
                             let before = cell_of([x[0], x[1], x[2]]);
                             for c in 0..3 {
                                 v[c] += forces[t][c] * DT;
                                 x[c] += v[c] * DT;
                             }
                             p.compute(12 * FLOP);
-                            write_block(p, &vel, i * 3, &v).await;
-                            write_block(p, &pos, i * 3, &x).await;
+                            vel.write_range(p, i * 3, &v).await;
+                            pos.write_range(p, i * 3, &x).await;
                             let after = cell_of([x[0], x[1], x[2]]);
                             if before != after {
                                 let (lo, hi) = (before.min(after), before.max(after));

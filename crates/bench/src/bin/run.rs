@@ -10,12 +10,15 @@
 //! Shares the sweep cache: a cell this runner executes is a cache hit for
 //! every figure/table binary, and vice versa.
 //!
+//! `--protocol` takes any protocol's table label in any case (`HLRC`,
+//! `sc-delayed`, ...).
+//!
 //! Exits 1 if the cell failed, timed out or did not verify (after printing
 //! the requested report), 2 on a usage error.
 
 use ssm_apps::catalog::{by_name, suite};
 use ssm_core::{CommPreset, LayerConfig, ProtoPreset, Protocol};
-use ssm_proto::HomePolicy;
+use ssm_proto::{HomeMap, HomePolicy};
 use ssm_stats::{Bucket, Table};
 use ssm_sweep::prelude::*;
 
@@ -48,22 +51,27 @@ fn parse() -> (SweepCli, Extra) {
         let mut val = || args.next().unwrap_or_else(|| usage());
         match flag {
             "--protocol" => {
-                x.protocol = Some(match val().as_str() {
-                    "hlrc" => Protocol::Hlrc,
-                    "aurc" => Protocol::Aurc,
-                    "sc" => Protocol::Sc,
-                    "sc-delayed" => Protocol::ScDelayed,
-                    "rdma" => Protocol::Rdma,
-                    "ideal" => Protocol::Ideal,
-                    _ => usage(),
-                })
+                let v = val();
+                x.protocol = Some(
+                    Protocol::ALL
+                        .into_iter()
+                        .find(|p| p.label().eq_ignore_ascii_case(&v))
+                        .unwrap_or_else(|| usage()),
+                )
             }
             "--comm" => x.comm = Some(CommPreset::from_label(&val()).unwrap_or_else(|_| usage())),
             "--proto" => {
                 x.proto = Some(ProtoPreset::from_label(&val()).unwrap_or_else(|_| usage()))
             }
             "--homes" => x.homes = Some(HomePolicy::from_label(&val()).unwrap_or_else(|_| usage())),
-            "--block" => x.sc_block = Some(val().parse().unwrap_or_else(|_| usage())),
+            "--block" => {
+                let b = val().parse().unwrap_or_else(|_| usage());
+                if let Err(e) = HomeMap::check_unit(b) {
+                    eprintln!("error: {e}");
+                    std::process::exit(2)
+                }
+                x.sc_block = Some(b)
+            }
             "--breakdown" => x.breakdown = true,
             "--counters" => x.counters = true,
             "--perproc" => x.perproc = true,

@@ -10,8 +10,8 @@
 //! The engine knows nothing about caches, networks or coherence protocols —
 //! those are built on top of two primitives provided here:
 //!
-//! * [`Resource`] and [`Pipe`] — occupancy- and bandwidth-contended shared
-//!   resources (a CPU, an NI processor, an I/O bus, a memory bus),
+//! * [`Resource`] — a contended shared unit with FIFO queueing (a CPU, an
+//!   NI processor, an I/O bus, a memory bus),
 //! * [`ThreadPool`] — execution-driven application threads: each simulated
 //!   processor's program runs on a real OS thread, but a strict baton
 //!   guarantees that **at most one application thread executes at any
@@ -34,7 +34,7 @@ pub mod resource;
 pub mod threads;
 pub mod workers;
 
-pub use resource::{Pipe, Resource};
+pub use resource::Resource;
 pub use threads::{Resumed, ThreadId, ThreadPool, Yielder};
 pub use workers::WorkerSet;
 

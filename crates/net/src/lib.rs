@@ -24,7 +24,7 @@
 //! processor, which the protocol layer charges when it dispatches the
 //! handler.
 
-use ssm_engine::{Cycles, Pipe, Resource};
+use ssm_engine::{Cycles, Resource};
 
 /// Communication-layer cost parameters (the paper's Table 2).
 ///
@@ -35,7 +35,7 @@ pub struct CommParams {
     /// Host processor busy time per message send.
     pub host_overhead: Cycles,
     /// I/O bus bandwidth as an exact rational: `Some((bytes, cycles))`
-    /// means `bytes` per `cycles`; `None` means infinite.
+    /// means `bytes` per `cycles` (both non-zero); `None` means infinite.
     pub io_bus_rate: Option<(u64, u64)>,
     /// NI processor occupancy per packet.
     pub ni_occupancy: Cycles,
@@ -293,7 +293,7 @@ pub struct Transmission {
 
 struct Endpoint {
     ni: Resource,
-    io_bus: Pipe,
+    io_bus: Resource,
 }
 
 /// The cluster interconnect: one NI + I/O bus per node, free links.
@@ -322,16 +322,17 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// Panics if `nodes < 2` or `max_packet == 0`.
+    /// Panics if `nodes < 2`, `max_packet == 0`, or a term of
+    /// `io_bus_rate` is zero.
     pub fn new(nodes: usize, params: CommParams) -> Self {
         assert!(nodes >= 2, "a cluster needs at least two nodes");
         assert!(params.max_packet > 0, "packets must hold at least one byte");
+        if let Some((b, c)) = params.io_bus_rate {
+            assert!(b > 0 && c > 0, "rate terms must be non-zero");
+        }
         let mk = || Endpoint {
             ni: Resource::new(),
-            io_bus: match params.io_bus_rate {
-                Some((b, c)) => Pipe::new(b, c),
-                None => Pipe::infinite(),
-            },
+            io_bus: Resource::new(),
         };
         Network {
             nodes: (0..nodes).map(|_| mk()).collect(),
@@ -390,8 +391,9 @@ impl Network {
         while remaining > 0 {
             let pkt = remaining.min(self.params.max_packet);
             remaining -= pkt;
+            let io = self.io_cycles(pkt);
             // DMA host -> NI over the source I/O bus.
-            let t1 = self.nodes[src].io_bus.transfer(src_ready, pkt);
+            let t1 = self.nodes[src].io_bus.acquire(src_ready, io);
             // NI prepares the packet.
             let t2 = self.nodes[src].ni.acquire(t1, self.params.ni_occupancy);
             // Next packet can start DMA as soon as this one left the bus.
@@ -400,7 +402,7 @@ impl Network {
             let t3 = t2 + self.params.link_latency;
             // DMA NI -> host at the destination.
             let t4 = if reaches_dst {
-                self.nodes[dst].io_bus.transfer(t3, pkt)
+                self.nodes[dst].io_bus.acquire(t3, io)
             } else {
                 t3
             };
@@ -483,14 +485,19 @@ impl Network {
     /// One-way zero-load latency of a `bytes` message (no contention), for
     /// reporting and sanity checks.
     pub fn zero_load_latency(&self, bytes: u64) -> Cycles {
-        let bytes = bytes.max(1);
         let p = &self.params;
-        let io = match p.io_bus_rate {
-            None => 0,
-            Some((b, c)) => (bytes.min(p.max_packet) * c).div_ceil(b),
-        };
+        let io = self.io_cycles(bytes.max(1).min(p.max_packet));
         // First packet: out-bus + occupancy + link + in-bus.
         io + p.ni_occupancy + p.link_latency + io
+    }
+
+    /// Cycles the I/O bus is busy moving one `bytes`-byte packet: the
+    /// exact ceiling of `io_bus_rate`, 0 on an infinite bus.
+    fn io_cycles(&self, bytes: u64) -> Cycles {
+        match self.params.io_bus_rate {
+            None => 0,
+            Some((b, c)) => (bytes * c).div_ceil(b),
+        }
     }
 }
 
@@ -543,6 +550,31 @@ mod tests {
         assert_eq!(contended, uncontended + (250 - 128));
         // Other nodes' NIs are untouched.
         assert_eq!(net.rdma_serve(1000, 0), 1250);
+    }
+
+    /// A two-node network whose I/O bus moves at `io_bus_rate`.
+    fn with_io_bus(io_bus_rate: Option<(u64, u64)>) -> Network {
+        let params = CommParams {
+            io_bus_rate,
+            ..CommParams::achievable()
+        };
+        Network::new(2, params)
+    }
+
+    #[test]
+    fn io_cycles_is_the_exact_ceiling() {
+        let slow = with_io_bus(Some((2, 3))); // 2 bytes / 3 cycles
+        assert_eq!(slow.io_cycles(0), 0);
+        assert_eq!(slow.io_cycles(1), 2); // ceil(3/2)
+        assert_eq!(slow.io_cycles(2), 3);
+        assert_eq!(slow.io_cycles(4096), 6144);
+        assert_eq!(with_io_bus(None).io_cycles(u64::MAX / 2), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-zero")]
+    fn zero_rate_term_is_rejected() {
+        let _ = with_io_bus(Some((0, 1)));
     }
 
     #[test]

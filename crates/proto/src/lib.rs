@@ -21,6 +21,7 @@
 pub mod costs;
 pub mod machine;
 pub mod protocol;
+#[allow(unsafe_code)] // the one `unsafe` island (DESIGN.md §11)
 pub mod shmem;
 pub mod sync;
 pub mod vm;
@@ -29,7 +30,7 @@ pub mod workload;
 pub use costs::{PerWord, ProtoCosts};
 pub use machine::{Machine, SendFrom, TraceEvent};
 pub use protocol::{Ideal, Protocol, WorldShape};
-pub use shmem::{BarrierId, LockId, Scalar, SharedMem, SharedVec, World};
+pub use shmem::{BarrierId, LockId, Scalar, SharedVec, World};
 pub use sync::{BarrierTable, LockTable, SyncManager};
 pub use vm::{Batch, Cpu, Flush, Handoff, Op, Proc, BATCH_CAP};
 pub use workload::{async_body, AsyncBody, BodyFuture, ThreadBody, Workload};
@@ -96,18 +97,25 @@ impl HomeMap {
     ///
     /// # Panics
     ///
-    /// Panics unless `unit` is a power of two in `[4, PAGE_SIZE]`.
+    /// Panics unless [`HomeMap::check_unit`] accepts `unit`.
     pub fn new(policy: HomePolicy, unit: u64) -> Self {
-        assert!(
-            unit.is_power_of_two() && (4..=PAGE_SIZE).contains(&unit),
-            "block must be a power of two between 4 B and the page size"
-        );
+        Self::check_unit(unit).unwrap_or_else(|e| panic!("{e}"));
         HomeMap {
             policy,
             shift: unit.trailing_zeros(),
             nodes: 1,
             assigned: Vec::new(),
             units: 0,
+        }
+    }
+
+    /// Whether `unit` can be a coherence unit: a power of two in
+    /// `[4, PAGE_SIZE]`.
+    pub fn check_unit(unit: u64) -> Result<(), &'static str> {
+        if unit.is_power_of_two() && (4..=PAGE_SIZE).contains(&unit) {
+            Ok(())
+        } else {
+            Err("block must be a power of two between 4 B and the page size")
         }
     }
 

@@ -2,16 +2,22 @@
 //!
 //! The simulator is *timing-directed*: coherence protocols track page/block
 //! metadata and charge time, while application **data** lives exactly once,
-//! in a [`SharedMem`] byte store shared by all application bodies. The
-//! driver polls the bodies on its own thread, one at a time. Bodies run on
-//! OS threads by the thread adapter ([`crate::Proc`]) take turns on the
-//! engine's baton, which guarantees that at most one of them executes at
-//! any instant (see `ssm-engine::threads`), so plain unsynchronized access
-//! can never race. The baton is passed over channels, and a channel `send`
-//! happens-before its matching `recv`, so each thread sees every write the
-//! previous baton holder made.
+//! in a byte store shared by all application bodies. The store is private
+//! to this module: [`World`] allocates in it and [`SharedVec`] reads and
+//! writes it, and nothing else reaches it (see [`SharedVec`] for the two
+//! access families).
 //!
-//! This module is the workspace's one `unsafe` island (see DESIGN.md §11).
+//! The driver polls the bodies on its own thread, one at a time. Bodies
+//! run on OS threads by the thread adapter ([`crate::Proc`]) take turns on
+//! the engine's baton, which guarantees that at most one of them executes
+//! at any instant (see `ssm-engine::threads`), so plain unsynchronized
+//! access can never race. The baton is passed over channels, and a channel
+//! `send` happens-before its matching `recv`, so each thread sees every
+//! write the previous baton holder made.
+//!
+//! This module is the workspace's one `unsafe` island (see DESIGN.md §11),
+//! and the `unsafe_code` lint, denied in this crate and forbidden in every
+//! other, keeps it so.
 //! Debug builds check the baton on every access with an `entrants`
 //! counter; release builds compile the check out.
 
@@ -32,7 +38,8 @@ pub struct LockId(pub u32);
 pub struct BarrierId(pub u32);
 
 /// The single, shared, grow-once byte store backing the simulated shared
-/// address space.
+/// address space. Private to this module: [`SharedVec`] and [`World`] are
+/// the only way into it.
 ///
 /// # Safety model
 ///
@@ -43,7 +50,7 @@ pub struct BarrierId(pub u32);
 /// application thread is parked. Debug builds verify this invariant at
 /// runtime with an `entrants` counter; release builds do no atomic
 /// operation per access.
-pub struct SharedMem {
+struct SharedMem {
     data: UnsafeCell<Vec<u8>>,
     /// Debug guard: number of threads currently inside an accessor.
     #[cfg(debug_assertions)]
@@ -61,7 +68,7 @@ unsafe impl Sync for SharedMem {}
 
 impl SharedMem {
     /// Creates a store of `bytes` zeroed bytes.
-    pub fn new(bytes: usize) -> Arc<Self> {
+    fn new(bytes: usize) -> Arc<Self> {
         Arc::new(SharedMem {
             data: UnsafeCell::new(vec![0u8; bytes]),
             #[cfg(debug_assertions)]
@@ -70,22 +77,23 @@ impl SharedMem {
     }
 
     /// Size of the store in bytes.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.with(|d| d.len())
     }
 
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Reads the `T` at byte `addr`.
+    fn load<T: Scalar>(&self, addr: u64) -> T {
+        self.with(|d| T::from_le_chunk(&d[byte_range::<T>(addr, 1)]))
+    }
+
+    /// Writes `v` to the `T` at byte `addr`.
+    fn store<T: Scalar>(&self, addr: u64, v: T) {
+        self.with(|d| v.to_le_chunk(&mut d[byte_range::<T>(addr, 1)]));
     }
 
     /// Reads the `n` consecutive `T`s that start at byte `addr`, with one
     /// bounds check for the whole range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn read_range<T: Scalar>(&self, addr: u64, n: usize) -> Vec<T> {
+    fn read_range<T: Scalar>(&self, addr: u64, n: usize) -> Vec<T> {
         let bytes = byte_range::<T>(addr, n);
         self.with(|d| {
             d[bytes]
@@ -97,11 +105,7 @@ impl SharedMem {
 
     /// Reads `out.len()` consecutive `T`s that start at byte `addr` into
     /// `out`, with one bounds check for the whole range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn read_into<T: Scalar>(&self, addr: u64, out: &mut [T]) {
+    fn read_into<T: Scalar>(&self, addr: u64, out: &mut [T]) {
         let bytes = byte_range::<T>(addr, out.len());
         self.with(|d| {
             for (o, chunk) in out.iter_mut().zip(d[bytes].chunks_exact(T::BYTES as usize)) {
@@ -112,11 +116,7 @@ impl SharedMem {
 
     /// Writes `vals` to consecutive `T`s starting at byte `addr`, with one
     /// bounds check for the whole range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn write_range<T: Scalar>(&self, addr: u64, vals: &[T]) {
+    fn write_range<T: Scalar>(&self, addr: u64, vals: &[T]) {
         let bytes = byte_range::<T>(addr, vals.len());
         self.with(|d| {
             for (chunk, &v) in d[bytes].chunks_exact_mut(T::BYTES as usize).zip(vals) {
@@ -168,14 +168,6 @@ pub trait Scalar: private::Sealed + Copy + 'static {
     fn from_le_chunk(chunk: &[u8]) -> Self;
     /// Encodes `self` little-endian into `chunk`, which is `BYTES` long.
     fn to_le_chunk(self, chunk: &mut [u8]);
-    /// Reads `Self` from the store at `addr`.
-    fn load(mem: &SharedMem, addr: u64) -> Self {
-        mem.with(|d| Self::from_le_chunk(&d[byte_range::<Self>(addr, 1)]))
-    }
-    /// Writes `self` to the store at `addr`.
-    fn store(self, mem: &SharedMem, addr: u64) {
-        mem.with(|d| self.to_le_chunk(&mut d[byte_range::<Self>(addr, 1)]));
-    }
 }
 
 mod private {
@@ -204,13 +196,22 @@ impl_scalar!(u8, i32, u32, i64, u64, f32, f64);
 ///
 /// Cloning is cheap (the handle is an `Arc` + offset). Two access families:
 ///
-/// * [`SharedVec::read`] / [`SharedVec::write`] (and the range forms
-///   [`SharedVec::touch_read`] / [`SharedVec::touch_write`]) — *simulated*:
-///   they charge the coherence protocol and memory hierarchy via the
-///   calling processor's [`Cpu`];
-/// * [`SharedVec::get_direct`] / [`SharedVec::set_direct`] — *untimed*:
-///   used for initialization before the run and verification after it,
-///   mirroring the untimed setup phases of the paper's methodology.
+/// * *simulated*: [`SharedVec::read`] / [`SharedVec::write`] move one
+///   element and [`SharedVec::read_range`] / [`SharedVec::write_range`] a
+///   run of elements, each as one operation of the calling processor's
+///   [`Cpu`] that charges the coherence protocol and memory hierarchy.
+///   Every value an application body moves goes through one of these, so
+///   the simulator sees each access as the call that moves its value;
+/// * *untimed*: [`SharedVec::get_direct`] / [`SharedVec::set_direct`] and
+///   their range forms, used for initialization before the run and
+///   verification after it, mirroring the untimed setup phases of the
+///   paper's methodology.
+///
+/// One body is the exception: FFT's transposes issue
+/// [`SharedVec::touch_read`] / [`SharedVec::touch_write`], which charge an
+/// access without moving a value, and move the values untimed between the
+/// same two barriers, one tile at a time. Moving each row's values at its
+/// touch would need a per-processor copy of the whole band.
 pub struct SharedVec<T: Scalar> {
     mem: Arc<SharedMem>,
     addr: u64,
@@ -252,12 +253,12 @@ impl<T: Scalar> SharedVec<T> {
 
     /// Untimed read (initialization / verification only).
     pub fn get_direct(&self, i: usize) -> T {
-        T::load(&self.mem, self.addr_of(i))
+        self.mem.load(self.addr_of(i))
     }
 
     /// Untimed write (initialization / verification only).
     pub fn set_direct(&self, i: usize, v: T) {
-        v.store(&self.mem, self.addr_of(i));
+        self.mem.store(self.addr_of(i), v);
     }
 
     /// Untimed read of the `n` consecutive elements starting at `i`: one
@@ -300,18 +301,43 @@ impl<T: Scalar> SharedVec<T> {
     /// Simulated read of element `i` by processor `p`.
     pub async fn read(&self, p: &Cpu, i: usize) -> T {
         p.touch_read(self.addr_of(i), T::BYTES).await;
-        T::load(&self.mem, self.addr_of(i))
+        self.get_direct(i)
     }
 
     /// Simulated write of element `i` by processor `p`.
     pub async fn write(&self, p: &Cpu, i: usize, v: T) {
         p.touch_write(self.addr_of(i), T::BYTES).await;
-        v.store(&self.mem, self.addr_of(i));
+        self.set_direct(i, v);
     }
 
     /// Simulated read of the `n` consecutive elements starting at `i` by
     /// processor `p`: one operation over the whole range (coarse-grained
-    /// access). The body then reads the values through the untimed path.
+    /// access, as SPLASH-2's blocked and staged copies do), then one copy.
+    /// An empty range issues nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > 0` and `i + n > len`.
+    pub async fn read_range(&self, p: &Cpu, i: usize, n: usize) -> Vec<T> {
+        self.touch_read(p, i, n).await;
+        self.read_range_direct(i, n)
+    }
+
+    /// Simulated write of `vals` to consecutive elements starting at `i` by
+    /// processor `p`, as [`SharedVec::read_range`] reads them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vals` is not empty and `i + vals.len() > len`.
+    pub async fn write_range(&self, p: &Cpu, i: usize, vals: &[T]) {
+        self.touch_write(p, i, vals.len()).await;
+        self.write_range_direct(i, vals);
+    }
+
+    /// The operation [`SharedVec::read_range`] issues, without the copy:
+    /// charges `p` for reading the `n` elements starting at `i` and moves
+    /// no value. Of the application bodies, only FFT's transposes use it
+    /// (see the type's docs).
     pub fn touch_read(&self, p: &Cpu, i: usize, n: usize) -> Handoff {
         match self.range_addr(i, n) {
             Some(addr) => p.touch_read(addr, (n as u64) * T::BYTES),
@@ -319,8 +345,7 @@ impl<T: Scalar> SharedVec<T> {
         }
     }
 
-    /// Simulated write of the `n` consecutive elements starting at `i` by
-    /// processor `p`, as [`SharedVec::touch_read`] reads them.
+    /// The operation [`SharedVec::write_range`] issues, without the copy.
     pub fn touch_write(&self, p: &Cpu, i: usize, n: usize) -> Handoff {
         match self.range_addr(i, n) {
             Some(addr) => p.touch_write(addr, (n as u64) * T::BYTES),
@@ -381,11 +406,6 @@ impl World {
             locks: 0,
             barriers: 0,
         }
-    }
-
-    /// The shared store.
-    pub fn mem(&self) -> &Arc<SharedMem> {
-        &self.mem
     }
 
     /// Bytes allocated so far.
@@ -458,12 +478,12 @@ mod tests {
     #[test]
     fn scalar_round_trip() {
         let mem = SharedMem::new(64);
-        1234.5f64.store(&mem, 8);
-        assert_eq!(f64::load(&mem, 8), 1234.5);
-        (-7i32).store(&mem, 0);
-        assert_eq!(i32::load(&mem, 0), -7);
-        0xdead_beef_u32.store(&mem, 4);
-        assert_eq!(u32::load(&mem, 4), 0xdead_beef);
+        mem.store(8, 1234.5f64);
+        assert_eq!(mem.load::<f64>(8), 1234.5);
+        mem.store(0, -7i32);
+        assert_eq!(mem.load::<i32>(0), -7);
+        mem.store(4, 0xdead_beef_u32);
+        assert_eq!(mem.load::<u32>(4), 0xdead_beef);
     }
 
     #[test]
@@ -537,6 +557,33 @@ mod tests {
         v.read_range_into(4, &mut []);
         v.write_range_direct(4, &[]);
         assert_eq!(v.read_range_direct(0, 4), vec![0, 0, 0, 9]);
+    }
+
+    /// A timed range call is one operation over the whole range, and it
+    /// moves the values; an empty range issues nothing.
+    #[test]
+    fn timed_range_calls_issue_one_op_and_move_the_values() {
+        use crate::vm::Op;
+        use std::future::Future;
+        use std::task::{Context, Poll, Waker};
+        let mut w = World::new(1 << 16);
+        let v = w.alloc_vec::<u32>(8);
+        let p = Cpu::new(0, 1, 256);
+        let mut body = std::pin::pin!(async {
+            v.write_range(&p, 2, &[7, 8, 9]).await;
+            v.write_range(&p, 8, &[]).await;
+            v.read_range(&p, 1, 4).await
+        });
+        let Poll::Ready(got) = body.as_mut().poll(&mut Context::from_waker(Waker::noop())) else {
+            panic!("nothing seals a batch below the cap");
+        };
+        assert_eq!(got, vec![0, 7, 8, 9]);
+        p.finish();
+        let (ops, _) = p.take_batch().expect("sealed");
+        let (addr, bytes) = (v.addr_of(2), 12);
+        assert_eq!(ops[0], Op::Write { addr, bytes });
+        let (addr, bytes) = (v.addr_of(1), 16);
+        assert_eq!(ops[1..], [Op::Read { addr, bytes }]);
     }
 
     #[test]

@@ -8,6 +8,13 @@
 //! driver (`ssm_core::driver`) polls these bodies on its own thread, so
 //! they need no OS thread and no baton.
 //!
+//! Shared data has two access families (see [`crate::SharedVec`]). Bodies
+//! use the simulated one: each `read`/`write`/`read_range`/`write_range`
+//! issues one [`Cpu::touch_read`] or [`Cpu::touch_write`] and moves the
+//! values it names. The untimed one (`get_direct`, `set_direct` and their
+//! range forms) serves setup and verification, and FFT's transposes, the
+//! one body that touches without moving.
+//!
 //! [`Proc`] is the thread adapter: [`Proc::block_on`] runs an async body
 //! on an OS thread of the engine's thread pool and hands each batch the
 //! body seals over the baton (see `ssm-engine::threads`).

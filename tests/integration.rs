@@ -729,3 +729,51 @@ fn data_path_is_pinned() {
         .collect();
     assert_eq!(got, want, "(total; buckets per processor; counters)");
 }
+
+/// Every catalog application's simulated numbers at test scale, p4, HLRC
+/// at the base configuration. A rewrite of an application's host code
+/// must issue the same op stream, so it must leave every number here
+/// unchanged.
+///
+/// Each line is `app total_cycles sim_ops messages [bucket sums]`, where
+/// the bucket sums add each `Bucket::ALL` entry over the processors.
+#[test]
+fn catalog_numbers_are_pinned() {
+    const PINS: &str = "
+        FFT 374276 548 81 [97280, 31720, 528708, 0, 557176, 180704]
+        LU-Contiguous 677576 171 138 [174760, 56704, 793808, 0, 1414020, 241256]
+        Ocean-Contiguous 235212 720 60 [22528, 34944, 364184, 0, 381192, 129760]
+        Ocean-rowwise 229108 584 60 [22528, 30156, 364016, 0, 360934, 130558]
+        Radix 369686 2136 84 [22528, 75856, 609452, 0, 504148, 161544]
+        Radix-Local 554180 966 120 [43008, 103728, 983396, 0, 755778, 238742]
+        Barnes-original 3404622 6416 928 [114028, 107180, 4703904, 4260318, 2369726, 2049466]
+        Barnes-Spatial 1224114 6050 205 [115284, 111480, 2746756, 0, 1474368, 417096]
+        Raytrace 438676 8988 106 [211308, 12828, 710362, 350246, 0, 170354]
+        Volrend 521452 4740 118 [211792, 84049, 1054418, 289797, 0, 255472]
+        Volrend-rest 498736 4548 118 [211792, 93777, 1056014, 307020, 0, 256912]
+        Water-Nsquared 2063266 464 500 [1155072, 18468, 3173768, 1622636, 1380636, 986138]
+        Water-Spatial 3352340 352 60 [5901568, 16652, 3760910, 0, 3557328, 137518]
+    ";
+    let mut got: Vec<String> = Vec::new();
+    for spec in suite() {
+        let w = spec.build(Scale::Test);
+        let r = SimBuilder::new(Protocol::Hlrc)
+            .procs(4)
+            .run(w.as_ref())
+            .expect_verified();
+        let sums: Vec<u64> = Bucket::ALL
+            .iter()
+            .map(|&k| r.per_proc.iter().map(|b| b.get(k)).sum())
+            .collect();
+        got.push(format!(
+            "{} {} {} {} {sums:?}",
+            spec.name, r.total_cycles, r.counters.sim_ops, r.counters.messages
+        ));
+    }
+    let want: Vec<&str> = PINS
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty())
+        .collect();
+    assert_eq!(got, want, "(app total sim_ops messages bucket sums)");
+}

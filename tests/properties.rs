@@ -8,7 +8,7 @@
 //! reproduce exactly.
 
 use ssm::apps::common::{block_range, Rng};
-use ssm::engine::{Pipe, Resource};
+use ssm::engine::Resource;
 use ssm::hlrc::{DirtyBits, NoticeBoard};
 use ssm::mem::{Access, Cache, CacheConfig};
 use ssm::proto::{BarrierId, BarrierTable, LockId, LockTable, PerWord};
@@ -37,26 +37,6 @@ fn resource_reservations_disjoint() {
             total += dur;
         }
         assert_eq!(r.busy_cycles(), total, "case {case}");
-    }
-}
-
-/// Pipe transfer times are monotone in sim order and each transfer takes
-/// at least its own latency.
-#[test]
-fn pipe_transfers_serialize() {
-    for case in 0..CASES {
-        let mut rng = Rng::new(0x9199 + case);
-        let n = 1 + rng.gen_range(99);
-        let mut p = Pipe::new(2, 1);
-        let mut last = 0u64;
-        for _ in 0..n {
-            let now = rng.gen_range(10_000);
-            let bytes = 1 + rng.gen_range(9_999);
-            let done = p.transfer(now, bytes);
-            assert!(done >= last, "case {case}");
-            assert!(done >= now + p.latency_of(bytes), "case {case}");
-            last = done;
-        }
     }
 }
 
